@@ -465,8 +465,6 @@ def index_one_cover(c: Cone) -> tuple[Cone, CoverCertificate]:
     b_cols = IntMatrix(tuple(zip(*(v.coords for v in basis_vecs))))
     if abs(b_cols.det()) != index:
         raise ClassifyError("sublattice index mismatch while building the cover")
-    inv_rows = []
-    det = b_cols.det()
     gens = []
     for g in c.generators:
         sol = rational_solve([LatticeVector(r) for r in b_cols.rows], list(g.coords))

@@ -21,12 +21,10 @@ from .lattice import Covector, LatticeVector
 from .resolve2d import minimal_resolution
 from .resolve3d import (
     PolygonComplex,
-    _curve_phase,
-    _fixed_point_phase,
     canonical_modification,
     completions,
-    polygon_form,
     resolve,
+    resolve_piece,
 )
 
 
@@ -46,7 +44,7 @@ def parse_job(text: str) -> dict:
     if unknown:
         raise ParseError(f"unknown fields: {sorted(unknown)}")
     rank = data.get("lattice_rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ParseError("lattice_rank must be a positive integer")
     cones = data.get("cones")
     if not isinstance(cones, list) or not cones:
@@ -205,42 +203,46 @@ def _cmd_resolve3d(cones, args) -> dict:
     return {"results": results}
 
 
-def _pipeline_complex(c: Cone):
-    """Phase-(iv) state of the single Gorenstein piece of a cone (for rendering)."""
+def _one_piece(c: Cone):
+    """``resolve_piece`` of a cone whose canonical modification is one piece."""
     can = canonical_modification(c)
     if len(can.maximal_cones) != 1:
         raise ValueError(
-            "rendering and completion listing support canonical Gorenstein cones "
+            "rendering and completion listing support one-piece cones "
             f"(got {len(can.maximal_cones)} canonical pieces)"
         )
-    piece = can.maximal_cones[0]
-    polygon, basis = polygon_form(piece)
-    pc = PolygonComplex.initial(polygon)
-    pc, _ = _fixed_point_phase(pc)
-    pc, _ = _curve_phase(pc)
-    return pc
+    return resolve_piece(can.maximal_cones[0])
 
 
 def _completions_json(c: Cone, which: str) -> list[dict]:
-    pc = _pipeline_complex(c)
+    """The selected completions, in the coordinates of the input lattice."""
+    pc, to_ambient, _rounds, _cert = _one_piece(c)
     comps = completions(pc)
     if which != "all":
-        idx = int(which)
+        try:
+            idx = int(which)
+        except ValueError:
+            idx = -1
+        if not 0 <= idx < len(comps):
+            raise ValueError(
+                f"--completion {which}: expected 'all' or an index from 0 to "
+                f"{len(comps) - 1} ({len(comps)} completions)"
+            )
         comps = [comps[idx]]
-    out = []
-    for fan, psi in comps:
-        out.append(
-            {
-                "rays": [list(r.coords) for r in fan.rays()],
-                "maximal_cones": [
-                    [list(g.coords) for g in mc.generators] for mc in fan.maximal_cones
-                ],
-                "height_certificate": {
-                    str(list(r)): v for r, v in sorted(psi.ray_values.items())
-                },
-            }
-        )
-    return out
+
+    def ambient(coords) -> list[int]:
+        return list(to_ambient(coords[:2]).coords)
+
+    return [
+        {
+            "rays": sorted(ambient(r.coords) for r in fan.rays()),
+            "maximal_cones": sorted(
+                sorted(ambient(g.coords) for g in mc.generators) for mc in fan.maximal_cones
+            ),
+            "height_certificate": {str(ambient(r)): v for r, v in psi.ray_values.items()},
+        }
+        for fan, psi in comps
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +304,7 @@ def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
 def _cmd_render(cones, args) -> str:
     if len(cones) != 1:
         raise ValueError("render expects exactly one cone in the input file")
-    pc = _pipeline_complex(cones[0])
-    return render_svg(pc, scale=args.scale)
+    return render_svg(_one_piece(cones[0])[0], scale=args.scale)
 
 
 def main(argv=None) -> int:
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
                 if len(cones) != 1:
                     raise ValueError("--svg expects exactly one cone in the input file")
                 with open(args.svgfile, "w", encoding="utf-8") as fh:
-                    fh.write(render_svg(_pipeline_complex(cones[0]), scale=args.scale))
+                    fh.write(render_svg(_one_piece(cones[0])[0], scale=args.scale))
     except ValueError as e:
         print(f"toresolve: {e}", file=sys.stderr)
         return 1

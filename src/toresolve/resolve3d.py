@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
+from typing import Callable
 from fractions import Fraction
 
 from .classify import (
@@ -26,9 +26,9 @@ from .classify import (
     height_one_polytope,
     index_one_cover,
 )
-from .cones import Cone, Fan, dual_cone, extreme_rays, is_basic, make_cone, make_fan
+from .cones import Cone, Fan, extreme_rays, is_basic, make_cone, make_fan
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
-from .hilbert import floor_facets, hilbert_basis
+from .hilbert import floor_facets
 from .lattice import Covector, IntMatrix, LatticeVector, rational_solve
 
 
@@ -158,169 +158,23 @@ def _lift(p: Point) -> LatticeVector:
     return LatticeVector((p[0], p[1], 1))
 
 
-def _cell_cone(cell: LatticePolytope) -> Cone:
-    return make_cone([_lift(v) for v in cell.vertices])
-
-
 # ---------------------------------------------------------------------------
-# phase: blow-ups of non-cDV fixed points
+# the blow-up phases: regular subdivisions induced by 0/1 liftings
 # ---------------------------------------------------------------------------
 
 
-def _order_function_subdivision(cell: LatticePolytope):
-    """Linearity domains on the cell of the order function of the maximal ideal.
+def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope]:
+    """Cells of the regular subdivision lifting ``lifted`` to 1, the rest to 0.
 
-    The order function is the minimum of the pairings against the nonzero
-    dual Hilbert basis; its domains are computed exactly as subcones and
-    must be crepant (all rays at height one), which is asserted.
-
-    Returns (subcells, central_cell_points, new_rays).
+    Blowing up the fixed point of a cell lifts its interior lattice points,
+    whose hull becomes the central cell; blowing up its singular curves lifts
+    its edge-interior points.  The linear pieces of the upper envelope are
+    found as vertices of the polyhedron of affine functions dominating the
+    lifted points, computed through a homogenized double-description pass.
     """
-    cone = _cell_cone(cell)
-    dual_members = hilbert_basis(dual_cone(cone)).members
-    members = [h for h in dual_members if h.coords != (0, 0, 1)]
-    if len(members) == len(dual_members):
-        raise Resolve3dError("grading functional missing from dual Hilbert basis")
-    base_constraints = [
-        tuple(int(x) for x in m.primitive().coords) for m in cone.inequalities
-    ]
-    all_members = list(dual_members)
-    subcells = []
-    central: list[Point] = []
-    for h in all_members:
-        constraints = list(base_constraints)
-        for other in all_members:
-            if other != h:
-                constraints.append((other - h).coords)
-        rays, lin = extreme_rays(constraints, 3)
-        if lin:
-            raise Resolve3dError("unexpected lineality in order-function domain")
-        pts = []
-        for r in rays:
-            if r[2] != 1:
-                raise Resolve3dError(
-                    f"crepancy violated: order-function domain ray {r} off height one"
-                )
-            pts.append((r[0], r[1]))
-        if len(pts) >= 3:
-            poly = LatticePolytope.from_points(pts)
-            if poly.dimension == 2:
-                subcells.append(poly)
-        if h.coords == (0, 0, 1):
-            central = pts
-    old = set(cell.vertices)
-    new_rays = sorted(
-        {p for sc in subcells for p in sc.vertices if p not in old}
-    )
-    return subcells, central, new_rays
-
-
-def blowup_fixed_point(pc: PolygonComplex, cell_index: int) -> PolygonComplex:
-    """Blow up the distinguished point of one cell with interior lattice points.
-
-    The cell is replaced by the linearity domains of the order function of
-    its maximal ideal; all new rays stay at height one.  The central domain
-    always turns out to be the hull of the cell's interior lattice points,
-    which is checked here.
-    """
-    cell = pc.cells[cell_index]
-    interior = cell.interior_points()
-    if not interior:
-        raise Resolve3dError("cell is already cDV: no interior lattice points")
-    subcells, central, _new = _order_function_subdivision(cell)
-    hull_of_interior = LatticePolytope.from_points(interior)
-    if set(central) != set(hull_of_interior.vertices):
-        raise Resolve3dError(
-            "central cell differs from the hull of the interior points: "
-            f"{sorted(central)} vs {sorted(hull_of_interior.vertices)}"
-        )
-    cells = [c for i, c in enumerate(pc.cells) if i != cell_index] + subcells
-    heights = {p: 1 for p in interior}
-    return pc.replace_cells(cells, new_round=heights)
-
-
-@dataclass(frozen=True)
-class PhaseRound:
-    """One simultaneous round of a blow-up phase, for the trace."""
-
-    phase: str
-    centers: tuple[LatticePolytope, ...]
-    new_rays: tuple[Point, ...]
-    central_cells_match_interior_hull: bool | None
-    census_after: dict
-
-
-def crepant_fixed_point_phase(
-    pc: PolygonComplex, shuffle: random.Random | None = None
-) -> PolygonComplex:
-    """Blow up all cells with interior lattice points, round by round, to exhaustion.
-
-    With ``shuffle`` the eligible cells are processed one at a time in random
-    order instead of simultaneously; the endpoint is the same either way
-    (each blow-up is local to its cell), which the test-suite exercises.
-    """
-    result, _rounds = _fixed_point_phase(pc, shuffle=shuffle)
-    return result
-
-
-def _fixed_point_phase(pc: PolygonComplex, shuffle: random.Random | None = None):
-    rounds: list[PhaseRound] = []
-    while True:
-        eligible = [i for i, c in enumerate(pc.cells) if c.interior_points()]
-        if not eligible:
-            return pc, rounds
-        before = pc.census()["interior_points"]
-        if shuffle is not None:
-            idx = shuffle.choice(eligible)
-            centers = (pc.cells[idx],)
-            old_points = {p for c in pc.cells for p in c.vertices}
-            pc = blowup_fixed_point(pc, idx)
-        else:
-            centers = tuple(pc.cells[i] for i in eligible)
-            keep = [c for i, c in enumerate(pc.cells) if i not in set(eligible)]
-            new_cells = list(keep)
-            heights: dict[Point, int] = {}
-            old_points = {p for c in pc.cells for p in c.vertices}
-            for i in eligible:
-                cell = pc.cells[i]
-                subcells, central, _ = _order_function_subdivision(cell)
-                hull = LatticePolytope.from_points(cell.interior_points())
-                if set(central) != set(hull.vertices):
-                    raise Resolve3dError("central cell mismatch during fixed-point phase")
-                new_cells.extend(subcells)
-                for p in cell.interior_points():
-                    heights[p] = 1
-            pc = pc.replace_cells(new_cells, new_round=heights)
-        after = pc.census()["interior_points"]
-        if after >= before:
-            raise Resolve3dError("fixed-point phase failed to reduce interior points")
-        new_rays = tuple(
-            sorted({p for c in pc.cells for p in c.vertices} - old_points)
-        )
-        rounds.append(
-            PhaseRound(
-                phase="fixed-point-blow-up",
-                centers=centers,
-                new_rays=new_rays,
-                central_cells_match_interior_hull=True,
-                census_after=pc.census(),
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
-# phase: blow-ups of the one-dimensional singular locus
-# ---------------------------------------------------------------------------
-
-
-def _envelope_subdivision(cell: LatticePolytope, heights: dict[Point, int]):
-    """Cells of the regular subdivision induced by lifting lattice points.
-
-    The linear pieces of the upper envelope are found as vertices of the
-    polyhedron of affine functions dominating the lifted points, computed
-    through a homogenized double-description pass.
-    """
+    lifted = set(lifted)
     points = [tuple(p) for p in cell.lattice_points()]
+    heights = {p: int(p in lifted) for p in points}
     constraints = [(p[0], p[1], 1, -heights[p]) for p in points]
     constraints.append((0, 0, 0, 1))
     rays, _lin = extreme_rays(constraints, 4)
@@ -344,6 +198,69 @@ def _envelope_subdivision(cell: LatticePolytope, heights: dict[Point, int]):
     return cells
 
 
+@dataclass(frozen=True)
+class PhaseRound:
+    """One simultaneous round of a blow-up phase, for the trace."""
+
+    phase: str
+    centers: tuple[LatticePolytope, ...]
+    new_rays: tuple[Point, ...]
+    census_after: dict
+
+
+def _phase(pc: PolygonComplex, phase: str, centres) -> tuple[PolygonComplex, list[PhaseRound]]:
+    """Blow up, round by round, every cell whose ``centres(cell)`` is nonempty.
+
+    ``centres`` is ``LatticePolytope.interior_points`` for the fixed-point
+    phase and ``LatticePolytope.edge_interior_points`` for the curve phase;
+    each round lifts the centres of all eligible cells at once.
+    """
+    rounds: list[PhaseRound] = []
+    remaining = {p for c in pc.cells for p in centres(c)}
+    while remaining:
+        old_points = {p for c in pc.cells for p in c.vertices}
+        eligible: list[LatticePolytope] = []
+        new_cells: list[LatticePolytope] = []
+        heights: dict[Point, int] = {}
+        for cell in pc.cells:
+            lifted = centres(cell)
+            if not lifted:
+                new_cells.append(cell)
+                continue
+            eligible.append(cell)
+            new_cells.extend(_envelope_subdivision(cell, lifted))
+            heights.update(dict.fromkeys(lifted, 1))
+        pc = pc.replace_cells(new_cells, new_round=heights)
+        left = {p for c in pc.cells for p in centres(c)}
+        if len(left) >= len(remaining):
+            raise Resolve3dError(f"{phase} failed to reduce its centres")
+        remaining = left
+        new_rays = tuple(sorted({p for c in pc.cells for p in c.vertices} - old_points))
+        rounds.append(PhaseRound(phase, tuple(eligible), new_rays, pc.census()))
+    return pc, rounds
+
+
+def blowup_fixed_point(pc: PolygonComplex, cell_index: int) -> PolygonComplex:
+    """Blow up the distinguished point of one cell with interior lattice points.
+
+    The cell is replaced by the linearity domains of the order function of
+    its maximal ideal, the regular subdivision lifting its interior lattice
+    points; all new rays stay at height one.
+    """
+    cell = pc.cells[cell_index]
+    interior = cell.interior_points()
+    if not interior:
+        raise Resolve3dError("cell is already cDV: no interior lattice points")
+    cells = [c for i, c in enumerate(pc.cells) if i != cell_index]
+    cells += _envelope_subdivision(cell, interior)
+    return pc.replace_cells(cells, new_round=dict.fromkeys(interior, 1))
+
+
+def crepant_fixed_point_phase(pc: PolygonComplex) -> PolygonComplex:
+    """Blow up all cells with interior lattice points, round by round, to exhaustion."""
+    return _phase(pc, "fixed-point-blow-up", LatticePolytope.interior_points)[0]
+
+
 def blowup_curve_phase(pc: PolygonComplex) -> PolygonComplex:
     """Insert all edge-interior lattice points, splitting cells along the
     regular subdivision they induce, until no cell edge has interior points.
@@ -352,50 +269,11 @@ def blowup_curve_phase(pc: PolygonComplex) -> PolygonComplex:
     lattice points).  Afterwards every non-basic cell is a unit
     parallelogram.
     """
-    result, _rounds = _curve_phase(pc)
-    return result
-
-
-def _curve_phase(pc: PolygonComplex):
     if any(c.interior_points() for c in pc.cells):
         raise Resolve3dError("run the fixed-point phase first: interior points remain")
-    rounds: list[PhaseRound] = []
-    while True:
-        eligible = [i for i, c in enumerate(pc.cells) if c.edge_interior_points()]
-        if not eligible:
-            break
-        before = pc.census()["edge_interior_points"]
-        centers = tuple(pc.cells[i] for i in eligible)
-        old_points = {p for c in pc.cells for p in c.vertices}
-        new_cells = [c for i, c in enumerate(pc.cells) if i not in set(eligible)]
-        heights: dict[Point, int] = {}
-        for i in eligible:
-            cell = pc.cells[i]
-            lift = {tuple(p): 0 for p in cell.vertices}
-            for p in cell.edge_interior_points():
-                lift[tuple(p)] = 1
-                heights[tuple(p)] = 1
-            new_cells.extend(_envelope_subdivision(cell, lift))
-        pc = pc.replace_cells(new_cells, new_round=heights)
-        after = pc.census()["edge_interior_points"]
-        if after >= before:
-            raise Resolve3dError("curve phase failed to reduce edge-interior points")
-        new_rays = tuple(sorted({p for c in pc.cells for p in c.vertices} - old_points))
-        rounds.append(
-            PhaseRound(
-                phase="curve-blow-up",
-                centers=centers,
-                new_rays=new_rays,
-                central_cells_match_interior_hull=None,
-                census_after=pc.census(),
-            )
-        )
-    for tag, cell in zip(pc.tags(), pc.cells):
-        if not (tag["basic"] or tag["unit_parallelogram"]):
-            raise Resolve3dError(
-                f"cell {cell.vertices} is neither basic nor an ordinary double point"
-            )
-    return pc, rounds
+    pc, _rounds = _phase(pc, "curve-blow-up", LatticePolytope.edge_interior_points)
+    _double_point_cells(pc)
+    return pc
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +541,32 @@ def _report_for(base: Cone, m: Covector, rays) -> DiscrepancyReport:
     return DiscrepancyReport(base_cone=base, m_sigma=m, entries=entries)
 
 
+def resolve_piece(
+    piece: Cone,
+) -> tuple[PolygonComplex, Callable[[Point], LatticeVector], list[PhaseRound], CoverCertificate | None]:
+    """Both crepant blow-up phases on one canonical piece.
+
+    Returns the final polygon complex, the map carrying its polygon
+    coordinates back to the piece's lattice, the phase rounds, and the
+    index-one cover certificate (``None`` when the piece is Gorenstein).
+    """
+    gd = gorenstein_data(piece)
+    if gd is None:
+        raise Resolve3dError("canonical piece unexpectedly not Q-Gorenstein")
+    work, cert = (piece, None) if gd[1] == 1 else index_one_cover(piece)
+    polygon, basis = polygon_form(work)
+
+    def to_ambient(p: Point) -> LatticeVector:
+        v = basis.apply(_lift(p))
+        return v if cert is None else cert.sublattice_basis.apply(v)
+
+    pc, fixed_point_rounds = _phase(
+        PolygonComplex.initial(polygon), "fixed-point-blow-up", LatticePolytope.interior_points
+    )
+    pc, curve_rounds = _phase(pc, "curve-blow-up", LatticePolytope.edge_interior_points)
+    return pc, to_ambient, fixed_point_rounds + curve_rounds, cert
+
+
 def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     """Canonical modification, index-one covers, crepant phases, first completion.
 
@@ -695,29 +599,11 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     )
     final_cones: list[Cone] = []
     for piece_index, piece in enumerate(can_fan.maximal_cones):
-        gd = gorenstein_data(piece)
-        if gd is None:
-            raise Resolve3dError("canonical piece unexpectedly not Q-Gorenstein")
-        m_piece, index = gd
-        work = piece
-        cover_basis: IntMatrix | None = None
-        if index > 1:
-            work, cert = index_one_cover(piece)
+        pc, to_ambient, rounds, cert = resolve_piece(piece)
+        if cert is not None:
             covers.append((piece_index, cert))
-            cover_basis = cert.sublattice_basis
-
-        polygon, basis = polygon_form(work)
-
-        def to_ambient(p: Point) -> LatticeVector:
-            v = basis.apply(_lift(p))
-            if cover_basis is not None:
-                v = cover_basis.apply(v)
-            return v
-
-        pc = PolygonComplex.initial(polygon)
-        pc, rounds_fp = _fixed_point_phase(pc)
-        pc, rounds_cv = _curve_phase(pc)
-        for rnd in rounds_fp + rounds_cv:
+        m_piece = gorenstein_data(piece)[0]
+        for rnd in rounds:
             mapped = tuple(sorted(to_ambient(p) for p in rnd.new_rays))
             steps.append(
                 ResolutionStep(

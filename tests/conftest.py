@@ -1,9 +1,10 @@
 """Shared brute-force oracles and generators for the test suite.
 
 The oracles are deliberately independent of the library's own algorithms:
-lattice points are enumerated over bounding boxes and filtered, and the
+lattice points are enumerated over bounding boxes and filtered, the
 stacked-polytope oracle tries explicit unimodular maps against the literal
-construction.
+construction, and fixed-point blow-ups are recomputed from the paper's
+definition as linearity domains of the order function.
 """
 
 import itertools
@@ -11,9 +12,13 @@ import random
 
 import pytest
 
-from toresolve.cones import Cone, ConeError, make_cone
+from toresolve.cones import Cone, ConeError, dual_cone, extreme_rays, make_cone
 from toresolve.classify import LatticePolytope, convex_hull_2d
+from toresolve.hilbert import hilbert_basis
 from toresolve.lattice import LatticeVector
+from toresolve.resolve3d import PolygonComplex, Resolve3dError, blowup_fixed_point
+
+Point = tuple[int, int]
 
 
 def box_hilbert_oracle(c: Cone) -> list[LatticeVector]:
@@ -83,6 +88,64 @@ def random_polygon(rng: random.Random, bound: int = 4, max_pts: int = 6):
 
 def gorenstein_cone_over(polygon: LatticePolytope) -> Cone:
     return make_cone([LatticeVector((p[0], p[1], 1)) for p in polygon.vertices])
+
+
+def _order_function_subdivision(cell: LatticePolytope):
+    """Linearity domains on the cell of the order function of the maximal ideal.
+
+    The order function is the minimum of the pairings against the nonzero
+    dual Hilbert basis; its domains are computed exactly as subcones and
+    must be crepant (all rays at height one), which is asserted.
+
+    Returns (subcells, central_cell_points, new_rays).
+    """
+    cone = gorenstein_cone_over(cell)
+    dual_members = hilbert_basis(dual_cone(cone)).members
+    members = [h for h in dual_members if h.coords != (0, 0, 1)]
+    if len(members) == len(dual_members):
+        raise Resolve3dError("grading functional missing from dual Hilbert basis")
+    base_constraints = [
+        tuple(int(x) for x in m.primitive().coords) for m in cone.inequalities
+    ]
+    all_members = list(dual_members)
+    subcells = []
+    central: list[Point] = []
+    for h in all_members:
+        constraints = list(base_constraints)
+        for other in all_members:
+            if other != h:
+                constraints.append((other - h).coords)
+        rays, lin = extreme_rays(constraints, 3)
+        if lin:
+            raise Resolve3dError("unexpected lineality in order-function domain")
+        pts = []
+        for r in rays:
+            if r[2] != 1:
+                raise Resolve3dError(
+                    f"crepancy violated: order-function domain ray {r} off height one"
+                )
+            pts.append((r[0], r[1]))
+        if len(pts) >= 3:
+            poly = LatticePolytope.from_points(pts)
+            if poly.dimension == 2:
+                subcells.append(poly)
+        if h.coords == (0, 0, 1):
+            central = pts
+    old = set(cell.vertices)
+    new_rays = sorted(
+        {p for sc in subcells for p in sc.vertices if p not in old}
+    )
+    return subcells, central, new_rays
+
+
+def sequential_fixed_point_phase(polygon: LatticePolytope, rng: random.Random) -> PolygonComplex:
+    """Blow up one randomly chosen cell with interior points at a time, until none is left."""
+    pc = PolygonComplex.initial(polygon)
+    while True:
+        eligible = [i for i, c in enumerate(pc.cells) if c.interior_points()]
+        if not eligible:
+            return pc
+        pc = blowup_fixed_point(pc, rng.choice(eligible))
 
 
 def unimodular_2x2(bound: int = 5):

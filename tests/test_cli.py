@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -122,3 +123,73 @@ def test_reports_deterministic(tmp_path):
     assert main(["resolve3d", "--in", infile, "--out", out1]) == 0
     assert main(["resolve3d", "--in", infile, "--out", out2]) == 0
     assert open(out1).read() == open(out2).read()
+
+
+def test_completion_index_out_of_range_exits_one(tmp_path, capsys):
+    square = {"lattice_rank": 3, "cones": [{"generators": [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]}]}
+    infile = write_job(tmp_path, "in.json", square)
+    outfile = str(tmp_path / "out.json")
+    for bad in ["99", "2", "-1", "first"]:
+        assert main(["resolve3d", "--in", infile, "--out", outfile, "--completion", bad]) == 1
+        err = capsys.readouterr().err
+        assert f"--completion {bad}" in err and "2 completions" in err
+        assert "Traceback" not in err
+
+
+def test_parse_rejects_boolean_rank(tmp_path):
+    job = {"lattice_rank": True, "cones": [{"generators": [[1]]}]}
+    with pytest.raises(ParseError, match="lattice_rank"):
+        parse_job(json.dumps(job))
+    infile = write_job(tmp_path, "in.json", job)
+    assert main(["classify", "--in", infile, "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_completions_in_input_lattice(tmp_path):
+    # grading functional (1,0,0): the polygon frame differs from the input lattice
+    job = {
+        "lattice_rank": 3,
+        "cones": [{"generators": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]}],
+    }
+    infile = write_job(tmp_path, "in.json", job)
+    outfile = str(tmp_path / "out.json")
+    assert main(["resolve3d", "--in", infile, "--out", outfile, "--completion", "all"]) == 0
+    entry = json.loads(open(outfile).read())["results"][0]
+    as_sets = lambda cones: {frozenset(map(tuple, gens)) for gens in cones}
+    first = entry["completions"][0]
+    assert as_sets(first["maximal_cones"]) == as_sets(entry["maximal_cones"])
+    assert first["rays"] == entry["final_rays"]
+    assert sorted(first["height_certificate"]) == sorted(str(r) for r in entry["final_rays"])
+
+
+def test_render_index_two_cone(tmp_path):
+    job = {"lattice_rank": 3, "cones": [{"generators": [[1, 0, 0], [0, 1, 0], [1, 1, 2]]}]}
+    infile = write_job(tmp_path, "in.json", job)
+    outfile = str(tmp_path / "out.svg")
+    assert main(["render", "--in", infile, "--out", outfile]) == 0
+    assert open(outfile).read().startswith("<svg")
+
+
+# SHA-256 of the CLI output for fixed jobs; any change to these bytes is a
+# change of the program's output and must be deliberate.
+GOLDEN = {
+    "fig": (FIG["cones"][0]["generators"], ["resolve3d", "--completion", "all"],
+            "8e7e876861e812270aceb2f407462dbbfd3d5e8c5beb681d0705782e5fc98dcd"),
+    "strip": ([[0, 0, 1], [4, 0, 1], [4, 1, 1], [0, 1, 1]], ["resolve3d", "--completion", "all"],
+              "a835884c7452deb069241466df277cf4cd423d0b06df6ddd260543ba560fb1d4"),
+    "triangle": ([[0, 0, 1], [5, 0, 1], [0, 2, 1]], ["resolve3d", "--completion", "all"],
+                 "90521cc5830fb0442df601a0a9995b3b5c3770ad31a9bef597845c908ee75d48"),
+    "noncanonical": ([[5, -1, -1], [0, 1, 0], [0, 0, 1]], ["resolve3d"],
+                     "f3e1d6cafd769bdff1c9528ba07c31d337fd4463c4e4ad38f69dd92cfbde168d"),
+    "index-two": ([[0, 1, 0], [0, 0, 1], [2, -1, -1]], ["resolve3d"],
+                  "4f5f6dd95626307b0e690b48900c2dccc53a61e6897c61fcb67bb1b08286a401"),
+    "render-fig": (FIG["cones"][0]["generators"], ["render"],
+                   "489273013a9d76f588dff680452074aebf6341bdecc1af2f26588b2636ca85fc"),
+}
+
+
+@pytest.mark.parametrize("gens, argv, digest", GOLDEN.values(), ids=GOLDEN.keys())
+def test_golden_cli_bytes(tmp_path, gens, argv, digest):
+    infile = write_job(tmp_path, "in.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
+    outfile = tmp_path / "out"
+    assert main([argv[0], "--in", infile, "--out", str(outfile), *argv[1:]]) == 0
+    assert hashlib.sha256(outfile.read_bytes()).hexdigest() == digest

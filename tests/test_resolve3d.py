@@ -9,6 +9,7 @@ from toresolve.lattice import IntMatrix, LatticeVector
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
+    _envelope_subdivision,
     blowup_curve_phase,
     blowup_fixed_point,
     canonical_modification,
@@ -18,7 +19,12 @@ from toresolve.resolve3d import (
     resolve,
 )
 
-from conftest import gorenstein_cone_over, random_polygon
+from conftest import (
+    _order_function_subdivision,
+    gorenstein_cone_over,
+    random_polygon,
+    sequential_fixed_point_phase,
+)
 
 
 def V(*coords):
@@ -128,6 +134,24 @@ def test_blowup_rejects_cdv_cell():
         blowup_fixed_point(pc, 0)
 
 
+def test_envelope_subdivision_matches_order_function_oracle(rng):
+    """Lifting the interior points to one gives the order function's domains,
+    with the hull of the interior points as the central domain."""
+    cells = [FIG_TRIANGLE, LatticePolytope.from_points([(0, 0), (5, 0), (0, 2)])]
+    while len(cells) < 8:
+        p = random_polygon(rng, bound=3)
+        if p is not None and p.interior_points():
+            cells.append(p)
+    for cell in cells:
+        domains, central, _new_rays = _order_function_subdivision(cell)
+        envelope = _envelope_subdivision(cell, cell.interior_points())
+        assert sorted(domains, key=lambda c: c.vertices) == sorted(
+            envelope, key=lambda c: c.vertices
+        ), cell.vertices
+        hull = LatticePolytope.from_points(cell.interior_points())
+        assert set(central) == set(hull.vertices), cell.vertices
+
+
 def test_fixed_point_phase_worked_example():
     pc = crepant_fixed_point_phase(PolygonComplex.initial(FIG_TRIANGLE))
     census = pc.census()
@@ -151,9 +175,7 @@ def test_fixed_point_phase_order_independence(rng):
     for polygon in targets:
         reference = crepant_fixed_point_phase(PolygonComplex.initial(polygon))
         for trial in range(20):
-            shuffled = crepant_fixed_point_phase(
-                PolygonComplex.initial(polygon), shuffle=random.Random(trial)
-            )
+            shuffled = sequential_fixed_point_phase(polygon, random.Random(trial))
             assert shuffled == reference
 
 
