@@ -4,7 +4,8 @@ Input files are JSON documents ``{"lattice_rank": r, "cones": [{"generators":
 [[...], ...]}, ...]}`` with integer entries only; rationals in reports are
 emitted as ``{"num": ..., "den": ...}`` objects.  Exit status 2 flags a parse
 problem, 1 a domain error from the core (the message names the offending
-cone), 0 success.
+cone), 0 success.  A flag that the command does not read, or a flag value
+out of range, is refused with exit status 2.
 """
 
 from __future__ import annotations
@@ -22,10 +23,20 @@ from .resolve2d import minimal_resolution
 from .resolve3d import (
     PolygonComplex,
     canonical_modification,
-    completions,
+    completion,
     resolve,
     resolve_piece,
 )
+
+# ``--completion all`` refuses cones with more completions than this
+MAX_LISTED_COMPLETIONS = 1024
+
+# optional flags read by one command only: flag -> (argparse destination, command)
+_FLAG_READERS = {
+    "--svg": ("svgfile", "resolve3d"),
+    "--completion": ("completion", "resolve3d"),
+    "--degree-bound": ("degree_bound", "hilbert"),
+}
 
 
 class ParseError(ValueError):
@@ -107,11 +118,11 @@ def _report_json(c: Cone) -> dict:
     }
 
 
-def _cmd_classify(cones, args) -> dict:
-    return {"reports": [_report_json(c) for c in cones]}
+def _cmd_classify(cones, args) -> str:
+    return serialize({"reports": [_report_json(c) for c in cones]})
 
 
-def _cmd_hilbert(cones, args) -> dict:
+def _cmd_hilbert(cones, args) -> str:
     results = []
     for c in cones:
         entry = {
@@ -128,10 +139,10 @@ def _cmd_hilbert(cones, args) -> dict:
         else:
             entry["embedding_dimension"] = None
         results.append(entry)
-    return {"results": results}
+    return serialize({"results": results})
 
 
-def _cmd_resolve2d(cones, args) -> dict:
+def _cmd_resolve2d(cones, args) -> str:
     results = []
     for c in cones:
         fan, exceptional = minimal_resolution(c)
@@ -148,7 +159,7 @@ def _cmd_resolve2d(cones, args) -> dict:
                 ],
             }
         )
-    return {"results": results}
+    return serialize({"results": results})
 
 
 def _trace_json(trace) -> list[dict]:
@@ -174,7 +185,9 @@ def _trace_json(trace) -> list[dict]:
     return steps
 
 
-def _cmd_resolve3d(cones, args) -> dict:
+def _cmd_resolve3d(cones, args) -> str:
+    if args.svgfile and len(cones) != 1:
+        raise ValueError("--svg expects exactly one cone in the input file")
     results = []
     for c in cones:
         fan, trace = resolve(c)
@@ -189,49 +202,54 @@ def _cmd_resolve3d(cones, args) -> dict:
                 {
                     "piece": i,
                     "index": cert.index,
-                    "sublattice_basis_columns": [
-                        [cert.sublattice_basis.rows[r][j] for r in range(cert.sublattice_basis.nrows)]
-                        for j in range(cert.sublattice_basis.ncols)
-                    ],
+                    "sublattice_basis_columns": [list(col) for col in cert.sublattice_basis.transpose().rows],
                 }
                 for i, cert in trace.covers
             ],
         }
         if args.completion is not None:
-            entry["completions"] = _completions_json(c, args.completion)
+            entry["completions"] = _completions_json(_only_piece(trace.pieces), args.completion)
         results.append(entry)
-    return {"results": results}
+    if args.svgfile:
+        with open(args.svgfile, "w", encoding="utf-8") as fh:
+            fh.write(render_svg(_only_piece(trace.pieces)[0], scale=args.scale))
+    return serialize({"results": results})
 
 
-def _one_piece(c: Cone):
-    """``resolve_piece`` of a cone whose canonical modification is one piece."""
-    can = canonical_modification(c)
-    if len(can.maximal_cones) != 1:
+def _only_piece(pieces):
+    """The one canonical piece of a cone; rendering and completions need one."""
+    if len(pieces) != 1:
         raise ValueError(
             "rendering and completion listing support one-piece cones "
-            f"(got {len(can.maximal_cones)} canonical pieces)"
+            f"(got {len(pieces)} canonical pieces)"
         )
-    return resolve_piece(can.maximal_cones[0])
+    return pieces[0]
 
 
-def _completions_json(c: Cone, which: str) -> list[dict]:
-    """The selected completions, in the coordinates of the input lattice."""
-    pc, to_ambient, _rounds, _cert = _one_piece(c)
-    comps = completions(pc)
-    if which != "all":
+def _completions_json(piece, which: str) -> list[dict]:
+    """The selected completions of a resolved piece, in the input lattice."""
+    pc, to_ambient, _rounds, _cert = piece
+    count = 2 ** sum(tag["unit_parallelogram"] for tag in pc.tags())
+    if which == "all":
+        if count > MAX_LISTED_COMPLETIONS:
+            raise ValueError(
+                f"--completion all: {count} completions, more than the "
+                f"{MAX_LISTED_COMPLETIONS} that are listed; select one by its index"
+            )
+        indices = range(count)
+    else:
         try:
-            idx = int(which)
+            indices = [int(which)]
         except ValueError:
-            idx = -1
-        if not 0 <= idx < len(comps):
+            indices = [-1]
+        if not 0 <= indices[0] < count:
             raise ValueError(
                 f"--completion {which}: expected 'all' or an index from 0 to "
-                f"{len(comps) - 1} ({len(comps)} completions)"
+                f"{count - 1} ({count} completions)"
             )
-        comps = [comps[idx]]
 
     def ambient(coords) -> list[int]:
-        return list(to_ambient(coords[:2]).coords)
+        return list(to_ambient.apply(LatticeVector(coords)).coords)
 
     return [
         {
@@ -241,7 +259,7 @@ def _completions_json(c: Cone, which: str) -> list[dict]:
             ),
             "height_certificate": {str(ambient(r)): v for r, v in psi.ray_values.items()},
         }
-        for fan, psi in comps
+        for fan, psi in (completion(pc, i) for i in indices)
     ]
 
 
@@ -304,7 +322,30 @@ def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
 def _cmd_render(cones, args) -> str:
     if len(cones) != 1:
         raise ValueError("render expects exactly one cone in the input file")
-    return render_svg(_one_piece(cones[0])[0], scale=args.scale)
+    piece = _only_piece(canonical_modification(cones[0]).maximal_cones)
+    return render_svg(resolve_piece(piece)[0], scale=args.scale)
+
+
+# each command's handler returns the text written to --out
+_COMMANDS = {
+    "classify": _cmd_classify,
+    "hilbert": _cmd_hilbert,
+    "resolve2d": _cmd_resolve2d,
+    "resolve3d": _cmd_resolve3d,
+    "render": _cmd_render,
+}
+
+
+def _refusal(args) -> str | None:
+    """Why the command line is refused, naming the flag and the command."""
+    for flag, (dest, reader) in _FLAG_READERS.items():
+        if getattr(args, dest) is not None and args.command != reader:
+            return f"{args.command} does not take {flag} (only {reader} does)"
+    if args.scale < 1:
+        return f"{args.command}: --scale must be at least 1 (got {args.scale})"
+    if args.degree_bound is not None and args.degree_bound < 0:
+        return f"{args.command}: --degree-bound must be at least 0 (got {args.degree_bound})"
+    return None
 
 
 def main(argv=None) -> int:
@@ -312,21 +353,20 @@ def main(argv=None) -> int:
         prog="toresolve",
         description="classify and resolve 2- and 3-dimensional toric singularities",
     )
-    parser.add_argument(
-        "command",
-        choices=["classify", "hilbert", "resolve2d", "resolve3d", "render"],
-    )
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--in", dest="infile", required=True, help="input JSON file")
     parser.add_argument("--out", dest="outfile", required=True, help="output file")
-    parser.add_argument("--svg", dest="svgfile", help="also write an SVG rendering")
+    parser.add_argument("--svg", dest="svgfile", help="resolve3d: also write an SVG rendering")
+    parser.add_argument("--completion", help="resolve3d: list completion INDEX, or 'all'")
     parser.add_argument(
-        "--completion",
-        default=None,
-        help="completion selection for resolve3d: an index or 'all'",
+        "--degree-bound", dest="degree_bound", type=int, help="hilbert: relations up to this degree"
     )
-    parser.add_argument("--degree-bound", dest="degree_bound", type=int, default=0)
     parser.add_argument("--scale", type=int, default=40, help="SVG pixels per lattice unit")
     args = parser.parse_args(argv)
+    refusal = _refusal(args)
+    if refusal:
+        print(f"toresolve: {refusal}", file=sys.stderr)
+        return 2
 
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -336,26 +376,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        cones = _cones_of(job)
-        if args.command == "render":
-            payload = _cmd_render(cones, args)
-            with open(args.outfile, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            handler = {
-                "classify": _cmd_classify,
-                "hilbert": _cmd_hilbert,
-                "resolve2d": _cmd_resolve2d,
-                "resolve3d": _cmd_resolve3d,
-            }[args.command]
-            result = handler(cones, args)
-            with open(args.outfile, "w", encoding="utf-8") as fh:
-                fh.write(serialize(result))
-            if args.svgfile:
-                if len(cones) != 1:
-                    raise ValueError("--svg expects exactly one cone in the input file")
-                with open(args.svgfile, "w", encoding="utf-8") as fh:
-                    fh.write(render_svg(_one_piece(cones[0])[0], scale=args.scale))
+        text = _COMMANDS[args.command](_cones_of(job), args)
+        with open(args.outfile, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except ValueError as e:
         print(f"toresolve: {e}", file=sys.stderr)
         return 1

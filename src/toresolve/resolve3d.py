@@ -13,10 +13,8 @@ an exact integral height function certifying projectivity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 from fractions import Fraction
 
 from .classify import (
@@ -27,9 +25,11 @@ from .classify import (
     index_one_cover,
 )
 from .cones import Cone, Fan, extreme_rays, is_basic, make_cone, make_fan
-from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
+from .divisors import (
+    DiscrepancyReport, SupportFunction, is_strictly_upper_convex, with_linear_representatives
+)
 from .hilbert import floor_facets
-from .lattice import Covector, IntMatrix, LatticeVector, rational_solve
+from .lattice import Covector, IntMatrix, LatticeVector
 
 
 class Resolve3dError(ValueError):
@@ -469,35 +469,32 @@ def _completion_for_bits(
             sorted(cones, key=lambda c: tuple(g.coords for g in c.generators))
         ),
     )
-    reps = {}
-    for i, cone in enumerate(fan.maximal_cones):
-        rays = list(cone.generators)
-        sol = rational_solve(rays, [heights[(r.coords[0], r.coords[1])] for r in rays])
-        reps[i] = sol[0]
-    psi = SupportFunction(
-        fan=fan,
-        ray_values={r.coords: heights[(r.coords[0], r.coords[1])] for r in fan.rays()},
-        linear_reps=reps,
-    )
+    ray_values = {r.coords: heights[(r.coords[0], r.coords[1])] for r in fan.rays()}
+    psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=ray_values))
     if not is_strictly_upper_convex(psi):
         raise Resolve3dError("projectivity certificate failed exact verification")
     return fan, psi
 
 
-def completions(pc: PolygonComplex) -> list[tuple[Fan, SupportFunction]]:
-    """All box-diagonal fillings of the remaining ordinary double points.
+def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
+    """Box-diagonal filling number ``index`` of the remaining ordinary double points.
 
-    Every non-basic cell must be a unit parallelogram; with k of them the
-    result lists all 2^k full triangulations, each as a fan of basic cones
-    at height one together with an integral-height support function that is
-    strictly upper convex exactly on it (the projectivity certificate).
-    Completions are ordered lexicographically by their diagonal choices.
+    Every non-basic cell must be a unit parallelogram; with k of them, the k
+    binary digits of ``index`` (most significant first) pick their diagonals.
+    Returns a fan of basic cones at height one and an integral-height support
+    function strictly upper convex exactly on it (the projectivity certificate).
     """
     parallelograms = _double_point_cells(pc)
-    return [
-        _completion_for_bits(pc, parallelograms, bits)
-        for bits in itertools.product((0, 1), repeat=len(parallelograms))
-    ]
+    k = len(parallelograms)
+    if not 0 <= index < 2**k:
+        raise Resolve3dError(f"completion index {index} out of range ({2**k} completions)")
+    bits = tuple((index >> (k - 1 - j)) & 1 for j in range(k))
+    return _completion_for_bits(pc, parallelograms, bits)
+
+
+def completions(pc: PolygonComplex) -> list[tuple[Fan, SupportFunction]]:
+    """All 2^k completions, ``completion(pc, i)`` for i from 0 to 2^k - 1."""
+    return [completion(pc, i) for i in range(2 ** len(_double_point_cells(pc)))]
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +514,21 @@ class ResolutionStep:
     census_after: dict
 
 
+Piece = tuple[PolygonComplex, IntMatrix, list[PhaseRound], CoverCertificate | None]
+
+
 @dataclass(frozen=True)
 class ResolutionTrace:
-    """Ordered record of the modification steps plus any index-one covers."""
+    """Ordered record of the modification steps plus, per canonical piece in
+    order, what ``resolve_piece`` returned for it."""
 
     steps: tuple[ResolutionStep, ...]
-    covers: tuple[tuple[int, CoverCertificate], ...] = ()
+    pieces: tuple[Piece, ...] = ()
+
+    @property
+    def covers(self) -> tuple[tuple[int, CoverCertificate], ...]:
+        """The index-one cover certificates, with the index of their piece."""
+        return tuple((i, p[3]) for i, p in enumerate(self.pieces) if p[3] is not None)
 
     @property
     def is_crepant_after_canonical(self) -> bool:
@@ -541,29 +547,23 @@ def _report_for(base: Cone, m: Covector, rays) -> DiscrepancyReport:
     return DiscrepancyReport(base_cone=base, m_sigma=m, entries=entries)
 
 
-def resolve_piece(
-    piece: Cone,
-) -> tuple[PolygonComplex, Callable[[Point], LatticeVector], list[PhaseRound], CoverCertificate | None]:
+def resolve_piece(piece: Cone) -> Piece:
     """Both crepant blow-up phases on one canonical piece.
 
-    Returns the final polygon complex, the map carrying its polygon
-    coordinates back to the piece's lattice, the phase rounds, and the
-    index-one cover certificate (``None`` when the piece is Gorenstein).
+    Returns the final polygon complex, the matrix carrying its polygon
+    coordinates (x, y, 1) back to the piece's lattice, the phase rounds, and
+    the index-one cover certificate (``None`` when the piece is Gorenstein).
     """
     gd = gorenstein_data(piece)
     if gd is None:
         raise Resolve3dError("canonical piece unexpectedly not Q-Gorenstein")
     work, cert = (piece, None) if gd[1] == 1 else index_one_cover(piece)
     polygon, basis = polygon_form(work)
-
-    def to_ambient(p: Point) -> LatticeVector:
-        v = basis.apply(_lift(p))
-        return v if cert is None else cert.sublattice_basis.apply(v)
-
     pc, fixed_point_rounds = _phase(
         PolygonComplex.initial(polygon), "fixed-point-blow-up", LatticePolytope.interior_points
     )
     pc, curve_rounds = _phase(pc, "curve-blow-up", LatticePolytope.edge_interior_points)
+    to_ambient = basis if cert is None else cert.sublattice_basis * basis
     return pc, to_ambient, fixed_point_rounds + curve_rounds, cert
 
 
@@ -578,9 +578,9 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     if c.lattice_rank != 3 or not (c.is_pointed and c.is_full_dimensional):
         raise Resolve3dError("resolve expects a pointed full-dimensional rank-3 cone")
     if is_basic(c):
-        return make_fan([c]), ResolutionTrace(steps=())
+        return make_fan([c]), ResolutionTrace(steps=(), pieces=(resolve_piece(c),))
     steps: list[ResolutionStep] = []
-    covers: list[tuple[int, CoverCertificate]] = []
+    pieces: list[Piece] = []
     can_fan = canonical_modification(c)
     base_gd = gorenstein_data(c)
     base_rays = {g.coords for g in c.generators}
@@ -599,12 +599,11 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     )
     final_cones: list[Cone] = []
     for piece_index, piece in enumerate(can_fan.maximal_cones):
-        pc, to_ambient, rounds, cert = resolve_piece(piece)
-        if cert is not None:
-            covers.append((piece_index, cert))
+        pieces.append(resolve_piece(piece))
+        pc, to_ambient, rounds, _cert = pieces[-1]
         m_piece = gorenstein_data(piece)[0]
         for rnd in rounds:
-            mapped = tuple(sorted(to_ambient(p) for p in rnd.new_rays))
+            mapped = tuple(sorted(to_ambient.apply(_lift(p)) for p in rnd.new_rays))
             steps.append(
                 ResolutionStep(
                     phase=rnd.phase,
@@ -617,32 +616,18 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
                     census_after=rnd.census_after,
                 )
             )
+        # a completion joins existing vertices only, so it adds no ray
         parallelograms = _double_point_cells(pc)
-        fan_local, _psi = _completion_for_bits(
-            pc, parallelograms, (0,) * len(parallelograms)
-        )
-        comp_new = []
+        fan_local, _psi = completion(pc, 0)
         for cone in fan_local.maximal_cones:
-            mapped_gens = [to_ambient((g.coords[0], g.coords[1])) for g in cone.generators]
-            final_cones.append(make_cone(mapped_gens))
-        old_points = {p for cell in pc.cells for p in cell.vertices}
-        for r in fan_local.rays():
-            p = (r.coords[0], r.coords[1])
-            if p not in old_points:
-                comp_new.append(to_ambient(p))
+            final_cones.append(make_cone([to_ambient.apply(g) for g in cone.generators]))
         steps.append(
             ResolutionStep(
                 phase="completion",
                 piece=piece_index,
-                centers=tuple(
-                    cell for cell, tag in zip(pc.cells, pc.tags()) if tag["unit_parallelogram"]
-                ),
-                new_rays=tuple(sorted(comp_new)),
-                discrepancy=_report_for(
-                    piece,
-                    m_piece,
-                    list(piece.generators) + sorted(comp_new),
-                ),
+                centers=tuple(parallelograms),
+                new_rays=(),
+                discrepancy=_report_for(piece, m_piece, ()),
                 census_after={
                     "completions": 2 ** len(parallelograms),
                     "maximal_cones": len(fan_local.maximal_cones),
@@ -651,4 +636,4 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         )
     key = lambda cone: tuple(g.coords for g in cone.generators)
     fan = Fan(lattice_rank=3, maximal_cones=tuple(sorted(final_cones, key=key)))
-    return fan, ResolutionTrace(steps=tuple(steps), covers=tuple(covers))
+    return fan, ResolutionTrace(steps=tuple(steps), pieces=tuple(pieces))

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+from toresolve import resolve3d
 from toresolve.cli import ParseError, main, parse_job, serialize
 
 
@@ -184,6 +186,15 @@ GOLDEN = {
                   "4f5f6dd95626307b0e690b48900c2dccc53a61e6897c61fcb67bb1b08286a401"),
     "render-fig": (FIG["cones"][0]["generators"], ["render"],
                    "489273013a9d76f588dff680452074aebf6341bdecc1af2f26588b2636ca85fc"),
+    "fig-completion-3": (FIG["cones"][0]["generators"], ["resolve3d", "--completion", "3"],
+                         "bb082cdc2cb69c0002e256e5408753cb5fe3968976645ca00f552adc31c705a5"),
+    "basic-all": ([[1, 2, 1], [2, 2, 1], [3, 3, 1]], ["resolve3d", "--completion", "all"],
+                  "4608a11349bcbae56cf50d93ecbdcd6e24dfa451009308cd66969a4ff273c3d6"),
+    "index-two-all": ([[1, 0, 0], [0, 1, 0], [1, 1, 2]], ["resolve3d", "--completion", "all"],
+                      "628edbe49d89c11b4d6ba5389c6208e7e393760efd888870289f31688f8b7bb9"),
+    # an argv ending in --svg pins the SVG file rather than --out
+    "fig-svg": (FIG["cones"][0]["generators"], ["resolve3d", "--svg"],
+                "489273013a9d76f588dff680452074aebf6341bdecc1af2f26588b2636ca85fc"),
 }
 
 
@@ -191,5 +202,79 @@ GOLDEN = {
 def test_golden_cli_bytes(tmp_path, gens, argv, digest):
     infile = write_job(tmp_path, "in.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
     outfile = tmp_path / "out"
+    pinned = outfile
+    if argv[-1] == "--svg":
+        pinned = tmp_path / "out.svg"
+        argv = [*argv, str(pinned)]
     assert main([argv[0], "--in", infile, "--out", str(outfile), *argv[1:]]) == 0
-    assert hashlib.sha256(outfile.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(pinned.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("classify", ["--completion", "99"], "--completion"),
+        ("render", ["--completion", "0"], "--completion"),
+        ("hilbert", ["--svg", "x.svg"], "--svg"),
+        ("resolve2d", ["--svg", "x.svg"], "--svg"),
+        ("classify", ["--degree-bound", "2"], "--degree-bound"),
+        ("resolve3d", ["--degree-bound", "0"], "--degree-bound"),
+        ("render", ["--scale", "0"], "--scale"),
+        ("resolve3d", ["--svg", "x.svg", "--scale", "-3"], "--scale"),
+        ("hilbert", ["--degree-bound", "-1"], "--degree-bound"),
+    ],
+)
+def test_refused_flags_exit_two(tmp_path, capsys, command, flags, named):
+    job = C45 if command in ("classify", "hilbert", "resolve2d") else FIG
+    infile = write_job(tmp_path, "in.json", job)
+    outfile = tmp_path / "out"
+    assert main([command, "--in", infile, "--out", str(outfile), *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and command in err and "Traceback" not in err
+    assert not outfile.exists()
+
+
+def test_completion_all_capped(tmp_path, capsys):
+    # 11 unit squares: 2^11 = 2048 completions, above the cap of 1024
+    strip = {"lattice_rank": 3, "cones": [{"generators": [[0, 0, 1], [11, 0, 1], [11, 1, 1], [0, 1, 1]]}]}
+    infile = write_job(tmp_path, "in.json", strip)
+    outfile = tmp_path / "out.json"
+    assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "all"]) == 1
+    err = capsys.readouterr().err
+    assert "2048" in err and "Traceback" not in err
+    assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "2047"]) == 0
+    assert len(json.loads(outfile.read_text())["results"][0]["completions"]) == 1
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls to ``fn`` through every toresolve module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toresolve" or name.startswith("toresolve."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_resolve3d_job_resolves_each_piece_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, resolve3d.resolve_piece)
+    infile = write_job(tmp_path, "in.json", FIG)
+    argv = ["resolve3d", "--in", infile, "--out", str(tmp_path / "out.json"),
+            "--completion", "0", "--svg", str(tmp_path / "out.svg")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_single_completion_builds_only_that_completion(tmp_path, monkeypatch):
+    # one completion inside resolve(), one for the listing
+    calls = count_calls(monkeypatch, resolve3d._completion_for_bits)
+    infile = write_job(tmp_path, "in.json", FIG)
+    outfile = str(tmp_path / "out.json")
+    assert main(["resolve3d", "--in", infile, "--out", outfile, "--completion", "3"]) == 0
+    assert len(calls) == 2

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,10 +10,13 @@ from toresolve.lattice import IntMatrix, LatticeVector
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
+    _completion_for_bits,
+    _double_point_cells,
     _envelope_subdivision,
     blowup_curve_phase,
     blowup_fixed_point,
     canonical_modification,
+    completion,
     completions,
     crepant_fixed_point_phase,
     polygon_form,
@@ -264,6 +268,27 @@ def test_completions_already_triangulated_singleton():
     assert len(comps[0][0].maximal_cones) == 1
 
 
+def test_completion_by_index_in_diagonal_choice_order():
+    fig = blowup_curve_phase(crepant_fixed_point_phase(PolygonComplex.initial(FIG_TRIANGLE)))
+    strip = blowup_curve_phase(
+        PolygonComplex.initial(LatticePolytope.from_points([(0, 0), (4, 0), (4, 1), (0, 1)]))
+    )
+    for pc in (fig, strip):
+        comps = completions(pc)
+        parallelograms = _double_point_cells(pc)
+        # lexicographic in the diagonal choices: binary digits, most significant first
+        by_choice = [
+            _completion_for_bits(pc, parallelograms, bits)
+            for bits in itertools.product((0, 1), repeat=len(parallelograms))
+        ]
+        assert len(comps) == 2 ** len(parallelograms)
+        for i in range(len(comps)):
+            assert completion(pc, i) == comps[i] == by_choice[i]
+        for bad in (-1, len(comps)):
+            with pytest.raises(Resolve3dError, match="out of range"):
+                completion(pc, bad)
+
+
 def test_completions_precondition():
     bad = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2)])
     with pytest.raises(Resolve3dError, match="precondition"):
@@ -294,6 +319,25 @@ def test_resolve_basic_cone_trivial():
     fan, trace = resolve(c)
     assert fan.maximal_cones == (c,)
     assert trace.steps == ()
+
+
+def test_trace_keeps_each_resolved_piece():
+    basic = make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)])
+    _fan, trace = resolve(basic)
+    assert len(trace.pieces) == 1 and trace.covers == ()
+    for gens in ([V(0, 1, 0), V(0, 0, 1), V(2, -1, -1)], FIG_CONE, [V(5, -1, -1), V(0, 1, 0), V(0, 0, 1)]):
+        fan, trace = resolve(make_cone(gens))
+        assert len(trace.pieces) == trace.steps[0].census_after["pieces"]
+        assert trace.covers == tuple(
+            (i, cert) for i, (_pc, _m, _r, cert) in enumerate(trace.pieces) if cert is not None
+        )
+        # each piece's matrix carries its completion 0 onto cones of the final fan
+        mapped = {
+            frozenset(matrix.apply(g).coords for g in mc.generators)
+            for pc, matrix, _rounds, _cert in trace.pieces
+            for mc in completion(pc, 0)[0].maximal_cones
+        }
+        assert mapped == {frozenset(g.coords for g in mc.generators) for mc in fan.maximal_cones}
 
 
 def test_resolve_index_two_piece_via_cover():
