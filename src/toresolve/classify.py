@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cones import Cone, is_basic, make_cone, multiplicity
+from .cones import Cone, _rank, is_basic, make_cone, multiplicity
 from .hilbert import _to_sublattice, embedding_dimension
 from .lattice import (
     Covector,
@@ -70,6 +70,12 @@ class LatticePolytope:
     """
 
     vertices: tuple[tuple[int, ...], ...]
+    dimension: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        v0 = self.vertices[0]
+        rows = [tuple(x - y for x, y in zip(v, v0)) for v in self.vertices[1:]]
+        object.__setattr__(self, "dimension", _rank(rows))
 
     @classmethod
     def from_points(cls, points) -> "LatticePolytope":
@@ -91,13 +97,6 @@ class LatticePolytope:
     @property
     def ambient_rank(self) -> int:
         return len(self.vertices[0])
-
-    @property
-    def dimension(self) -> int:
-        from .cones import _rank
-
-        v0 = self.vertices[0]
-        return _rank([tuple(x - y for x, y in zip(v, v0)) for v in self.vertices[1:]])
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         if self.dimension < 2:

@@ -24,6 +24,7 @@ from .resolve3d import (
     PolygonComplex,
     canonical_modification,
     completion,
+    completions,
     resolve,
     resolve_piece,
 )
@@ -236,17 +237,18 @@ def _completions_json(piece, which: str) -> list[dict]:
                 f"--completion all: {count} completions, more than the "
                 f"{MAX_LISTED_COMPLETIONS} that are listed; select one by its index"
             )
-        indices = range(count)
+        built = completions(pc)
     else:
         try:
-            indices = [int(which)]
+            index = int(which)
         except ValueError:
-            indices = [-1]
-        if not 0 <= indices[0] < count:
+            index = -1
+        if not 0 <= index < count:
             raise ValueError(
                 f"--completion {which}: expected 'all' or an index from 0 to "
                 f"{count - 1} ({count} completions)"
             )
+        built = [completion(pc, index)]
 
     def ambient(coords) -> list[int]:
         return list(to_ambient.apply(LatticeVector(coords)).coords)
@@ -259,7 +261,7 @@ def _completions_json(piece, which: str) -> list[dict]:
             ),
             "height_certificate": {str(ambient(r)): v for r, v in psi.ray_values.items()},
         }
-        for fan, psi in (completion(pc, i) for i in indices)
+        for fan, psi in built
     ]
 
 

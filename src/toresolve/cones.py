@@ -10,8 +10,7 @@ dual is an involution on everything this package produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .lattice import (
     Covector,
@@ -32,21 +31,22 @@ def _gcd_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _rank(rows: list[tuple[int, ...]]) -> int:
-    if not rows:
-        return 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    n = len(a[0])
+    """Rank of an integer matrix by fraction-free elimination.
+
+    A nonzero pivot row p with first nonzero column c replaces every other
+    row r by p[c]*r - r[c]*p, which vanishes in column c; rows are kept
+    primitive so that the entries stay small, and zero rows are dropped.
+    """
+    a = [r for r in rows if any(r)]
     rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][c] for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+    while a:
+        p = a.pop()
+        c = next(i for i, x in enumerate(p) if x)
+        reduced = (
+            r if not r[c] else _gcd_normalize(tuple(p[c] * x - r[c] * y for x, y in zip(r, p)))
+            for r in a
+        )
+        a = [r for r in reduced if any(r)]
         rank += 1
     return rank
 
@@ -162,11 +162,11 @@ class Cone:
     inequalities: tuple[Covector, ...]
     equations: tuple[Covector, ...] = ()
     lineality: tuple[LatticeVector, ...] = ()
+    dim: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def dim(self) -> int:
+    def __post_init__(self):
         rows = [g.coords for g in self.generators] + [l.coords for l in self.lineality]
-        return _rank(rows)
+        object.__setattr__(self, "dim", _rank(rows))
 
     @property
     def is_pointed(self) -> bool:
@@ -212,12 +212,8 @@ def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank) -> Cone:
     return Cone(
         lattice_rank=rank,
         generators=tuple(sorted(LatticeVector(r) for r in ray_tuples)),
-        inequalities=tuple(
-            sorted(Covector(tuple(Fraction(c) for c in m)) for m in ineq_tuples)
-        ),
-        equations=tuple(
-            sorted(Covector(tuple(Fraction(c) for c in m)) for m in eq_tuples)
-        ),
+        inequalities=tuple(sorted(Covector(m) for m in ineq_tuples)),
+        equations=tuple(sorted(Covector(m) for m in eq_tuples)),
         lineality=tuple(sorted(LatticeVector(l) for l in lin_tuples)),
     )
 
@@ -267,8 +263,8 @@ def dual_cone(c: Cone) -> Cone:
     lineality (the annihilator of lin(c)).
     """
     return _build_cone(
-        [tuple(int(x) for x in m.primitive().coords) for m in c.inequalities],
-        [tuple(int(x) for x in m.primitive().coords) for m in c.equations],
+        [m.primitive().coords for m in c.inequalities],
+        [m.primitive().coords for m in c.equations],
         [g.coords for g in c.generators],
         [l.coords for l in c.lineality],
         c.lattice_rank,
@@ -303,7 +299,7 @@ def faces(c: Cone) -> list[Cone]:
 
 
 def _standard_basis(rank: int):
-    return [Covector(tuple(Fraction(1 if i == j else 0) for j in range(rank))) for i in range(rank)]
+    return [Covector(tuple(int(i == j) for j in range(rank))) for i in range(rank)]
 
 
 def facets(c: Cone) -> list[Cone]:
@@ -333,11 +329,11 @@ def is_basic(c: Cone) -> bool:
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     constraints = (
-        [tuple(int(x) for x in m.primitive().coords) for m in c1.inequalities]
-        + [tuple(int(x) for x in m.primitive().coords) for m in c2.inequalities]
+        [m.primitive().coords for m in c1.inequalities]
+        + [m.primitive().coords for m in c2.inequalities]
     )
     for m in list(c1.equations) + list(c2.equations):
-        mi = tuple(int(x) for x in m.primitive().coords)
+        mi = m.primitive().coords
         constraints.append(mi)
         constraints.append(tuple(-x for x in mi))
     rays, lin = extreme_rays(constraints, c1.lattice_rank)

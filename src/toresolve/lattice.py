@@ -1,10 +1,10 @@
 """Exact integer-lattice linear algebra: vectors, pairings, normal forms.
 
 Everything here is bit-exact: lattice vectors carry Python integers,
-functionals carry ``fractions.Fraction`` entries, and the normal-form
-routines (Hermite, Smith) track unimodular transforms so that callers can
-change bases, compute sublattice indices and solve integral systems
-without ever touching floating point.
+functionals carry ``int`` entries where integral and ``fractions.Fraction``
+entries otherwise, and the normal-form routines (Hermite, Smith) track
+unimodular transforms so that callers can change bases, compute sublattice
+indices and solve integral systems without ever touching floating point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class LatticeError(ValueError):
     """Domain error raised by lattice-level operations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeVector:
     """Integer point of the lattice N (coordinates w.r.t. a fixed basis)."""
 
@@ -59,20 +59,26 @@ class LatticeVector:
         return f"LatticeVector{self.coords}"
 
 
-@dataclass(frozen=True)
+def _int_or_fraction(c) -> int | Fraction:
+    if type(c) is int:
+        return c
+    f = Fraction(c)
+    return f.numerator if f.denominator == 1 else f
+
+
+@dataclass(frozen=True, slots=True)
 class Covector:
     """Rational functional on N, i.e. an element of M_Q.
 
+    Integral entries are stored as ``int``, the others as ``Fraction``.
     The pairing against lattice vectors is exact; ``denominator`` is the
     least kappa >= 1 making kappa times the covector integral.
     """
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
+        object.__setattr__(self, "coords", tuple(_int_or_fraction(c) for c in self.coords))
 
     @property
     def rank(self) -> int:
@@ -90,10 +96,8 @@ class Covector:
     def is_integral(self) -> bool:
         return self.denominator == 1
 
-    def pair(self, v: LatticeVector) -> Fraction:
-        return sum(
-            (c * x for c, x in zip(self.coords, v.coords)), start=Fraction(0)
-        )
+    def pair(self, v: LatticeVector) -> int | Fraction:
+        return sum(c * x for c, x in zip(self.coords, v.coords))
 
     def __add__(self, other: "Covector") -> "Covector":
         return Covector(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -124,14 +128,14 @@ class Covector:
         g = math.gcd(*cleared)
         if g == 0:
             raise LatticeError("cannot primitivize the zero covector")
-        return Covector(tuple(Fraction(c, g) for c in cleared))
+        return Covector(tuple(c // g for c in cleared))
 
     def __repr__(self):
         entries = ", ".join(str(c) for c in self.coords)
         return f"Covector({entries})"
 
 
-def pair(m: Covector, n: LatticeVector) -> Fraction:
+def pair(m: Covector, n: LatticeVector) -> int | Fraction:
     """Exact natural pairing <m, n>."""
     return m.pair(n)
 

@@ -484,7 +484,12 @@ def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
     Returns a fan of basic cones at height one and an integral-height support
     function strictly upper convex exactly on it (the projectivity certificate).
     """
-    parallelograms = _double_point_cells(pc)
+    return _completion_at(pc, _double_point_cells(pc), index)
+
+
+def _completion_at(
+    pc: PolygonComplex, parallelograms: list[LatticePolytope], index: int
+) -> tuple[Fan, SupportFunction]:
     k = len(parallelograms)
     if not 0 <= index < 2**k:
         raise Resolve3dError(f"completion index {index} out of range ({2**k} completions)")
@@ -494,7 +499,8 @@ def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
 
 def completions(pc: PolygonComplex) -> list[tuple[Fan, SupportFunction]]:
     """All 2^k completions, ``completion(pc, i)`` for i from 0 to 2^k - 1."""
-    return [completion(pc, i) for i in range(2 ** len(_double_point_cells(pc)))]
+    parallelograms = _double_point_cells(pc)
+    return [_completion_at(pc, parallelograms, i) for i in range(2 ** len(parallelograms))]
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +624,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
             )
         # a completion joins existing vertices only, so it adds no ray
         parallelograms = _double_point_cells(pc)
-        fan_local, _psi = completion(pc, 0)
+        fan_local, _psi = _completion_at(pc, parallelograms, 0)
         for cone in fan_local.maximal_cones:
             final_cones.append(make_cone([to_ambient.apply(g) for g in cone.generators]))
         steps.append(

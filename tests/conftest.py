@@ -1,7 +1,8 @@
 """Shared brute-force oracles and generators for the test suite.
 
 The oracles are deliberately independent of the library's own algorithms:
-lattice points are enumerated over bounding boxes and filtered, the
+ranks are computed by elimination over the rationals, lattice points are
+enumerated over bounding boxes and filtered, the
 stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, and fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function.
@@ -9,6 +10,7 @@ definition as linearity domains of the order function.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +148,27 @@ def sequential_fixed_point_phase(polygon: LatticePolytope, rng: random.Random) -
         if not eligible:
             return pc
         pc = blowup_fixed_point(pc, rng.choice(eligible))
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination over the rationals."""
+    if not rows:
+        return 0
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a[0])
+    rank = 0
+    for c in range(n):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][c] for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def unimodular_2x2(bound: int = 5):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from toresolve.classify import (
     is_nakajima,
     lri_general_section,
 )
-from toresolve.cones import make_cone
+from toresolve.cones import dual_cone, faces, make_cone
 from toresolve.lattice import Covector, IntMatrix, LatticeVector
+from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, crepant_fixed_point_phase
 
-from conftest import nakajima_construction_oracle, random_polygon
+from conftest import fraction_rank, gorenstein_cone_over, nakajima_construction_oracle, random_polygon
 
 
 def V(*coords):
@@ -174,6 +176,41 @@ def test_nakajima_low_dimensions_and_out_of_scope():
     assert is_nakajima(LatticePolytope.from_points([(0, 0), (3, 0)]))
     with pytest.raises(ClassifyError):
         is_nakajima(LatticePolytope(vertices=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def _polytope_rank(p: LatticePolytope) -> int:
+    v0 = p.vertices[0]
+    return fraction_rank([tuple(x - y for x, y in zip(v, v0)) for v in p.vertices[1:]])
+
+
+def _cone_rank(c) -> int:
+    return fraction_rank([g.coords for g in c.generators] + [l.coords for l in c.lineality])
+
+
+def test_stored_dimensions_match_rank_oracle():
+    rank3 = LatticePolytope(vertices=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert rank3.dimension == _polytope_rank(rank3) == 3
+    # the criterion-3 corpus: 50 random hulls in [-4,4]^2, resolved to their cells
+    rng = random.Random(31415926)
+    hulls = 0
+    while hulls < 50:
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))]
+        if len(convex_hull_2d(pts)) < 3:
+            continue
+        hulls += 1
+        hull = LatticePolytope.from_points(pts)
+        cone = gorenstein_cone_over(hull)
+        cone_faces = faces(cone)
+        for c in cone_faces + [dual_cone(cone), dual_cone(cone_faces[1])]:
+            assert c.dim == _cone_rank(c), c
+        pc = blowup_curve_phase(crepant_fixed_point_phase(PolygonComplex.initial(hull)))
+        for cell in pc.cells:
+            pieces = [cell] + [LatticePolytope.from_points(e) for e in cell.edges()]
+            pieces += [LatticePolytope.from_points([v]) for v in cell.vertices]
+            for p in pieces:
+                assert p.dimension == _polytope_rank(p), p
+            cell_cone = gorenstein_cone_over(cell)
+            assert cell_cone.dim == _cone_rank(cell_cone) == 3
 
 
 def test_lri_general_section():

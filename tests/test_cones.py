@@ -1,7 +1,11 @@
+import random
+
 import pytest
+import sympy
 
 from toresolve.cones import (
     ConeError,
+    _rank,
     dual_cone,
     faces,
     is_basic,
@@ -14,7 +18,7 @@ from toresolve.cones import (
 from toresolve.hilbert import _parallelepiped_points
 from toresolve.lattice import LatticeVector, rational_solve
 
-from conftest import random_pointed_cone
+from conftest import fraction_rank, random_pointed_cone
 
 
 def V(*coords):
@@ -62,6 +66,30 @@ def test_dual_cone_self_dual_orthant():
 def test_dual_cone_by_hand():
     c = make_cone([V(0, 1), V(2, 1)])
     assert gens(dual_cone(c)) == sorted([(1, 0), (-1, 2)])
+
+
+def test_integer_rank_matches_rational_oracles():
+    rng = random.Random(20011027)
+    assert _rank([]) == 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 5)
+        rows = []
+        for _ in range(n_rows):
+            kind = rng.random()
+            if kind < 0.15:
+                row = [0] * n_cols
+            elif kind < 0.45 and rows:
+                # an integer combination of earlier rows
+                row = [0] * n_cols
+                for earlier in rows:
+                    k = rng.randint(-3, 3)
+                    row = [x + k * y for x, y in zip(row, earlier)]
+            else:
+                row = [rng.randint(-50, 50) for _ in range(n_cols)]
+            rows.append(row)
+        rng.shuffle(rows)
+        rows = [tuple(r) for r in rows]
+        assert _rank(rows) == fraction_rank(rows) == sympy.Matrix(rows).rank(), rows
 
 
 def test_dual_involution_random(rng):

@@ -171,3 +171,14 @@ def test_covector_denominator_and_pairing():
     assert m.denominator == 5
     assert m.pair(V(4, 5)) == 1
     assert m.primitive() == Covector((Fraction(5), Fraction(-3)))
+
+
+def test_covector_stores_integral_entries_as_int():
+    m = Covector((Fraction(4, 2), 1))
+    assert all(type(c) is int for c in m.coords)
+    assert m == Covector((2, 1)) and hash(m) == hash(Covector((2, 1)))
+    assert type(m.pair(V(3, -1))) is int and m.pair(V(3, -1)) == 5
+    q = Covector((1, Fraction(-3, 5)))
+    assert q.coords == (1, Fraction(-3, 5)) and type(q.coords[1]) is Fraction
+    assert repr(q) == "Covector(1, -3/5)"
+    assert q.pair(V(1, 1)) == Fraction(2, 5) and type(q.pair(V(1, 1))) is Fraction

@@ -289,6 +289,23 @@ def test_completion_by_index_in_diagonal_choice_order():
                 completion(pc, bad)
 
 
+def test_completion_precondition_scanned_once_per_piece(monkeypatch):
+    fig = blowup_curve_phase(crepant_fixed_point_phase(PolygonComplex.initial(FIG_TRIANGLE)))
+    tags = PolygonComplex.tags
+    calls = []
+
+    def counting_tags(pc):
+        calls.append(pc)
+        return tags(pc)
+
+    monkeypatch.setattr(PolygonComplex, "tags", counting_tags)
+    assert len(completions(fig)) == 8
+    assert len(calls) == 1
+    calls.clear()
+    resolve(make_cone(FIG_CONE))
+    assert len(calls) == 5
+
+
 def test_completions_precondition():
     bad = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2)])
     with pytest.raises(Resolve3dError, match="precondition"):
