@@ -2,7 +2,7 @@
 
 Cones are stored with both a generator (extreme ray) and an inequality
 (facet normal) description, computed once by an exact double-description
-pass.  Duals of low-dimensional cones are not pointed; they carry an
+pass, or from the adjugate for simplicial cones.  Duals of low-dimensional cones are not pointed; they carry an
 explicit lineality basis instead of being rejected, so that taking the
 dual is an involution on everything this package produces.
 """
@@ -16,6 +16,7 @@ from .lattice import (
     Covector,
     IntMatrix,
     LatticeVector,
+    adjugate,
     lattice_determinant,
     primitive,
 )
@@ -255,6 +256,26 @@ def make_cone(vs: list[LatticeVector], require_pointed: bool = True) -> Cone:
     return _build_cone(extreme, (), ineqs, eqs, rank)
 
 
+def simplicial_cone(gens: list[LatticeVector]) -> Cone:
+    """Cone on n linearly independent vectors in rank n, by the adjugate.
+
+    With G the matrix whose rows are the primitive generators, the facet
+    normals are the columns of sign(det G) * adj(G), made primitive.  The
+    result equals ``make_cone(gens)``; no double description is run, and
+    dependent input raises ``ConeError``.
+    """
+    rank = len(gens)
+    if not gens or any(g.rank != rank for g in gens):
+        raise ConeError(f"simplicial cone needs n vectors of rank n, got {rank}")
+    rows = [_gcd_normalize(g.coords) for g in gens]
+    det, cols = adjugate(rows)
+    if det == 0:
+        raise ConeError(f"linearly dependent generators {sorted(rows)}")
+    sign = 1 if det > 0 else -1
+    normals = [_gcd_normalize(tuple(sign * x for x in col)) for col in cols]
+    return _build_cone(rows, (), normals, (), rank)
+
+
 def dual_cone(c: Cone) -> Cone:
     """The dual cone in the dual lattice.
 
@@ -323,8 +344,16 @@ def is_simplicial(c: Cone) -> bool:
 
 
 def is_basic(c: Cone) -> bool:
-    """Smoothness test for the associated affine chart."""
-    return c.is_simplicial and multiplicity(c) == 1
+    """Smoothness test for the associated affine chart.
+
+    A full-dimensional simplicial cone is basic exactly when its generator
+    determinant is +-1; lower-dimensional ones go through ``multiplicity``.
+    """
+    if not c.is_simplicial:
+        return False
+    if c.is_full_dimensional:
+        return abs(IntMatrix.from_vectors(c.generators).det()) == 1
+    return multiplicity(c) == 1
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:

@@ -405,6 +405,27 @@ def lattice_determinant(vs: list[LatticeVector]) -> int:
     return math.prod(facs)
 
 
+def adjugate(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Determinant and adjugate columns of a square integer matrix given by rows.
+
+    Column i of adj(G) pairs with row j of G to det(G) if i == j and to 0
+    otherwise.  In rank 3 the columns are cross products of row pairs;
+    other ranks take signed minors.
+    """
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        cols = [
+            (e * i - f * h, f * g - d * i, d * h - e * g),
+            (c * h - b * i, a * i - c * g, b * g - a * h),
+            (b * f - c * e, c * d - a * f, a * e - b * d),
+        ]
+    else:
+        minor = lambda i, k: IntMatrix(tuple(r[:k] + r[k + 1 :] for j, r in enumerate(rows) if j != i))
+        cols = [tuple((-1) ** (i + k) * minor(i, k).det() for k in range(n)) for i in range(n)]
+    return sum(x * y for x, y in zip(rows[0], cols[0])), cols
+
+
 def integer_kernel(a: IntMatrix) -> list[LatticeVector]:
     """Basis of the saturated integer kernel {x in Z^n : A x = 0}."""
     at = a.transpose()

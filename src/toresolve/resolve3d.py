@@ -20,11 +20,12 @@ from fractions import Fraction
 from .classify import (
     CoverCertificate,
     LatticePolytope,
+    convex_hull_2d,
     gorenstein_data,
     height_one_polytope,
     index_one_cover,
 )
-from .cones import Cone, Fan, extreme_rays, is_basic, make_cone, make_fan
+from .cones import Cone, Fan, is_basic, make_cone, make_fan, simplicial_cone
 from .divisors import (
     DiscrepancyReport, SupportFunction, is_strictly_upper_convex, with_linear_representatives
 )
@@ -124,14 +125,19 @@ class PolygonComplex:
 def canonical_modification(c: Cone) -> Fan:
     """Refinement over the compact hull-floor facets; canonical by construction.
 
-    Returns the fan whose maximal cones sit over the bounded faces of
-    conv((c ∩ N) - {0}) visible from the origin; it equals {c} exactly when
-    the cone is already canonical.
+    A Gorenstein cone of index one is already canonical (its integral grading
+    functional is at least one on every nonzero lattice point), so {c} is
+    returned without computing the floor.  Otherwise the maximal cones sit
+    over the bounded faces of conv((c ∩ N) - {0}) visible from the origin;
+    the fan equals {c} exactly when the cone is already canonical.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve3dError("canonical modification needs a pointed full-dimensional cone")
     if c.lattice_rank > 3:
         raise Resolve3dError("canonical modification implemented for rank <= 3")
+    gd = gorenstein_data(c)
+    if gd is not None and gd[1] == 1:
+        return make_fan([c])
     cones = [make_cone(facet) for facet in floor_facets(c)]
     return make_fan(cones)
 
@@ -163,37 +169,54 @@ def _lift(p: Point) -> LatticeVector:
 # ---------------------------------------------------------------------------
 
 
+def _inward_edge_normals(hull: list[Point]) -> list[Point]:
+    """Primitive inward normals of the edges of a counterclockwise hull.
+
+    A segment, listed as its two endpoints, gets both of its normals.
+    """
+    if len(hull) < 2:
+        return []
+    out = []
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(x1 - x0, y1 - y0)
+        out.append(((y0 - y1) // g, (x1 - x0) // g))
+    return out
+
+
 def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope]:
     """Cells of the regular subdivision lifting ``lifted`` to 1, the rest to 0.
 
     Blowing up the fixed point of a cell lifts its interior lattice points,
     whose hull becomes the central cell; blowing up its singular curves lifts
-    its edge-interior points.  The linear pieces of the upper envelope are
-    found as vertices of the polyhedron of affine functions dominating the
-    lifted points, computed through a homogenized double-description pass.
+    its edge-interior points.  With A1 the lifted lattice points and A0 the
+    others, the linear pieces of the upper envelope are conv(A1) and, for
+    every primitive inward edge normal a of conv(A1) or conv(A0) with
+    min_a A1 > min_a A0, conv(argmin_a A1 ∪ argmin_a A0): the Cayley-trick
+    picture of a two-level lifting, which needs only planar hulls and dot
+    products.  A lifting whose pieces leave out a lattice point of the cell,
+    or do not cover it, does not tile the cell and is refused.
     """
     lifted = set(lifted)
     points = [tuple(p) for p in cell.lattice_points()]
-    heights = {p: int(p in lifted) for p in points}
-    constraints = [(p[0], p[1], 1, -heights[p]) for p in points]
-    constraints.append((0, 0, 0, 1))
-    rays, _lin = extreme_rays(constraints, 4)
+    a1 = [p for p in points if p in lifted]
+    a0 = [p for p in points if p not in lifted]
+    top = convex_hull_2d(a1)
+    pieces = [a1] if len(top) >= 3 else []
+    for a in set(_inward_edge_normals(top) + _inward_edge_normals(convex_hull_2d(a0))):
+        v1 = [a[0] * p[0] + a[1] * p[1] for p in a1]
+        v0 = [a[0] * p[0] + a[1] * p[1] for p in a0]
+        m1, m0 = min(v1), min(v0)
+        if m1 > m0:
+            pieces.append(
+                [p for p, v in zip(a1, v1) if v == m1] + [p for p, v in zip(a0, v0) if v == m0]
+            )
     cells = []
-    for r in rays:
-        if r[3] <= 0:
-            continue
-        a1, a2, c0, t = r
-        tight = [
-            p
-            for p in points
-            if a1 * p[0] + a2 * p[1] + c0 == heights[p] * t
-        ]
-        if len(tight) >= 3:
-            poly = LatticePolytope.from_points(tight)
-            if poly.dimension == 2 and set(tight) == set(poly.lattice_points()):
-                cells.append(poly)
-    total = sum(c.area2() for c in cells)
-    if total != cell.area2():
+    for tight in pieces:
+        poly = LatticePolytope.from_points(tight)
+        if set(tight) != set(poly.lattice_points()):
+            raise Resolve3dError("envelope subdivision does not tile the cell")
+        cells.append(poly)
+    if sum(c.area2() for c in cells) != cell.area2():
         raise Resolve3dError("envelope subdivision does not tile the cell")
     return cells
 
@@ -459,7 +482,7 @@ def _completion_for_bits(
     heights = _composite_heights(pc, chi, tris)
     cones = []
     for t in tris:
-        cone = make_cone([_lift(p) for p in t])
+        cone = simplicial_cone([_lift(p) for p in t])
         if not is_basic(cone):
             raise Resolve3dError(f"completion triangle {t} is not basic")
         cones.append(cone)
@@ -626,7 +649,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         parallelograms = _double_point_cells(pc)
         fan_local, _psi = _completion_at(pc, parallelograms, 0)
         for cone in fan_local.maximal_cones:
-            final_cones.append(make_cone([to_ambient.apply(g) for g in cone.generators]))
+            final_cones.append(simplicial_cone([to_ambient.apply(g) for g in cone.generators]))
         steps.append(
             ResolutionStep(
                 phase="completion",

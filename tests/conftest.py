@@ -4,12 +4,14 @@ The oracles are deliberately independent of the library's own algorithms:
 ranks are computed by elimination over the rationals, lattice points are
 enumerated over bounding boxes and filtered, the
 stacked-polytope oracle tries explicit unimodular maps against the literal
-construction, and fixed-point blow-ups are recomputed from the paper's
-definition as linearity domains of the order function.
+construction, fixed-point blow-ups are recomputed from the paper's
+definition as linearity domains of the order function, and envelope
+subdivisions are recomputed by a 4-D double description.
 """
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from toresolve.cones import Cone, ConeError, dual_cone, extreme_rays, make_cone
 from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.hilbert import hilbert_basis
-from toresolve.lattice import LatticeVector
+from toresolve.lattice import IntMatrix, LatticeVector
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, blowup_fixed_point
 
 Point = tuple[int, int]
@@ -79,6 +81,30 @@ def random_pointed_cone(rng: random.Random, rank: int, coord_bound: int = 6, max
     return c
 
 
+def random_independent_generators(rng: random.Random, rank: int) -> list[LatticeVector]:
+    """``rank`` linearly independent vectors of rank ``rank``.
+
+    About 30% are unimodular bases (elementary row operations on the
+    identity and a random sign, so det = +-1); the rest have entries in
+    [-5, 5].  Each vector is scaled by 2 with probability 1/4, so some
+    generators are not primitive.
+    """
+    while True:
+        if rng.random() < 0.3:
+            rows = [list(r) for r in IntMatrix.identity(rank).rows]
+            for _ in range(6):
+                i, j = rng.sample(range(rank), 2)
+                k = rng.randint(-2, 2)
+                rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            sign = rng.choice((1, -1))
+            rows[0] = [sign * x for x in rows[0]]
+        else:
+            rows = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rank)]
+        if IntMatrix(tuple(tuple(r) for r in rows)).det() != 0:
+            scales = [rng.choice((1, 1, 1, 2)) for _ in rows]
+            return [LatticeVector(tuple(k * x for x in r)) for k, r in zip(scales, rows)]
+
+
 def random_polygon(rng: random.Random, bound: int = 4, max_pts: int = 6):
     """A random 2D lattice polygon with vertices in [-bound, bound]^2, or None."""
     pts = [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(rng.randint(3, max_pts))]
@@ -138,6 +164,55 @@ def _order_function_subdivision(cell: LatticePolytope):
         {p for sc in subcells for p in sc.vertices if p not in old}
     )
     return subcells, central, new_rays
+
+
+def dd_envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope]:
+    """Cells of the regular subdivision lifting ``lifted`` to 1, the rest to 0.
+
+    The linear pieces of the upper envelope are found as vertices of the
+    polyhedron of affine functions dominating the lifted points, computed
+    through a homogenized double-description pass.
+    """
+    lifted = set(lifted)
+    points = [tuple(p) for p in cell.lattice_points()]
+    heights = {p: int(p in lifted) for p in points}
+    constraints = [(p[0], p[1], 1, -heights[p]) for p in points]
+    constraints.append((0, 0, 0, 1))
+    rays, _lin = extreme_rays(constraints, 4)
+    cells = []
+    for r in rays:
+        if r[3] <= 0:
+            continue
+        a1, a2, c0, t = r
+        tight = [
+            p
+            for p in points
+            if a1 * p[0] + a2 * p[1] + c0 == heights[p] * t
+        ]
+        if len(tight) >= 3:
+            poly = LatticePolytope.from_points(tight)
+            if poly.dimension == 2 and set(tight) == set(poly.lattice_points()):
+                cells.append(poly)
+    total = sum(c.area2() for c in cells)
+    if total != cell.area2():
+        raise Resolve3dError("envelope subdivision does not tile the cell")
+    return cells
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls to ``fn`` through every toresolve module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toresolve" or name.startswith("toresolve."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 def sequential_fixed_point_phase(polygon: LatticePolytope, rng: random.Random) -> PolygonComplex:

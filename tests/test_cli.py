@@ -1,11 +1,12 @@
 import hashlib
 import json
-import sys
 
 import pytest
 
 from toresolve import resolve3d
 from toresolve.cli import ParseError, main, parse_job, serialize
+
+from conftest import count_calls
 
 
 def write_job(tmp_path, name, payload):
@@ -244,22 +245,6 @@ def test_completion_all_capped(tmp_path, capsys):
     assert "2048" in err and "Traceback" not in err
     assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "2047"]) == 0
     assert len(json.loads(outfile.read_text())["results"][0]["completions"]) == 1
-
-
-def count_calls(monkeypatch, fn) -> list:
-    """Count calls to ``fn`` through every toresolve module that binds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "toresolve" or name.startswith("toresolve."):
-            for key, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
 
 
 def test_resolve3d_job_resolves_each_piece_once(tmp_path, monkeypatch):

@@ -13,12 +13,13 @@ from toresolve.cones import (
     make_cone,
     make_fan,
     multiplicity,
+    simplicial_cone,
     star_subdivision,
 )
 from toresolve.hilbert import _parallelepiped_points
-from toresolve.lattice import LatticeVector, rational_solve
+from toresolve.lattice import IntMatrix, LatticeVector, rational_solve
 
-from conftest import fraction_rank, random_pointed_cone
+from conftest import fraction_rank, random_independent_generators, random_pointed_cone
 
 
 def V(*coords):
@@ -153,6 +154,37 @@ def test_is_basic():
     assert is_basic(make_cone([V(1, 0), V(0, 1)]))
     c = make_cone([V(1, 0), V(4, 5)])
     assert c.is_simplicial and not is_basic(c)
+
+
+def test_simplicial_cone_matches_make_cone():
+    """The adjugate construction gives the whole double-description cone,
+    facet inequalities included, and the integer is_basic agrees with the
+    Smith-form multiplicity."""
+    rng = random.Random(20261018)
+    dets = set()
+    for _ in range(150):
+        gens = random_independent_generators(rng, rng.choice((2, 3, 3)))
+        expected = make_cone(gens)
+        got = simplicial_cone(gens)
+        assert got == expected, gens
+        assert got.inequalities == expected.inequalities and got.equations == ()
+        assert is_basic(got) == (multiplicity(expected) == 1)
+        dets.add(IntMatrix.from_vectors(gens).det())
+    assert {1, -1} <= dets
+    assert any(d > 1 for d in dets) and any(d < -1 for d in dets)
+
+
+def test_simplicial_cone_rejects_dependent_input():
+    for gens in (
+        [V(1, 0, 0), V(0, 1, 0), V(1, 1, 0)],
+        [V(1, 2, 3), V(2, 4, 6), V(0, 0, 1)],
+        [V(1, 0, 0), V(0, 0, 0), V(0, 0, 1)],
+        [V(1, 0, 0), V(0, 1, 0)],
+        [V(1, 0), V(0, 1, 0)],
+        [],
+    ):
+        with pytest.raises(ConeError):
+            simplicial_cone(gens)
 
 
 def test_make_fan_subdivision_pair():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from toresolve.classify import classify
 from toresolve.cones import make_cone, make_fan, star_subdivision
 from toresolve.divisors import (
     DivisorError,
+    _cone_representative,
     SupportFunction,
     canonical_support,
     discrepancies,
@@ -14,9 +16,9 @@ from toresolve.divisors import (
     qcartier_index,
     with_linear_representatives,
 )
-from toresolve.lattice import Covector, LatticeVector
+from toresolve.lattice import Covector, LatticeVector, rational_solve
 
-from conftest import random_pointed_cone
+from conftest import random_independent_generators, random_pointed_cone
 
 
 def V(*coords):
@@ -185,3 +187,17 @@ def test_qcartier_index_matches_classifier_index(rng):
         else:
             assert idx == report.q_gorenstein[1]
         checked += 1
+
+
+def test_adjugate_representative_matches_rational_solve():
+    """On the cones of the simplicial_cone oracle test (same seed), the
+    adjugate interpolant equals the rational Gauss-Jordan solution."""
+    rng, values_rng = random.Random(20261018), random.Random(5)
+    for _ in range(150):
+        cone = make_cone(random_independent_generators(rng, rng.choice((2, 3, 3))))
+        values = [values_rng.randint(-6, 6) for _ in cone.generators]
+        psi = SupportFunction(
+            fan=make_fan([cone]), ray_values={g.coords: v for g, v in zip(cone.generators, values)}
+        )
+        expected, _free = rational_solve(list(cone.generators), values)
+        assert _cone_representative(cone, psi) == expected

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toresolve.classify import LatticePolytope, gorenstein_data
+from toresolve import cones, resolve3d
+from toresolve.classify import LatticePolytope, convex_hull_2d, gorenstein_data
 from toresolve.cones import is_basic, make_cone, make_fan
 from toresolve.divisors import discrepancies, is_strictly_upper_convex
+from toresolve.hilbert import floor_facets
 from toresolve.lattice import IntMatrix, LatticeVector
 from toresolve.resolve3d import (
     PolygonComplex,
@@ -25,7 +28,10 @@ from toresolve.resolve3d import (
 
 from conftest import (
     _order_function_subdivision,
+    count_calls,
+    dd_envelope_subdivision,
     gorenstein_cone_over,
+    random_pointed_cone,
     random_polygon,
     sequential_fixed_point_phase,
 )
@@ -78,6 +84,24 @@ def test_canonical_modification_rank3_noncanonical():
 
         below = [v for v in _grading_slab_points(piece, m) if m.pair(v) < 1]
         assert below == []
+
+
+def test_gorenstein_shortcut_matches_floor_facets(rng):
+    """On index-one cones the short-cut {c} equals the hull-floor fan."""
+    c3 = random.Random(31415926)
+    inputs = []
+    while len(inputs) < 20:
+        hull = convex_hull_2d([(c3.randint(-4, 4), c3.randint(-4, 4)) for _ in range(c3.randint(3, 6))])
+        if len(hull) >= 3:
+            inputs.append(make_cone([V(p[0], p[1], 1) for p in hull]))
+    while len(inputs) < 35:
+        c = random_pointed_cone(rng, 3, coord_bound=4, max_gens=5)
+        if c is not None and c.is_full_dimensional and (gorenstein_data(c) or (0, 0))[1] == 1:
+            inputs.append(c)
+    inputs += [make_cone([V(1, 0), V(1, 3)]), make_cone([V(1, 0), V(-1, 2)])]
+    for c in inputs:
+        assert gorenstein_data(c)[1] == 1
+        assert canonical_modification(c) == make_fan([make_cone(f) for f in floor_facets(c)]), c
 
 
 # --------------------------------------------------------------------- polygon form
@@ -154,6 +178,36 @@ def test_envelope_subdivision_matches_order_function_oracle(rng):
         ), cell.vertices
         hull = LatticePolytope.from_points(cell.interior_points())
         assert set(central) == set(hull.vertices), cell.vertices
+
+
+def test_planar_envelope_matches_double_description():
+    """The planar rule gives the 4-D double description's cells, and both
+    refuse the same liftings (a curve-phase lift on a cell that still has
+    interior points) as not tiling.  Cells: random polygons in [-6,6]^2 with
+    both liftings, and the cells their fixed-point phase leaves, which the
+    curve phase lifts."""
+    rng = random.Random(6061)
+    polygons = [p for p in (random_polygon(rng, bound=6) for _ in range(50)) if p is not None]
+    cases = [(cell, kind) for cell in polygons for kind in ("interior", "edge")]
+    for polygon in polygons[:8]:
+        pc = crepant_fixed_point_phase(PolygonComplex.initial(polygon))
+        cases += [(cell, "edge") for cell in pc.cells]
+    outcomes = {"interior": 0, "edge": 0, "refused": 0}
+    for cell, kind in cases:
+        lifted = cell.interior_points() if kind == "interior" else cell.edge_interior_points()
+        if not lifted:
+            continue
+        try:
+            expected = sorted(dd_envelope_subdivision(cell, lifted), key=lambda c: c.vertices)
+        except Resolve3dError:
+            with pytest.raises(Resolve3dError, match="does not tile"):
+                _envelope_subdivision(cell, lifted)
+            outcomes["refused"] += 1
+            continue
+        got = sorted(_envelope_subdivision(cell, lifted), key=lambda c: c.vertices)
+        assert got == expected, (cell.vertices, kind)
+        outcomes[kind] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_fixed_point_phase_worked_example():
@@ -453,3 +507,70 @@ def test_resolve_random_rank3_cones(rng):
             ]
             if inside and all(i not in covered for i in inside):
                 assert is_basic(mc)
+
+
+def test_resolve_of_index_one_cone_runs_no_double_description(monkeypatch):
+    """Once the input cone is built, resolving a Gorenstein index-one cone
+    (FIG, which is the k=3 triangle, the k=6 triangle, a cell with collinear
+    interior points, the 4x1 strip) never calls extreme_rays."""
+    assert not hasattr(resolve3d, "extreme_rays")
+    inputs = [
+        make_cone(FIG_CONE),
+        make_cone([V(-6, 6, 1), V(6, 2, 1), V(0, -6, 1)]),
+        make_cone([V(0, 0, 1), V(5, 0, 1), V(0, 2, 1)]),
+        make_cone([V(0, 0, 1), V(4, 0, 1), V(4, 1, 1), V(0, 1, 1)]),
+    ]
+    calls = count_calls(monkeypatch, cones.extreme_rays)
+    for c in inputs:
+        fan, _trace = resolve(c)
+        assert all(is_basic(mc) for mc in fan.maximal_cones)
+    assert calls == []
+    make_cone(FIG_CONE)
+    assert len(calls) == 1  # the wrapper is live
+
+
+METAMORPHIC_CONES = {
+    "fig": FIG_CONE,
+    "index-2 piece": [V(0, 1, 0), V(0, 0, 1), V(2, -1, -1)],
+    "index-2 cone": [V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)],
+    "non-canonical": [V(5, -1, -1), V(0, 1, 0), V(0, 0, 1)],
+    "quadrilateral": [V(0, 0, 1), V(3, 0, 1), V(2, 2, 1), V(0, 1, 1)],
+    "index-2 pieces": [V(-3, 1, -3), V(1, -2, -2), V(3, 0, -1)],
+    "index-5 piece": [V(-3, -3, -2), V(0, -2, -1), V(2, 0, 3)],
+}
+
+
+def _resolution_invariants(c):
+    """Ray and cone counts, |det| of every final cone (checked to equal the
+    cover index of the piece holding it) and the completion counts."""
+    fan, trace = resolve(c)
+    pieces = canonical_modification(c).maximal_cones
+    index = [1 if cert is None else cert.index for _pc, _m, _rounds, cert in trace.pieces]
+    dets = []
+    for mc in fan.maximal_cones:
+        (owner,) = [i for i, piece in enumerate(pieces) if piece.contains_cone(mc)]
+        dets.append(abs(IntMatrix.from_vectors(mc.generators).det()))
+        assert dets[-1] == index[owner], (c, mc)
+    counts = sorted(s.census_after["completions"] for s in trace.steps if s.phase == "completion")
+    return len(fan.rays()), len(fan.maximal_cones), sorted(dets), counts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(METAMORPHIC_CONES)),
+    ops=st.lists(st.tuples(st.permutations(range(3)), st.integers(-2, 2)), min_size=1, max_size=4),
+    flip=st.booleans(),
+)
+def test_resolve_invariant_under_unimodular_change_of_basis(name, ops, flip):
+    """A GL(3,Z) change of basis changes none of the resolution invariants;
+    the index-2 inputs send non-unimodular mapped cones through simplicial_cone."""
+    rows = [list(r) for r in IntMatrix.identity(3).rows]
+    for (i, j, _), k in ops:
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if flip:
+        rows[0] = [-x for x in rows[0]]
+    u = IntMatrix(tuple(tuple(r) for r in rows))
+    assert abs(u.det()) == 1
+    gens = METAMORPHIC_CONES[name]
+    moved = _resolution_invariants(make_cone([u.apply(g) for g in gens]))
+    assert moved == _resolution_invariants(make_cone(gens))
