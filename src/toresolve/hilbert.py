@@ -11,6 +11,7 @@ from .cones import Cone, ConeError, dual_cone, make_cone
 from .lattice import (
     IntMatrix,
     LatticeVector,
+    adjugate,
     integer_kernel,
     rational_solve,
     smith_normal_form,
@@ -94,15 +95,8 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
         raise ConeError("parallelepiped of dependent vectors")
     u_inv = u.inverse_unimodular()
     # exact inverse of the generator matrix, once
-    det = g_cols.det()
-    inv_rows = []
-    for i in range(d):
-        inv_rows.append(
-            tuple(
-                Fraction((-1) ** (i + j) * g_cols._minor(j, i).det(), det)
-                for j in range(d)
-            )
-        )
+    det, adj_cols = adjugate(g_cols.rows)
+    inv_rows = [tuple(Fraction(x, det) for x in row) for row in zip(*adj_cols)]
     points = []
     for a in itertools.product(*(range(abs(x)) for x in diag)):
         x0 = tuple(

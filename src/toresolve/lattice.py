@@ -232,29 +232,13 @@ class IntMatrix:
         return self.nrows == self.ncols and abs(self.det()) == 1
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix (integer entries)."""
-        d = self.det()
+        """Exact inverse of a unimodular matrix (integer entries): det times the adjugate."""
+        if self.nrows != self.ncols:
+            raise LatticeError("inverse of a non-square matrix")
+        d, cols = adjugate(self.rows) if self.rows else (1, [])
         if abs(d) != 1:
             raise LatticeError("matrix is not unimodular")
-        n = self.nrows
-        adj = []
-        for i in range(n):
-            adj.append(
-                tuple(
-                    (-1) ** (i + j) * self._minor(j, i).det() * d
-                    for j in range(n)
-                )
-            )
-        return IntMatrix(tuple(adj))
-
-    def _minor(self, i: int, j: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(
-                tuple(x for jj, x in enumerate(r) if jj != j)
-                for ii, r in enumerate(self.rows)
-                if ii != i
-            )
-        )
+        return IntMatrix(tuple(zip(*((d * x for x in col) for col in cols))))
 
     def apply(self, v: LatticeVector) -> LatticeVector:
         return LatticeVector(tuple(sum(a * x for a, x in zip(r, v.coords)) for r in self.rows))

@@ -154,7 +154,12 @@ def polygon_form(c: Cone) -> tuple[LatticePolytope, IntMatrix]:
     gd = gorenstein_data(c)
     if gd is None or gd[1] != 1:
         raise Resolve3dError("polygon form requires a Gorenstein cone of index one")
-    polytope, basis = height_one_polytope(c, gd[0])
+    return _polygon_form(c, gd[0])
+
+
+def _polygon_form(c: Cone, m: Covector) -> tuple[LatticePolytope, IntMatrix]:
+    """``polygon_form`` for a cone whose integral grading m is known."""
+    polytope, basis = height_one_polytope(c, m)
     if polytope.dimension != 2:
         raise Resolve3dError("degenerate height-one cross-section")
     return polytope, basis
@@ -379,64 +384,60 @@ def _triangulation_cells(pc: PolygonComplex, choice: dict[LatticePolytope, tuple
     return tris
 
 
-def _interior_walls(tris):
-    """(shared edge, opposite vertex in t1, opposite vertex in t2) per wall."""
-    edge_map: dict[tuple[Point, Point], list[Point]] = {}
-    for t in tris:
+def _walls(tris) -> list[tuple[Point, Point, Point, Point]]:
+    """(a, b, c, d) for each interior wall ab of triangles abc and abd."""
+    opposite: dict[tuple[Point, Point], Point] = {}
+    walls = []
+    for tri in tris:
         for k in range(3):
-            a, b = t[k], t[(k + 1) % 3]
-            c = t[(k + 2) % 3]
-            key = tuple(sorted((a, b)))
-            edge_map.setdefault(key, []).append(c)
-    return [
-        (key, opp[0], opp[1]) for key, opp in edge_map.items() if len(opp) == 2
-    ]
+            a, b = sorted((tri[k], tri[(k + 1) % 3]))
+            c = tri[(k + 2) % 3]
+            if (a, b) in opposite:
+                walls.append((a, b, opposite[(a, b)], c))
+            else:
+                opposite[(a, b)] = c
+    return walls
 
 
-def _affine_value(tri, h: dict[Point, Fraction], q: Point) -> Fraction:
-    """Value at q of the affine function interpolating h on the triangle."""
-    (ax, ay), (bx, by), (cx, cy) = tri
+def _fold(wall, h: dict[Point, int]) -> int:
+    """Fold of h across the wall (a, b, c, d): the affine interpolant of h on
+    abc at d, minus h(d).
+
+    On a unimodular abc the barycentric coordinates of d are the integers
+    1 - x - y, x, y; absent points have height 0.
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = wall
     det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-    l_b = Fraction((q[0] - ax) * (cy - ay) - (cx - ax) * (q[1] - ay), det)
-    l_c = Fraction((bx - ax) * (q[1] - ay) - (q[0] - ax) * (by - ay), det)
-    l_a = 1 - l_b - l_c
-    return l_a * h[tri[0]] + l_b * h[tri[1]] + l_c * h[tri[2]]
+    if det not in (1, -1):
+        raise Resolve3dError(f"wall triangle {wall[:3]} is not unimodular")
+    x = det * ((dx - ax) * (cy - ay) - (cx - ax) * (dy - ay))
+    y = det * ((bx - ax) * (dy - ay) - (dx - ax) * (by - ay))
+    a, b, c, d = (h.get(p, 0) for p in wall)
+    return a + x * (b - a) + y * (c - a) - d
 
 
-def _composite_heights(pc: PolygonComplex, chi: dict[Point, Fraction], tris):
+def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[Point, int]:
     """Exact integral heights whose folds are strictly positive on every wall.
 
-    Sums the per-round 0/1 height maps and the diagonal-choice correction
-    with decreasing weights eps^r, halving eps until exact verification of
-    every fold succeeds, then clears denominators.
+    Sums the per-round 0/1 height maps and the diagonal-choice correction chi
+    with weights 2^(t(L-1-r)) for layer r of L, at the least t that makes
+    every fold positive, then divides out the common power of two; this is
+    the sum with weights eps^(r+1), eps = 2^-t, with denominators cleared.
+    Folds are linear in the heights, so each layer's folds are taken once.
     """
-    points = [tuple(p) for p in pc.polygon.lattice_points()]
     layers = [dict(r) for r in pc.round_heights] + [chi]
-    walls = _interior_walls(tris)
-    tri_of_edge: dict[tuple[Point, Point], list] = {}
-    for t in tris:
-        for k in range(3):
-            key = tuple(sorted((t[k], t[(k + 1) % 3])))
-            tri_of_edge.setdefault(key, []).append(t)
-    eps = Fraction(1)
-    for _ in range(64):
-        h = {
-            p: sum(
-                (eps ** (i + 1)) * Fraction(layer.get(p, 0))
-                for i, layer in enumerate(layers)
-            )
-            for p in points
-        }
-        ok = True
-        for key, opp1, opp2 in walls:
-            t1, t2 = tri_of_edge[key]
-            if _affine_value(t1, h, opp2) - h[opp2] <= 0:
-                ok = False
-                break
-        if ok:
-            denom = math.lcm(*(v.denominator for v in h.values())) if h else 1
-            return {p: int(v * denom) for p, v in h.items()}
-        eps /= 2
+    walls = _walls(tris)
+    folds = list(zip(*([_fold(w, layer) for w in walls] for layer in layers)))
+    top = len(layers) - 1
+    for t in range(64):
+        weights = [1 << (t * (top - r)) for r in range(len(layers))]
+        if all(sum(w * f for w, f in zip(weights, wall_folds)) > 0 for wall_folds in folds):
+            heights = {
+                p: sum(w * layer.get(p, 0) for w, layer in zip(weights, layers))
+                for p in dict.fromkeys(p for tri in tris for p in tri)
+            }
+            g = math.gcd(1 << (t * len(layers)), *heights.values())
+            return {p: v // g for p, v in heights.items()}
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
 
@@ -471,14 +472,14 @@ def _completion_for_bits(
             i = var_index.setdefault(p, len(var_index))
             coeffs[i] = coeffs.get(i, 0) + sign
         ineqs.append((coeffs, 1))
-    chi: dict[Point, Fraction] = {}
+    chi: dict[Point, int] = {}
     if ineqs:
         sol = _fourier_motzkin(ineqs, list(range(len(var_index))))
         if sol is None:
             raise Resolve3dError("diagonal-choice system unexpectedly infeasible")
         denom = math.lcm(*(v.denominator for v in sol.values()))
         for p, i in var_index.items():
-            chi[p] = Fraction(int(sol[i] * denom))
+            chi[p] = int(sol[i] * denom)
     heights = _composite_heights(pc, chi, tris)
     cones = []
     for t in tris:
@@ -586,8 +587,14 @@ def resolve_piece(piece: Cone) -> Piece:
     gd = gorenstein_data(piece)
     if gd is None:
         raise Resolve3dError("canonical piece unexpectedly not Q-Gorenstein")
-    work, cert = (piece, None) if gd[1] == 1 else index_one_cover(piece)
-    polygon, basis = polygon_form(work)
+    m, index = gd
+    if index == 1:
+        work, cert = piece, None
+    else:
+        work, cert = index_one_cover(piece)
+        # the cover's grading is m pulled back along the sublattice basis
+        m = Covector(tuple(m.pair(LatticeVector(col)) for col in cert.sublattice_basis.transpose().rows))
+    polygon, basis = _polygon_form(work, m)
     pc, fixed_point_rounds = _phase(
         PolygonComplex.initial(polygon), "fixed-point-blow-up", LatticePolytope.interior_points
     )
@@ -630,7 +637,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     for piece_index, piece in enumerate(can_fan.maximal_cones):
         pieces.append(resolve_piece(piece))
         pc, to_ambient, rounds, _cert = pieces[-1]
-        m_piece = gorenstein_data(piece)[0]
+        m_piece = base_gd[0] if piece == c else gorenstein_data(piece)[0]
         for rnd in rounds:
             mapped = tuple(sorted(to_ambient.apply(_lift(p)) for p in rnd.new_rays))
             steps.append(

@@ -5,11 +5,13 @@ ranks are computed by elimination over the rationals, lattice points are
 enumerated over bounding boxes and filtered, the
 stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, fixed-point blow-ups are recomputed from the paper's
-definition as linearity domains of the order function, and envelope
-subdivisions are recomputed by a 4-D double description.
+definition as linearity domains of the order function, envelope
+subdivisions are recomputed by a 4-D double description, and completion
+heights are recomputed with rational weights and barycentric folds.
 """
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -213,6 +215,58 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+def c3_hulls(count: int = 50) -> list[list[Point]]:
+    """The criterion-3 corpus: convex hulls of random points in [-4, 4]^2, seed 31415926."""
+    rng = random.Random(31415926)
+    hulls = []
+    while len(hulls) < count:
+        hull = convex_hull_2d([(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))])
+        if len(hull) >= 3:
+            hulls.append(hull)
+    return hulls
+
+
+def _affine_value(tri, h: dict[Point, Fraction], q: Point) -> Fraction:
+    """Value at q of the affine function interpolating h on the triangle."""
+    (ax, ay), (bx, by), (cx, cy) = tri
+    det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+    l_b = Fraction((q[0] - ax) * (cy - ay) - (cx - ax) * (q[1] - ay), det)
+    l_c = Fraction((bx - ax) * (q[1] - ay) - (q[0] - ax) * (by - ay), det)
+    l_a = 1 - l_b - l_c
+    return l_a * h[tri[0]] + l_b * h[tri[1]] + l_c * h[tri[2]]
+
+
+def fraction_composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris):
+    """Completion heights and the exponent t found by halving eps = 2^-t.
+
+    Sums the per-round 0/1 height maps and chi over every lattice point of
+    the polygon with weights eps^(r+1), checks every wall by interpolating on
+    one triangle at the far vertex of the other, and clears denominators.
+    """
+    points = [tuple(p) for p in pc.polygon.lattice_points()]
+    layers = [dict(r) for r in pc.round_heights] + [chi]
+    tris_of_edge: dict[tuple[Point, Point], list] = {}
+    for t in tris:
+        for k in range(3):
+            tris_of_edge.setdefault(tuple(sorted((t[k], t[(k + 1) % 3]))), []).append(t)
+    walls = []  # (one triangle, the far vertex of the other)
+    for edge, pair in tris_of_edge.items():
+        if len(pair) == 2:
+            t1, t2 = pair
+            walls.append((t1, next(p for p in t2 if p not in edge)))
+    eps = Fraction(1)
+    for t in range(64):
+        h = {
+            p: sum(eps ** (i + 1) * Fraction(layer.get(p, 0)) for i, layer in enumerate(layers))
+            for p in points
+        }
+        if all(_affine_value(t1, h, d) - h[d] > 0 for t1, d in walls):
+            denom = math.lcm(*(v.denominator for v in h.values())) if h else 1
+            return {p: int(v * denom) for p, v in h.items()}, t
+        eps /= 2
+    raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
 
 def sequential_fixed_point_phase(polygon: LatticePolytope, rng: random.Random) -> PolygonComplex:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from toresolve import resolve3d
+from toresolve.classify import gorenstein_data
 from toresolve.cli import ParseError, main, parse_job, serialize
 
 from conftest import count_calls
@@ -254,6 +255,13 @@ def test_resolve3d_job_resolves_each_piece_once(tmp_path, monkeypatch):
             "--completion", "0", "--svg", str(tmp_path / "out.svg")]
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+def test_resolve3d_job_reuses_the_grading(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, gorenstein_data)
+    infile = write_job(tmp_path, "in.json", FIG)
+    assert main(["resolve3d", "--in", infile, "--out", str(tmp_path / "out.json"), "--completion", "0"]) == 0
+    assert len(calls) <= 3
 
 
 def test_single_completion_builds_only_that_completion(tmp_path, monkeypatch):

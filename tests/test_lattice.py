@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from toresolve.lattice import (
     Covector,
@@ -101,6 +103,24 @@ def test_hnf_round_trip_random(rng):
         assert abs(u.det()) == 1
         # reconstruct A = U^-1 * H exactly
         assert (u.inverse_unimodular() * h).rows == a.rows
+
+
+def test_inverse_unimodular_matches_sympy():
+    rng = random.Random(20261018)
+    for rank in (2, 3, 4):
+        for _ in range(25):
+            rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+            for _ in range(12):
+                i, j = rng.sample(range(rank), 2)
+                k = rng.choice((-3, -2, -1, 1, 2, 3))
+                rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+                if rng.random() < 0.3:
+                    rows[i] = [-x for x in rows[i]]
+            m = IntMatrix(tuple(map(tuple, rows)))
+            expected = sympy.Matrix(rows).inv()
+            assert m.inverse_unimodular().rows == tuple(tuple(int(x) for x in r) for r in expected.tolist())
+    with pytest.raises(LatticeError, match="not unimodular"):
+        IntMatrix(((2, 0), (0, 1))).inverse_unimodular()
 
 
 def test_snf_shape_and_transforms(rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toresolve import cones, resolve3d
-from toresolve.classify import LatticePolytope, convex_hull_2d, gorenstein_data
+from toresolve.classify import LatticePolytope, gorenstein_data
 from toresolve.cones import is_basic, make_cone, make_fan
 from toresolve.divisors import discrepancies, is_strictly_upper_convex
 from toresolve.hilbert import floor_facets
@@ -16,6 +16,7 @@ from toresolve.resolve3d import (
     _completion_for_bits,
     _double_point_cells,
     _envelope_subdivision,
+    _fold,
     blowup_curve_phase,
     blowup_fixed_point,
     canonical_modification,
@@ -27,13 +28,17 @@ from toresolve.resolve3d import (
 )
 
 from conftest import (
+    _affine_value,
     _order_function_subdivision,
+    c3_hulls,
     count_calls,
     dd_envelope_subdivision,
+    fraction_composite_heights,
     gorenstein_cone_over,
     random_pointed_cone,
     random_polygon,
     sequential_fixed_point_phase,
+    unimodular_2x2,
 )
 
 
@@ -88,12 +93,7 @@ def test_canonical_modification_rank3_noncanonical():
 
 def test_gorenstein_shortcut_matches_floor_facets(rng):
     """On index-one cones the short-cut {c} equals the hull-floor fan."""
-    c3 = random.Random(31415926)
-    inputs = []
-    while len(inputs) < 20:
-        hull = convex_hull_2d([(c3.randint(-4, 4), c3.randint(-4, 4)) for _ in range(c3.randint(3, 6))])
-        if len(hull) >= 3:
-            inputs.append(make_cone([V(p[0], p[1], 1) for p in hull]))
+    inputs = [make_cone([V(p[0], p[1], 1) for p in hull]) for hull in c3_hulls(20)]
     while len(inputs) < 35:
         c = random_pointed_cone(rng, 3, coord_bound=4, max_gens=5)
         if c is not None and c.is_full_dimensional and (gorenstein_data(c) or (0, 0))[1] == 1:
@@ -358,6 +358,47 @@ def test_completion_precondition_scanned_once_per_piece(monkeypatch):
     calls.clear()
     resolve(make_cone(FIG_CONE))
     assert len(calls) == 5
+
+
+def test_integer_certificate_matches_fraction_oracle(monkeypatch):
+    """The integer wall folds give the heights of the rational eps-halving
+    search on every completion (at most 16 per piece) of the C3 hulls, FIG
+    and the 4x1 strip, including completions that need eps < 1."""
+    integer_heights = resolve3d._composite_heights
+    exponents = []
+
+    def compared(pc, chi, tris):
+        heights = integer_heights(pc, chi, tris)
+        oracle, t = fraction_composite_heights(pc, chi, tris)
+        assert heights == oracle
+        exponents.append(t)
+        return heights
+
+    monkeypatch.setattr(resolve3d, "_composite_heights", compared)
+    strip = [(0, 0), (4, 0), (4, 1), (0, 1)]
+    for hull in c3_hulls() + [list(FIG_TRIANGLE.vertices), strip]:
+        pc = blowup_curve_phase(
+            crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
+        )
+        parallelograms = _double_point_cells(pc)
+        for bits in itertools.islice(itertools.product((0, 1), repeat=len(parallelograms)), 16):
+            _completion_for_bits(pc, parallelograms, bits)
+    assert len(exponents) > 52 and max(exponents) >= 1
+
+
+def test_fold_matches_fraction_interpolation(rng):
+    unimodular = unimodular_2x2(3)
+    for _ in range(200):
+        (p, q), (r, s) = rng.choice(unimodular)
+        a = (rng.randint(-5, 5), rng.randint(-5, 5))
+        b, c = (a[0] + p, a[1] + r), (a[0] + q, a[1] + s)
+        d = (rng.randint(-6, 6), rng.randint(-6, 6))
+        h = {x: rng.randint(-9, 9) for x in (a, b, c, d)}
+        # both orientations of the triangle abc
+        for tri in ((a, b, c), (b, a, c)):
+            assert _fold((*tri, d), h) == _affine_value(tri, h, d) - h[d]
+    with pytest.raises(Resolve3dError, match="not unimodular"):
+        _fold(((0, 0), (2, 0), (0, 1), (1, -1)), {})
 
 
 def test_completions_precondition():
