@@ -132,7 +132,7 @@ def _cmd_hilbert(cones, args) -> str:
         }
         if c.is_full_dimensional:
             entry["embedding_dimension"] = embedding_dimension(c)
-            if args.degree_bound:
+            if args.degree_bound is not None:
                 entry["relations"] = [
                     {"left": list(r.left), "right": list(r.right)}
                     for r in toric_relations(c, args.degree_bound)

@@ -32,52 +32,24 @@ class HilbertBasis:
         return iter(self.members)
 
 
-def _cyclic_generator_order(c: Cone) -> list[LatticeVector]:
-    """Extreme rays of a pointed 3-dimensional cone in boundary-walk order.
-
-    Each facet of such a cone contains exactly two extreme rays, so the
-    facet/ray incidences form a cycle which we walk combinatorially.
-    """
-    gens = list(c.generators)
-    if len(gens) <= 3:
-        return gens
-    facet_pairs = []
-    for m in c.inequalities:
-        tight = [g for g in gens if m.pair(g) == 0]
-        if len(tight) != 2:
-            raise ConeError("degenerate facet structure in cyclic ordering")
-        facet_pairs.append((tight[0], tight[1]))
-    order = [facet_pairs[0][0], facet_pairs[0][1]]
-    used = {0}
-    while len(order) < len(gens):
-        for i, (a, b) in enumerate(facet_pairs):
-            if i in used:
-                continue
-            if a == order[-1] and b not in order:
-                order.append(b)
-                used.add(i)
-                break
-            if b == order[-1] and a not in order:
-                order.append(a)
-                used.add(i)
-                break
-        else:
-            raise ConeError("facet walk failed; cone is not 3-dimensional pointed")
-    return order
-
-
 def _triangulate(c: Cone) -> list[tuple[LatticeVector, ...]]:
-    """Fan triangulation of a pointed full-dimensional cone into simplices."""
-    gens = list(c.generators)
+    """Pulling triangulation of a pointed full-dimensional cone into simplices.
+
+    The first ray is joined to each facet that misses it; every facet of a
+    pointed 3-dimensional cone has exactly two rays.
+    """
+    gens = c.generators
     d = c.dim
     if len(gens) == d:
-        return [tuple(gens)]
-    if d == 3:
-        order = _cyclic_generator_order(c)
-        return [
-            (order[0], order[i], order[i + 1]) for i in range(1, len(order) - 1)
-        ]
-    raise ConeError(f"triangulation of a {d}-dimensional cone with {len(gens)} rays is unsupported")
+        return [gens]
+    if d != 3:
+        raise ConeError(f"triangulation of a {d}-dimensional cone with {len(gens)} rays is unsupported")
+    apex = gens[0]
+    return [
+        (apex, *(g for g in gens if m.pair(g) == 0))
+        for m in c.inequalities
+        if m.pair(apex) != 0
+    ]
 
 
 def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
@@ -135,11 +107,11 @@ def _solve_columns(b_cols: IntMatrix, g: LatticeVector) -> tuple[int, ...]:
 def hilbert_basis(c: Cone) -> HilbertBasis:
     """Minimal generating system of c ∩ N for a strongly convex cone.
 
-    Strategy: triangulate into simplicial subcones, enumerate the lattice
-    points of each fundamental half-open parallelepiped, add the ray
-    generators, then keep exactly the elements that are not sums of two
-    nonzero semigroup elements.  Uniqueness fails for non-pointed cones,
-    which are rejected.
+    Strategy: pull the first ray to triangulate into simplicial subcones,
+    enumerate the lattice points of each fundamental half-open
+    parallelepiped, add the ray generators, then, in degree order, keep the
+    elements whose facet values dominate no kept element's.  Uniqueness
+    fails for non-pointed cones, which are rejected.
     """
     if not c.is_pointed:
         raise ConeError("Hilbert basis requires a strongly convex cone")
@@ -147,18 +119,7 @@ def hilbert_basis(c: Cone) -> HilbertBasis:
         return HilbertBasis(cone=c, members=())
     if c.dim < c.lattice_rank:
         small, b_cols = _to_sublattice(c)
-        inner = hilbert_basis(small)
-        members = tuple(
-            sorted(
-                LatticeVector(
-                    tuple(
-                        sum(b_cols.rows[i][j] * m.coords[j] for j in range(small.lattice_rank))
-                        for i in range(c.lattice_rank)
-                    )
-                )
-                for m in inner.members
-            )
-        )
+        members = tuple(sorted(b_cols.apply(m) for m in hilbert_basis(small).members))
         return HilbertBasis(cone=c, members=members)
 
     candidates: set[tuple[int, ...]] = {g.coords for g in c.generators}
@@ -167,29 +128,15 @@ def hilbert_basis(c: Cone) -> HilbertBasis:
             if any(x != 0 for x in p):
                 candidates.add(p)
 
-    # positive functional on the cone: sum of the primitive facet normals
-    xi = [0] * c.lattice_rank
-    for m in c.inequalities:
-        mp = m.primitive()
-        for i in range(c.lattice_rank):
-            xi[i] += int(mp.coords[i])
-
-    def weight(p):
-        return sum(a * b for a, b in zip(xi, p))
-
-    ordered = sorted(candidates, key=lambda p: (weight(p), p))
-    accepted: list[LatticeVector] = []
-    for p in ordered:
-        v = LatticeVector(p)
-        reducible = False
-        for h in accepted:
-            diff = v - h
-            if not diff.is_zero and c.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            accepted.append(v)
-    return HilbertBasis(cone=c, members=tuple(sorted(accepted)))
+    # values on the primitive facet normals: v - h lies in c exactly when
+    # v's values dominate h's entrywise, and their sum is a positive grading
+    normals = [m.coords for m in c.inequalities]
+    valued = [(tuple(sum(a * x for a, x in zip(m, p)) for m in normals), p) for p in candidates]
+    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for vals, p in sorted(valued, key=lambda vp: (sum(vp[0]), vp[1])):
+        if not any(all(a >= b for a, b in zip(vals, h)) for h, _ in accepted):
+            accepted.append((vals, p))
+    return HilbertBasis(cone=c, members=tuple(LatticeVector(p) for p in sorted(p for _, p in accepted)))
 
 
 def embedding_dimension(c: Cone) -> int:

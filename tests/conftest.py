@@ -313,6 +313,19 @@ def unimodular_2x2(bound: int = 5):
 _UNIMODULAR_CACHE: dict[int, list] = {}
 
 
+def unimodular_from_ops(ops, flip: bool) -> IntMatrix:
+    """The 3x3 identity after row additions rows[i] += k * rows[j], one per
+    ((i, j, _), k) in ``ops``, with row 0 negated when ``flip``."""
+    rows = [list(r) for r in IntMatrix.identity(3).rows]
+    for (i, j, _), k in ops:
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if flip:
+        rows[0] = [-x for x in rows[0]]
+    u = IntMatrix(tuple(tuple(r) for r in rows))
+    assert abs(u.det()) == 1
+    return u
+
+
 def nakajima_construction_oracle(p: LatticePolytope, bound: int = 5) -> bool:
     """Literal stacked-construction search composed with bounded unimodular maps.
 

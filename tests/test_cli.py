@@ -61,6 +61,13 @@ def test_hilbert_command_with_relations(tmp_path):
     assert len(entry["relations"]) == 10
 
 
+def test_hilbert_command_degree_bound_zero_writes_empty_relations(tmp_path):
+    infile = write_job(tmp_path, "in.json", C45)
+    outfile = str(tmp_path / "out.json")
+    assert main(["hilbert", "--in", infile, "--out", outfile, "--degree-bound", "0"]) == 0
+    assert json.loads(open(outfile).read())["results"][0]["relations"] == []
+
+
 def test_resolve2d_command(tmp_path):
     infile = write_job(tmp_path, "in.json", C45)
     outfile = str(tmp_path / "out.json")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toresolve.cones import ConeError, dual_cone, make_cone
 from toresolve.hilbert import (
@@ -7,9 +8,9 @@ from toresolve.hilbert import (
     hilbert_basis,
     toric_relations,
 )
-from toresolve.lattice import LatticeVector
+from toresolve.lattice import IntMatrix, LatticeVector
 
-from conftest import box_hilbert_oracle, random_pointed_cone
+from conftest import box_hilbert_oracle, random_pointed_cone, unimodular_from_ops
 
 
 def V(*coords):
@@ -33,6 +34,18 @@ def test_running_example_basis():
     c = make_cone([V(1, 0), V(4, 5)])
     assert box_hilbert_oracle(c) == [V(1, 0), V(1, 1), V(4, 5)]
     assert members(c) == [(1, 0), (1, 1), (4, 5)]
+
+
+def test_span_lattice_basis_is_the_lifted_planar_basis():
+    # the running example in the plane z = 0 of rank 3, and moved off it by
+    # a GL(3,Z) map; both reach hilbert_basis's span-lattice branch
+    u = IntMatrix(((2, 1, 0), (1, 1, 0), (3, -2, 1)))
+    assert abs(u.det()) == 1
+    for a in (IntMatrix.identity(3), u):
+        c = make_cone([a.apply(V(1, 0, 0)), a.apply(V(4, 5, 0))])
+        assert c.dim == 2 < c.lattice_rank
+        expected = sorted(a.apply(V(x, y, 0)) for x, y in [(1, 0), (1, 1), (4, 5)])
+        assert list(hilbert_basis(c).members) == expected
 
 
 def test_dual_cone_basis_tridiagonal_family():
@@ -101,11 +114,32 @@ def test_toric_relations_cone_over_square():
 def test_hilbert_oracle_equivalence(rng):
     checked = 0
     while checked < 40:
-        c = random_pointed_cone(rng, rng.choice([2, 3]))
+        c = random_pointed_cone(rng, rng.choice([2, 3]), max_gens=6)
         if c is None or not c.is_full_dimensional:
             continue
         assert list(hilbert_basis(c).members) == box_hilbert_oracle(c)
         checked += 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    gens=st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 2)), min_size=4, max_size=8, unique=True
+    ),
+    ops=st.lists(st.tuples(st.permutations(range(3)), st.integers(-2, 2)), min_size=1, max_size=4),
+    flip=st.booleans(),
+)
+def test_hilbert_basis_invariant_under_unimodular_change_of_basis(gens, ops, flip):
+    """A GL(3,Z) change of basis reorders the rays, so another ray is pulled;
+    the basis must still be the image of the original one, and both agree
+    with the box oracle on triangulations of 2 to 4 simplices."""
+    c = make_cone([V(*g) for g in gens])
+    assume(4 <= len(c.generators) <= 6 and c.is_full_dimensional)
+    u = unimodular_from_ops(ops, flip)
+    moved = make_cone([u.apply(g) for g in c.generators])
+    basis = list(hilbert_basis(c).members)
+    assert basis == box_hilbert_oracle(c)
+    assert list(hilbert_basis(moved).members) == sorted(u.apply(h) for h in basis)
 
 
 def test_minimality_of_basis(rng):

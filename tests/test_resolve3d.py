@@ -39,6 +39,7 @@ from conftest import (
     random_polygon,
     sequential_fixed_point_phase,
     unimodular_2x2,
+    unimodular_from_ops,
 )
 
 
@@ -605,13 +606,7 @@ def _resolution_invariants(c):
 def test_resolve_invariant_under_unimodular_change_of_basis(name, ops, flip):
     """A GL(3,Z) change of basis changes none of the resolution invariants;
     the index-2 inputs send non-unimodular mapped cones through simplicial_cone."""
-    rows = [list(r) for r in IntMatrix.identity(3).rows]
-    for (i, j, _), k in ops:
-        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-    if flip:
-        rows[0] = [-x for x in rows[0]]
-    u = IntMatrix(tuple(tuple(r) for r in rows))
-    assert abs(u.det()) == 1
+    u = unimodular_from_ops(ops, flip)
     gens = METAMORPHIC_CONES[name]
     moved = _resolution_invariants(make_cone([u.apply(g) for g in gens]))
     assert moved == _resolution_invariants(make_cone(gens))
