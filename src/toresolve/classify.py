@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 from .cones import Cone, _rank, is_basic, make_cone, multiplicity
 from .hilbert import _to_sublattice, embedding_dimension
@@ -19,6 +21,7 @@ from .lattice import (
     Covector,
     IntMatrix,
     LatticeVector,
+    adjugate,
     extended_gcd_vector,
     hyperplane_basis,
     integer_kernel,
@@ -66,7 +69,8 @@ class LatticePolytope:
 
     Two-dimensional polytopes store their vertices counterclockwise starting
     from the lexicographically smallest one; lower-dimensional ones store
-    them sorted.
+    them sorted.  The lattice, interior and edge-interior points are found on
+    first request and kept; the methods listing them return fresh lists.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -128,19 +132,38 @@ class LatticePolytope:
             for i in range(n)
         )
 
+    @cached_property
+    def _points(self) -> tuple[tuple[int, ...], ...]:
+        """Lattice points in (x, y) order: each column x runs from the highest
+        lower edge bound to the lowest upper one (counterclockwise edges with
+        dx > 0 bound y from below, dx < 0 from above, vertical ones not at all)."""
+        if self.dimension < 2:
+            return tuple(_segment_points(self.vertices[0], self.vertices[-1]))
+        lower, upper = [], []
+        for (x0, y0), (x1, y1) in self.edges():
+            if x1 != x0:
+                (lower if x1 > x0 else upper).append((x0, y0, x1 - x0, y1 - y0))
+        xs = [v[0] for v in self.vertices]
+        return tuple(
+            (x, y)
+            for x in range(min(xs), max(xs) + 1)
+            for y in range(
+                max(y0 - (dy * (x0 - x)) // dx for x0, y0, dx, dy in lower),
+                min(y0 + (dy * (x - x0)) // dx for x0, y0, dx, dy in upper) + 1,
+            )
+        )
+
+    @cached_property
+    def _interior(self) -> tuple[tuple[int, ...], ...]:
+        boundary = set(self.boundary_points())
+        return tuple(p for p in self._points if p not in boundary)
+
+    @cached_property
+    def _edge_interior(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(p for a, b in self.edges() for p in _segment_points(a, b)[1:-1])
+
     def lattice_points(self) -> list[tuple[int, ...]]:
-        if self.dimension == 0:
-            return [self.vertices[0]]
-        if self.dimension == 1:
-            a, b = self.vertices
-            return _segment_points(a, b)
-        los = [min(v[i] for v in self.vertices) for i in range(2)]
-        his = [max(v[i] for v in self.vertices) for i in range(2)]
-        return [
-            p
-            for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
-            if self.contains(p)
-        ]
+        return list(self._points)
 
     def boundary_points(self) -> list[tuple[int, ...]]:
         if self.dimension < 2:
@@ -151,14 +174,10 @@ class LatticePolytope:
         return out
 
     def interior_points(self) -> list[tuple[int, ...]]:
-        boundary = set(self.boundary_points())
-        return [p for p in self.lattice_points() if p not in boundary]
+        return list(self._interior)
 
     def edge_interior_points(self) -> list[tuple[int, ...]]:
-        out = []
-        for a, b in self.edges():
-            out.extend(_segment_points(a, b)[1:-1])
-        return out
+        return list(self._edge_interior)
 
     def __repr__(self):
         return f"LatticePolytope{self.vertices}"
@@ -223,8 +242,9 @@ class SingularityReport:
 def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
     """The grading functional and index of a Q-Gorenstein cone, if any.
 
-    Solves <m, v> = 1 for all generators over the rationals.  Returns the
-    unique solution together with its denominator (the index); ``None``
+    Solves <m, v> = 1 on n linearly independent generators through the
+    adjugate (m = sum of its columns / det) and checks the others.  Returns
+    the unique solution together with its denominator (the index); ``None``
     when the generators do not lie on a common affine hyperplane off the
     origin.  For index one the functional is integral and primitive and the
     generators lie on the corresponding primitive affine hyperplane.
@@ -236,12 +256,15 @@ def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
             "grading data requires a full-dimensional cone; classify() projects "
             "low-dimensional cones to their span lattice first"
         )
-    sol = rational_solve(list(c.generators), [1] * len(c.generators))
-    if sol is None:
+    gens = [g.coords for g in c.generators]
+    for rows in itertools.combinations(gens, c.lattice_rank):
+        det, cols = adjugate(list(rows))
+        if det:
+            break
+    num = [sum(col) for col in zip(*cols)]
+    if any(sum(x * y for x, y in zip(num, g)) != det for g in gens):
         return None
-    m, free = sol
-    if free:
-        raise ClassifyError("unexpected underdetermined grading system")
+    m = Covector(tuple(Fraction(x, det) for x in num))
     index = m.denominator
     if index == 1:
         mi = m.integral_vector()

@@ -69,6 +69,15 @@ def box_hilbert_oracle(c: Cone) -> list[LatticeVector]:
     return sorted(basis)
 
 
+def box_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
+    """Lattice points of a polytope of dimension <= 2 by scanning its bounding
+    box with ``contains``, in the box's (x, y) order."""
+    rank = p.ambient_rank if p.dimension < 2 else 2
+    los = [min(v[i] for v in p.vertices) for i in range(rank)]
+    his = [max(v[i] for v in p.vertices) for i in range(rank)]
+    return [q for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))) if p.contains(q)]
+
+
 def random_pointed_cone(rng: random.Random, rank: int, coord_bound: int = 6, max_gens: int = 4):
     """A random pointed cone, or None when the draw contains a line."""
     k = rng.randint(2, max_gens)

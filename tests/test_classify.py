@@ -17,10 +17,17 @@ from toresolve.classify import (
     lri_general_section,
 )
 from toresolve.cones import dual_cone, faces, make_cone
-from toresolve.lattice import Covector, IntMatrix, LatticeVector
+from toresolve.lattice import Covector, IntMatrix, LatticeVector, rational_solve
 from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, crepant_fixed_point_phase
 
-from conftest import fraction_rank, gorenstein_cone_over, nakajima_construction_oracle, random_polygon
+from conftest import (
+    box_lattice_points,
+    fraction_rank,
+    gorenstein_cone_over,
+    nakajima_construction_oracle,
+    random_pointed_cone,
+    random_polygon,
+)
 
 
 def V(*coords):
@@ -42,6 +49,41 @@ def test_gorenstein_data_examples():
     assert m == Covector((1, Fraction(1, 2))) and index == 2
     m, index = gorenstein_data(make_cone([V(1, 0), V(1, 2)]))
     assert m == Covector((1, 0)) and index == 1
+
+
+def test_gorenstein_data_matches_rational_solve():
+    """The adjugate grading equals the rational solution of <m, g> = 1 on
+    seeded random pointed cones of rank 2 and 3 and on rank-4 cube cones,
+    None included."""
+    rng = random.Random(909)
+    kinds = {"index one": 0, "index > 1": 0, "not Q-Gorenstein": 0}
+    ranks = set()
+    checked = 0
+    while checked < 400:
+        rank = rng.choice((2, 3, 3))
+        c = random_pointed_cone(rng, rank, coord_bound=4, max_gens=6)
+        if c is None or not (c.is_pointed and c.is_full_dimensional):
+            continue
+        checked += 1
+        ranks.add(rank)
+        gd = gorenstein_data(c)
+        sol = rational_solve(list(c.generators), [1] * len(c.generators))
+        if sol is None:
+            assert gd is None, c
+            kinds["not Q-Gorenstein"] += 1
+            continue
+        assert gd == (sol[0], sol[0].denominator), c
+        assert [type(x) for x in gd[0].coords] == [type(x) for x in sol[0].coords]
+        kinds["index one" if gd[1] == 1 else "index > 1"] += 1
+    assert ranks == {2, 3} and min(kinds.values()) >= 20, kinds
+    # rank-4 cones over the cube [-1, 1]^3 (one corner raised or not): the
+    # first four generators lie on a facet, so later ones enter the solve
+    for h, corner in itertools.product((1, 2), repeat=2):
+        cube = itertools.product((-1, 1), repeat=3)
+        c = make_cone([V(*p, h * corner if p == (1, 1, 1) else h) for p in cube])
+        assert IntMatrix(tuple(g.coords for g in c.generators[:4])).det() == 0
+        sol = rational_solve(list(c.generators), [1] * len(c.generators))
+        assert gorenstein_data(c) == (None if sol is None else (sol[0], sol[0].denominator)), c
 
 
 def test_gorenstein_data_absent():
@@ -126,6 +168,56 @@ def test_low_dimensional_cone_classified_through_span():
     c = make_cone([V(1, 0, 0), V(4, 5, 0)])
     r = classify(c)
     assert not r.smooth and r.q_factorial and r.embedding_dim == 6
+
+
+def _oracle_polytopes(rng):
+    """Points, lattice segments, thin (width-one, sheared) polygons and
+    polygons of 3-7 vertices with negative coordinates."""
+    out = []
+    for _ in range(100):
+        out.append(LatticePolytope.from_points([(rng.randint(-9, 9), rng.randint(-9, 9))]))
+        a, d = (rng.randint(-9, 9), rng.randint(-9, 9)), (rng.randint(-3, 3), rng.randint(-3, 3))
+        out.append(LatticePolytope.from_points([(a[0] + t * d[0], a[1] + t * d[1]) for t in (0, rng.randint(1, 4))]))
+    for _ in range(300):
+        k = rng.randint(-3, 3)
+        strip = [(rng.randint(-9, 9), rng.randint(0, 1)) for _ in range(rng.randint(3, 5))]
+        pts = [(x + k * y, y) if rng.random() < 0.5 else (y, x + k * y) for x, y in strip]
+        out.append(LatticePolytope.from_points(pts))
+    for _ in range(600):
+        cx, cy, r = rng.randint(-9, -1), rng.randint(-9, 3), rng.randint(1, 6)
+        pts = [(cx + rng.randint(-r, r), cy + rng.randint(-r, r)) for _ in range(rng.randint(3, 14))]
+        out.append(LatticePolytope.from_points(pts))
+    return out
+
+
+def test_lattice_points_match_box_scan_oracle():
+    rng = random.Random(6)
+    polytopes = _oracle_polytopes(rng)
+    for p in polytopes:
+        box = box_lattice_points(p)
+        assert p.lattice_points() == box, p
+        boundary = set(p.boundary_points())
+        assert p.interior_points() == [q for q in box if q not in boundary], p
+    dims = {p.dimension for p in polytopes}
+    sizes = {len(p.vertices) for p in polytopes if p.dimension == 2}
+    assert dims == {0, 1, 2} and set(range(3, 8)) <= sizes, (dims, sizes)
+    assert any(min(v[1] for v in p.vertices) < 0 and p.dimension == 2 for p in polytopes)
+
+
+def test_cached_points_are_copies_and_keep_equality():
+    p = LatticePolytope.from_points([(-2, -1), (3, 0), (1, 4), (-2, 3)])
+    for method in (p.lattice_points, p.interior_points, p.edge_interior_points):
+        first = method()
+        assert first
+        expected = list(first)
+        first.append((99, 99))
+        first[0] = (-99, -99)
+        assert method() == expected
+    fresh = LatticePolytope(p.vertices)
+    assert not fresh.__dict__.keys() & {"_points", "_interior", "_edge_interior"}
+    assert p.__dict__.keys() >= {"_points", "_interior", "_edge_interior"}
+    assert p == fresh and hash(p) == hash(fresh)
+    assert {p: 1}[fresh] == 1
 
 
 def test_is_elementary_examples():

@@ -30,6 +30,7 @@ from toresolve.resolve3d import (
 from conftest import (
     _affine_value,
     _order_function_subdivision,
+    box_lattice_points,
     c3_hulls,
     count_calls,
     dd_envelope_subdivision,
@@ -493,6 +494,24 @@ def test_resolve_census_matches_polygon(rng):
         assert len(fan.maximal_cones) == p.area2()
         assert all(is_basic(c) for c in fan.maximal_cones)
         checked += 1
+
+
+def test_cell_facts_survive_the_phases():
+    """On the resolved k=6 triangle every cell's kept facts were computed and
+    read across rounds; tags and census equal those of fresh cell copies,
+    and every cell's points equal the box scan."""
+    _fan, trace = resolve(make_cone([V(-6, 6, 1), V(6, 2, 1), V(0, -6, 1)]))
+    ((pc, _matrix, _rounds, _cert),) = trace.pieces
+    fresh = PolygonComplex(
+        polygon=LatticePolytope(pc.polygon.vertices),
+        cells=tuple(LatticePolytope(c.vertices) for c in pc.cells),
+    )
+    assert all({"_points", "_interior", "_edge_interior"} <= c.__dict__.keys() for c in pc.cells)
+    assert pc.tags() == fresh.tags()
+    assert pc.census() == fresh.census()
+    assert pc.census()["cells"] == 88 and sum(c.area2() for c in pc.cells) == 120
+    for cell in pc.cells:
+        assert cell.lattice_points() == box_lattice_points(cell)
 
 
 def test_resolve_rejects_bad_rank():
