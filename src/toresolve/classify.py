@@ -467,14 +467,16 @@ class CoverCertificate:
     index: int
 
 
-def index_one_cover(c: Cone) -> tuple[Cone, CoverCertificate]:
+def index_one_cover(c: Cone, *, _grading=...) -> tuple[Cone, CoverCertificate]:
     """Re-coordinatize the cone over the sublattice where the grading is integral.
 
     For a Q-Gorenstein cone of index ell > 1 the sublattice
     {n : <m, n> integral} has index ell; over it the same real cone is
-    Gorenstein.  Index-one input is rejected.
+    Gorenstein.  Index-one input is rejected.  A caller that holds
+    ``gorenstein_data(c)`` passes it as ``_grading``; the cover's grading is
+    still solved, to check that it has index one.
     """
-    gd = gorenstein_data(c)
+    gd = gorenstein_data(c) if _grading is ... else _grading
     if gd is None:
         raise ClassifyError("index-one cover requires a Q-Gorenstein cone")
     m, index = gd

@@ -16,15 +16,15 @@ import sys
 from fractions import Fraction
 
 from .classify import classify
-from .cones import Cone, make_cone
-from .hilbert import embedding_dimension, hilbert_basis, toric_relations
+from .cones import Cone, dual_cone, make_cone
+from .hilbert import _binomial_relations, hilbert_basis
 from .lattice import Covector, LatticeVector
 from .resolve2d import minimal_resolution
 from .resolve3d import (
     PolygonComplex,
+    _completion_at,
+    _double_point_cells,
     canonical_modification,
-    completion,
-    completions,
     resolve,
     resolve_piece,
 )
@@ -131,11 +131,13 @@ def _cmd_hilbert(cones, args) -> str:
             "hilbert_basis": [list(m.coords) for m in hilbert_basis(c).members],
         }
         if c.is_full_dimensional:
-            entry["embedding_dimension"] = embedding_dimension(c)
+            # one dual Hilbert basis for the embedding dimension and the relations
+            dual_basis = hilbert_basis(dual_cone(c)).members
+            entry["embedding_dimension"] = len(dual_basis)
             if args.degree_bound is not None:
                 entry["relations"] = [
                     {"left": list(r.left), "right": list(r.right)}
-                    for r in toric_relations(c, args.degree_bound)
+                    for r in _binomial_relations(dual_basis, c.lattice_rank, args.degree_bound)
                 ]
         else:
             entry["embedding_dimension"] = None
@@ -209,7 +211,9 @@ def _cmd_resolve3d(cones, args) -> str:
             ],
         }
         if args.completion is not None:
-            entry["completions"] = _completions_json(_only_piece(trace.pieces), args.completion)
+            # resolve() built completion 0 of every piece but a basic input cone
+            first = trace.first_completions[0] if trace.first_completions else None
+            entry["completions"] = _completions_json(_only_piece(trace.pieces), args.completion, first)
         results.append(entry)
     if args.svgfile:
         with open(args.svgfile, "w", encoding="utf-8") as fh:
@@ -227,17 +231,19 @@ def _only_piece(pieces):
     return pieces[0]
 
 
-def _completions_json(piece, which: str) -> list[dict]:
-    """The selected completions of a resolved piece, in the input lattice."""
+def _completions_json(piece, which: str, first) -> list[dict]:
+    """The selected completions of a resolved piece, in the input lattice;
+    ``first`` is its completion 0 when already built, else ``None``."""
     pc, to_ambient, _rounds, _cert = piece
-    count = 2 ** sum(tag["unit_parallelogram"] for tag in pc.tags())
+    parallelograms = _double_point_cells(pc)
+    count = 2 ** len(parallelograms)
     if which == "all":
         if count > MAX_LISTED_COMPLETIONS:
             raise ValueError(
                 f"--completion all: {count} completions, more than the "
                 f"{MAX_LISTED_COMPLETIONS} that are listed; select one by its index"
             )
-        built = completions(pc)
+        indices = range(count)
     else:
         try:
             index = int(which)
@@ -248,7 +254,8 @@ def _completions_json(piece, which: str) -> list[dict]:
                 f"--completion {which}: expected 'all' or an index from 0 to "
                 f"{count - 1} ({count} completions)"
             )
-        built = [completion(pc, index)]
+        indices = [index]
+    built = [first if i == 0 and first else _completion_at(pc, parallelograms, i) for i in indices]
 
     def ambient(coords) -> list[int]:
         return list(to_ambient.apply(LatticeVector(coords)).coords)

@@ -3,7 +3,9 @@
 A support function is stored by its values on the primitive ray generators
 of a fan, together with (optionally) one linear representative per maximal
 cone.  Cartier-ness and the projectivity certificate are exact-rational
-decisions; no tolerances anywhere.
+decisions; no tolerances anywhere.  Representatives built by hand, such as
+the completion certificates' (one adjugate per triangle), are verified by
+``is_strictly_upper_convex``: each must interpolate its cone's ray values.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def is_strictly_upper_convex(psi: SupportFunction) -> bool:
 
     For every maximal cone sigma with representative m and every fan ray v
     outside sigma, <m, v> must strictly exceed psi(v); on sigma's own rays
-    equality is required.  All comparisons are exact rationals.
+    equality is required.  All comparisons are exact rationals; membership
+    in sigma is tested only for rays where <m, v> does not exceed psi(v).
     """
     if psi.linear_reps is None:
         raise DivisorError("missing linear representatives; compute them first")
@@ -130,9 +133,7 @@ def is_strictly_upper_convex(psi: SupportFunction) -> bool:
                     f"representative of cone {i} does not interpolate ray {r.coords}"
                 )
         for v in fan_rays:
-            if cone.contains(v):
-                continue
-            if m.pair(v) <= psi.value(v):
+            if m.pair(v) <= psi.value(v) and not cone.contains(v):
                 return False
     return True
 

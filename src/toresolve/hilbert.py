@@ -209,16 +209,20 @@ def toric_relations(c: Cone, degree_bound: int) -> list[BinomialRelation]:
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise ConeError("toric relations require a full-dimensional pointed cone")
-    basis = hilbert_basis(dual_cone(c)).members
+    return _binomial_relations(hilbert_basis(dual_cone(c)).members, c.lattice_rank, degree_bound)
+
+
+def _binomial_relations(basis, rank: int, degree_bound: int) -> list[BinomialRelation]:
+    """``toric_relations`` among a given dual Hilbert basis in M = Z^rank."""
     k = len(basis)
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for deg in range(1, degree_bound + 1):
         for combo in itertools.combinations_with_replacement(range(k), deg):
             expo = [0] * k
-            img = [0] * c.lattice_rank
+            img = [0] * rank
             for i in combo:
                 expo[i] += 1
-                for j in range(c.lattice_rank):
+                for j in range(rank):
                     img[j] += basis[i].coords[j]
             fibers.setdefault(tuple(img), []).append(tuple(expo))
     relations = []

@@ -25,10 +25,8 @@ from .classify import (
     height_one_polytope,
     index_one_cover,
 )
-from .cones import Cone, Fan, is_basic, make_cone, make_fan, simplicial_cone
-from .divisors import (
-    DiscrepancyReport, SupportFunction, is_strictly_upper_convex, with_linear_representatives
-)
+from .cones import Cone, Fan, _simplicial_cone, is_basic, make_cone, make_fan, simplicial_cone
+from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets
 from .lattice import Covector, IntMatrix, LatticeVector
 
@@ -122,7 +120,7 @@ class PolygonComplex:
 # ---------------------------------------------------------------------------
 
 
-def canonical_modification(c: Cone) -> Fan:
+def canonical_modification(c: Cone, *, _grading=...) -> Fan:
     """Refinement over the compact hull-floor facets; canonical by construction.
 
     A Gorenstein cone of index one is already canonical (its integral grading
@@ -130,12 +128,13 @@ def canonical_modification(c: Cone) -> Fan:
     returned without computing the floor.  Otherwise the maximal cones sit
     over the bounded faces of conv((c ∩ N) - {0}) visible from the origin;
     the fan equals {c} exactly when the cone is already canonical.
+    ``resolve`` passes ``gorenstein_data(c)`` as ``_grading`` when it holds it.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve3dError("canonical modification needs a pointed full-dimensional cone")
     if c.lattice_rank > 3:
         raise Resolve3dError("canonical modification implemented for rank <= 3")
-    gd = gorenstein_data(c)
+    gd = gorenstein_data(c) if _grading is ... else _grading
     if gd is not None and gd[1] == 1:
         return make_fan([c])
     cones = [make_cone(facet) for facet in floor_facets(c)]
@@ -481,20 +480,22 @@ def _completion_for_bits(
         for p, i in var_index.items():
             chi[p] = int(sol[i] * denom)
     heights = _composite_heights(pc, chi, tris)
-    cones = []
+    pairs = []
     for t in tris:
-        cone = simplicial_cone([_lift(p) for p in t])
-        if not is_basic(cone):
+        cone, det, cols = _simplicial_cone([_lift(p) for p in t])
+        if det not in (1, -1):
             raise Resolve3dError(f"completion triangle {t} is not basic")
-        cones.append(cone)
-    fan = Fan(
-        lattice_rank=3,
-        maximal_cones=tuple(
-            sorted(cones, key=lambda c: tuple(g.coords for g in c.generators))
-        ),
+        # the representative sum_i h(v_i) adj_i / det, with 1 / det = det
+        values = [heights[p] for p in t]
+        m = Covector(tuple(det * sum(h * col[k] for h, col in zip(values, cols)) for k in range(3)))
+        pairs.append((cone, m))
+    pairs.sort(key=lambda cm: tuple(g.coords for g in cm[0].generators))
+    fan = Fan(lattice_rank=3, maximal_cones=tuple(cone for cone, _m in pairs))
+    psi = SupportFunction(
+        fan=fan,
+        ray_values={r.coords: heights[(r.coords[0], r.coords[1])] for r in fan.rays()},
+        linear_reps={i: m for i, (_cone, m) in enumerate(pairs)},
     )
-    ray_values = {r.coords: heights[(r.coords[0], r.coords[1])] for r in fan.rays()}
-    psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=ray_values))
     if not is_strictly_upper_convex(psi):
         raise Resolve3dError("projectivity certificate failed exact verification")
     return fan, psi
@@ -550,10 +551,12 @@ Piece = tuple[PolygonComplex, IntMatrix, list[PhaseRound], CoverCertificate | No
 @dataclass(frozen=True)
 class ResolutionTrace:
     """Ordered record of the modification steps plus, per canonical piece in
-    order, what ``resolve_piece`` returned for it."""
+    order, what ``resolve_piece`` returned for it and its completion 0 (in
+    the piece's polygon coordinates; none for a basic input cone)."""
 
     steps: tuple[ResolutionStep, ...]
     pieces: tuple[Piece, ...] = ()
+    first_completions: tuple[tuple[Fan, SupportFunction], ...] = ()
 
     @property
     def covers(self) -> tuple[tuple[int, CoverCertificate], ...]:
@@ -577,21 +580,22 @@ def _report_for(base: Cone, m: Covector, rays) -> DiscrepancyReport:
     return DiscrepancyReport(base_cone=base, m_sigma=m, entries=entries)
 
 
-def resolve_piece(piece: Cone) -> Piece:
+def resolve_piece(piece: Cone, *, _grading=...) -> Piece:
     """Both crepant blow-up phases on one canonical piece.
 
     Returns the final polygon complex, the matrix carrying its polygon
     coordinates (x, y, 1) back to the piece's lattice, the phase rounds, and
     the index-one cover certificate (``None`` when the piece is Gorenstein).
+    ``resolve`` passes ``gorenstein_data(piece)`` as ``_grading``.
     """
-    gd = gorenstein_data(piece)
+    gd = gorenstein_data(piece) if _grading is ... else _grading
     if gd is None:
         raise Resolve3dError("canonical piece unexpectedly not Q-Gorenstein")
     m, index = gd
     if index == 1:
         work, cert = piece, None
     else:
-        work, cert = index_one_cover(piece)
+        work, cert = index_one_cover(piece, _grading=gd)
         # the cover's grading is m pulled back along the sublattice basis
         m = Covector(tuple(m.pair(LatticeVector(col)) for col in cert.sublattice_basis.transpose().rows))
     polygon, basis = _polygon_form(work, m)
@@ -617,8 +621,9 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         return make_fan([c]), ResolutionTrace(steps=(), pieces=(resolve_piece(c),))
     steps: list[ResolutionStep] = []
     pieces: list[Piece] = []
-    can_fan = canonical_modification(c)
+    first_completions: list[tuple[Fan, SupportFunction]] = []
     base_gd = gorenstein_data(c)
+    can_fan = canonical_modification(c, _grading=base_gd)
     base_rays = {g.coords for g in c.generators}
     can_new = [r for r in can_fan.rays() if r.coords not in base_rays]
     steps.append(
@@ -635,9 +640,10 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     )
     final_cones: list[Cone] = []
     for piece_index, piece in enumerate(can_fan.maximal_cones):
-        pieces.append(resolve_piece(piece))
+        gd = base_gd if piece == c else gorenstein_data(piece)
+        pieces.append(resolve_piece(piece, _grading=gd))
         pc, to_ambient, rounds, _cert = pieces[-1]
-        m_piece = base_gd[0] if piece == c else gorenstein_data(piece)[0]
+        m_piece = gd[0]
         for rnd in rounds:
             mapped = tuple(sorted(to_ambient.apply(_lift(p)) for p in rnd.new_rays))
             steps.append(
@@ -654,7 +660,8 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
             )
         # a completion joins existing vertices only, so it adds no ray
         parallelograms = _double_point_cells(pc)
-        fan_local, _psi = _completion_at(pc, parallelograms, 0)
+        first_completions.append(_completion_at(pc, parallelograms, 0))
+        fan_local = first_completions[-1][0]
         for cone in fan_local.maximal_cones:
             final_cones.append(simplicial_cone([to_ambient.apply(g) for g in cone.generators]))
         steps.append(
@@ -672,4 +679,4 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         )
     key = lambda cone: tuple(g.coords for g in cone.generators)
     fan = Fan(lattice_rank=3, maximal_cones=tuple(sorted(final_cones, key=key)))
-    return fan, ResolutionTrace(steps=tuple(steps), pieces=tuple(pieces))
+    return fan, ResolutionTrace(tuple(steps), tuple(pieces), tuple(first_completions))

@@ -6,8 +6,10 @@ enumerated over bounding boxes and filtered, the
 stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function, envelope
-subdivisions are recomputed by a 4-D double description, and completion
-heights are recomputed with rational weights and barycentric folds.
+subdivisions are recomputed by a 4-D double description, completion
+heights are recomputed with rational weights and barycentric folds,
+completion certificates are rebuilt with three cofactor passes per
+triangle, and strict convexity is rechecked membership first.
 """
 
 import itertools
@@ -18,8 +20,11 @@ from fractions import Fraction
 
 import pytest
 
-from toresolve.cones import Cone, ConeError, dual_cone, extreme_rays, make_cone
+from toresolve.cones import (
+    Cone, ConeError, Fan, dual_cone, extreme_rays, is_basic, make_cone, simplicial_cone
+)
 from toresolve.classify import LatticePolytope, convex_hull_2d
+from toresolve.divisors import SupportFunction, with_linear_representatives
 from toresolve.hilbert import hilbert_basis
 from toresolve.lattice import IntMatrix, LatticeVector
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, blowup_fixed_point
@@ -276,6 +281,39 @@ def fraction_composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris):
             return {p: int(v * denom) for p, v in h.items()}, t
         eps /= 2
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
+
+
+def three_pass_certificate(tris, heights: dict[Point, int]):
+    """Completion fan and support function of the triangles lifted to height
+    one, each triangle through ``simplicial_cone``, then ``is_basic``, then
+    ``with_linear_representatives``."""
+    cones = []
+    for t in tris:
+        cone = simplicial_cone([LatticeVector((p[0], p[1], 1)) for p in t])
+        if not is_basic(cone):
+            raise Resolve3dError(f"completion triangle {t} is not basic")
+        cones.append(cone)
+    fan = Fan(
+        lattice_rank=3,
+        maximal_cones=tuple(sorted(cones, key=lambda c: tuple(g.coords for g in c.generators))),
+    )
+    ray_values = {r.coords: heights[r.coords[:2]] for r in fan.rays()}
+    return fan, with_linear_representatives(SupportFunction(fan=fan, ray_values=ray_values))
+
+
+def membership_first_convexity(psi: SupportFunction) -> bool:
+    """Strict upper convexity, skipping each cone's own rays by membership
+    before any value is compared."""
+    for i, cone in enumerate(psi.fan.maximal_cones):
+        m = psi.linear_reps[i]
+        for r in cone.generators:
+            assert m.pair(r) == psi.value(r)
+        for v in psi.fan.rays():
+            if cone.contains(v):
+                continue
+            if m.pair(v) <= psi.value(v):
+                return False
+    return True
 
 
 def sequential_fixed_point_phase(polygon: LatticePolytope, rng: random.Random) -> PolygonComplex:

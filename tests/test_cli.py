@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from toresolve import resolve3d
+from toresolve import hilbert, resolve3d
 from toresolve.classify import gorenstein_data
 from toresolve.cli import ParseError, main, parse_job, serialize
 
@@ -277,4 +277,39 @@ def test_single_completion_builds_only_that_completion(tmp_path, monkeypatch):
     infile = write_job(tmp_path, "in.json", FIG)
     outfile = str(tmp_path / "out.json")
     assert main(["resolve3d", "--in", infile, "--out", outfile, "--completion", "3"]) == 0
+    assert len(calls) == 2
+
+
+INDEX_TWO = {"lattice_rank": 3, "cones": [{"generators": [[0, 1, 0], [0, 0, 1], [2, -1, -1]]}]}
+BASIC = {"lattice_rank": 3, "cones": [{"generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}
+
+
+@pytest.mark.parametrize("job, most", [(FIG, 1), (INDEX_TWO, 2)])
+def test_resolve3d_job_solves_each_grading_once(tmp_path, monkeypatch, job, most):
+    # FIG: the input cone's grading only; INDEX_TWO: also the cover's, to check its index
+    calls = count_calls(monkeypatch, gorenstein_data)
+    infile = write_job(tmp_path, "in.json", job)
+    assert main(["resolve3d", "--in", infile, "--out", str(tmp_path / "out.json"), "--completion", "0"]) == 0
+    assert len(calls) == most
+
+
+@pytest.mark.parametrize(
+    "job, which, listed, builds",
+    [(FIG, "0", 1, 1), (FIG, "all", 8, 8), (BASIC, "0", 1, 1), (BASIC, "all", 1, 1)],
+)
+def test_completion_listing_reuses_completion_zero(tmp_path, monkeypatch, job, which, listed, builds):
+    # resolve() builds completion 0 of every piece but a basic input cone
+    calls = count_calls(monkeypatch, resolve3d._completion_for_bits)
+    infile = write_job(tmp_path, "in.json", job)
+    outfile = tmp_path / "out.json"
+    assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", which]) == 0
+    assert len(calls) == builds
+    assert len(json.loads(outfile.read_text())["results"][0]["completions"]) == listed
+
+
+def test_hilbert_job_computes_the_dual_basis_once(tmp_path, monkeypatch):
+    # one Hilbert basis of the cone, one of its dual for both the embedding dimension and the relations
+    calls = count_calls(monkeypatch, hilbert.hilbert_basis)
+    infile = write_job(tmp_path, "in.json", FIG)
+    assert main(["hilbert", "--in", infile, "--out", str(tmp_path / "out.json"), "--degree-bound", "2"]) == 0
     assert len(calls) == 2

@@ -1,15 +1,19 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toresolve import cones, resolve3d
 from toresolve.classify import LatticePolytope, gorenstein_data
-from toresolve.cones import is_basic, make_cone, make_fan
-from toresolve.divisors import discrepancies, is_strictly_upper_convex
+from toresolve.cones import is_basic, make_cone, make_fan, star_subdivision
+from toresolve.divisors import (
+    SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
+)
 from toresolve.hilbert import floor_facets
-from toresolve.lattice import IntMatrix, LatticeVector
+from toresolve.lattice import IntMatrix, LatticeVector, primitive
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
@@ -36,9 +40,12 @@ from conftest import (
     dd_envelope_subdivision,
     fraction_composite_heights,
     gorenstein_cone_over,
+    membership_first_convexity,
+    random_independent_generators,
     random_pointed_cone,
     random_polygon,
     sequential_fixed_point_phase,
+    three_pass_certificate,
     unimodular_2x2,
     unimodular_from_ops,
 )
@@ -403,6 +410,90 @@ def test_fold_matches_fraction_interpolation(rng):
         _fold(((0, 0), (2, 0), (0, 1), (1, -1)), {})
 
 
+def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
+    """Each triangle's cone, basic test and representative come from one
+    adjugate; fans, ray values and representatives equal those of the route
+    through simplicial_cone, is_basic and with_linear_representatives, with
+    int entries on both sides, on at most 16 completions per piece of the
+    C3 hulls, FIG and the 4x1 strip."""
+    composite = resolve3d._composite_heights
+    seen = []
+
+    def recorded(pc, chi, tris):
+        heights = composite(pc, chi, tris)
+        seen.append((tris, heights))
+        return heights
+
+    monkeypatch.setattr(resolve3d, "_composite_heights", recorded)
+    strip = [(0, 0), (4, 0), (4, 1), (0, 1)]
+    compared = 0
+    for hull in c3_hulls() + [list(FIG_TRIANGLE.vertices), strip]:
+        pc = blowup_curve_phase(
+            crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
+        )
+        parallelograms = _double_point_cells(pc)
+        for bits in itertools.islice(itertools.product((0, 1), repeat=len(parallelograms)), 16):
+            fan, psi = _completion_for_bits(pc, parallelograms, bits)
+            oracle_fan, oracle_psi = three_pass_certificate(*seen[-1])
+            assert fan == oracle_fan
+            assert psi.ray_values == oracle_psi.ray_values
+            assert psi.linear_reps == oracle_psi.linear_reps
+            for f in (psi, oracle_psi):
+                assert all(type(x) is int for x in f.ray_values.values())
+                assert all(type(x) is int for m in f.linear_reps.values() for x in m.coords)
+            compared += 1
+    assert compared > 500
+
+
+def test_completion_refuses_non_unimodular_triangle():
+    # a single triangle of area 2 has no wall, so only the basic test can refuse it
+    pc = PolygonComplex.initial(LatticePolytope.from_points([(0, 0), (2, 0), (0, 1)]))
+    with pytest.raises(Resolve3dError, match="is not basic"):
+        _completion_for_bits(pc, [], ())
+    with pytest.raises(Resolve3dError, match="is not basic"):
+        three_pass_certificate([((0, 0), (2, 0), (0, 1))], {(0, 0): 0, (2, 0): 0, (0, 1): 0})
+
+
+def _star_subdivided(rng):
+    """A fan made from one simplicial cone by star subdivisions, with heights
+    raising each new ray above the current function by a shrinking margin,
+    and the new rays in order."""
+    fan = make_fan([make_cone(random_independent_generators(rng, 3))])
+    values = {g.coords: Fraction(rng.randint(-3, 3)) for g in fan.rays()}
+    new = []
+    for k in range(rng.randint(1, 4)):
+        cone = rng.choice(fan.maximal_cones)
+        coeffs = [rng.randint(1, 3) for _ in cone.generators]
+        v = primitive(V(*(sum(a * g.coords[i] for a, g in zip(coeffs, cone.generators)) for i in range(3))))
+        if v.coords in values:
+            continue
+        psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
+        values[v.coords] = psi.linear_reps[fan.maximal_cones.index(cone)].pair(v) + Fraction(1, 100**k)
+        fan = star_subdivision(fan, v)
+        new.append(v.coords)
+    scale = math.lcm(*(x.denominator for x in values.values()))
+    return fan, {r: int(x * scale) for r, x in values.items()}, new, scale
+
+
+def test_value_first_convexity_matches_membership_first_oracle(rng):
+    """Comparing values before testing membership decides strict convexity
+    as the membership-first loop does, on convex, flat and non-convex
+    heights over star-subdivided fans."""
+    outcomes = set()
+    for _ in range(40):
+        fan, convex, new, scale = _star_subdivided(rng)
+        lin = [rng.randint(-3, 3) for _ in range(3)]
+        flat = {r: sum(a * x for a, x in zip(lin, r)) for r in convex}
+        lowered = dict(convex)
+        lowered[new[-1]] -= 2 * scale
+        for kind, values in (("convex", convex), ("flat", flat), ("lowered", lowered)):
+            psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
+            verdict = is_strictly_upper_convex(psi)
+            assert verdict == membership_first_convexity(psi), (kind, fan, values)
+            outcomes.add((kind, verdict))
+    assert outcomes == {("convex", True), ("flat", False), ("lowered", False)}
+
+
 def test_completions_precondition():
     bad = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2)])
     with pytest.raises(Resolve3dError, match="precondition"):
@@ -452,6 +543,14 @@ def test_trace_keeps_each_resolved_piece():
             for mc in completion(pc, 0)[0].maximal_cones
         }
         assert mapped == {frozenset(g.coords for g in mc.generators) for mc in fan.maximal_cones}
+
+
+def test_trace_keeps_completion_zero_of_each_piece():
+    _fan, trace = resolve(make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]))
+    assert trace.first_completions == ()
+    for gens in ([V(0, 1, 0), V(0, 0, 1), V(2, -1, -1)], FIG_CONE, [V(5, -1, -1), V(0, 1, 0), V(0, 0, 1)]):
+        _fan, trace = resolve(make_cone(gens))
+        assert trace.first_completions == tuple(completion(p[0], 0) for p in trace.pieces)
 
 
 def test_resolve_index_two_piece_via_cover():
