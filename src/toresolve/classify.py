@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,9 @@ from .lattice import (
     Covector,
     IntMatrix,
     LatticeVector,
+    _turn,
     adjugate,
+    convex_hull_2d,
     extended_gcd_vector,
     hyperplane_basis,
     integer_kernel,
@@ -36,31 +39,6 @@ class ClassifyError(ValueError):
 # ---------------------------------------------------------------------------
 # lattice polytopes (dimension <= 2 is all the pipeline needs)
 # ---------------------------------------------------------------------------
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Vertices of the convex hull in counterclockwise order (monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all collinear
-        return [min(pts), max(pts)]
-    return hull
 
 
 @dataclass(frozen=True)
@@ -128,7 +106,7 @@ class LatticePolytope:
             return _on_segment(a, b, tuple(p))
         n = len(self.vertices)
         return all(
-            _cross(self.vertices[i], self.vertices[(i + 1) % n], p) >= 0
+            _turn(self.vertices[i], self.vertices[(i + 1) % n], p) >= 0
             for i in range(n)
         )
 
@@ -184,7 +162,7 @@ class LatticePolytope:
 
 
 def _on_segment(a, b, p) -> bool:
-    if len(a) == 2 and _cross(a, b, p) != 0:
+    if len(a) == 2 and _turn(a, b, p) != 0:
         return False
     d = tuple(y - x for x, y in zip(a, b))
     v = tuple(y - x for x, y in zip(a, p))
@@ -282,6 +260,12 @@ def _grading_slab_points(c: Cone, m: Covector) -> list[LatticeVector]:
     rank = c.lattice_rank
     los = [min(0, min(g.coords[i] for g in c.generators)) for i in range(rank)]
     his = [max(0, max(g.coords[i] for g in c.generators)) for i in range(rank)]
+    count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
+    if count > sys.maxsize:
+        raise ClassifyError(
+            f"the grading slab box of {c} has {count} lattice points, "
+            f"more than the {sys.maxsize} that can be enumerated"
+        )
     out = []
     for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
         v = LatticeVector(p)

@@ -331,8 +331,9 @@ def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
 def _cmd_render(cones, args) -> str:
     if len(cones) != 1:
         raise ValueError("render expects exactly one cone in the input file")
-    piece = _only_piece(canonical_modification(cones[0]).maximal_cones)
-    return render_svg(resolve_piece(piece)[0], scale=args.scale)
+    gradings = []
+    piece = _only_piece(canonical_modification(cones[0], _gradings=gradings).maximal_cones)
+    return render_svg(resolve_piece(piece, _grading=gradings[0])[0], scale=args.scale)
 
 
 # each command's handler returns the text written to --out

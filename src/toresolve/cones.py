@@ -282,6 +282,30 @@ def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int, list[tuple[i
     return _build_cone(rows, (), normals, (), rank), det, cols
 
 
+def _cross(u, v) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def cone_over_polygon(vertices: list[tuple[int, ...]]) -> Cone:
+    """Cone in rank 3 over a convex lattice polygon off the origin, given by
+    its vertices in cyclic order (either orientation).
+
+    The facet normals are the cross products of consecutive vertices, made
+    primitive and signed by the orientation det(v0, v1, v2); for a triangle
+    these are the adjugate columns of ``simplicial_cone``.  The result equals
+    ``make_cone`` of the vertices; no double description is run.
+    """
+    rows = [_gcd_normalize(v) for v in vertices]
+    det = sum(x * y for x, y in zip(_cross(rows[0], rows[1]), rows[2]))
+    if det == 0:
+        raise ConeError(f"polygon vertices {rows} span no cone")
+    sign = 1 if det > 0 else -1
+    normals = [
+        _gcd_normalize(tuple(sign * x for x in _cross(u, v))) for u, v in zip(rows, rows[1:] + rows[:1])
+    ]
+    return _build_cone(rows, (), normals, (), 3)
+
+
 def dual_cone(c: Cone) -> Cone:
     """The dual cone in the dual lattice.
 

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import Cone, ConeError, dual_cone, make_cone
+from .cones import Cone, ConeError, _cross, _gcd_normalize, dual_cone, make_cone
 from .lattice import (
     IntMatrix,
     LatticeVector,
     adjugate,
+    angular_order,
+    convex_hull_2d,
     integer_kernel,
     rational_solve,
     smith_normal_form,
@@ -65,6 +68,12 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
     diag = [s.rows[i][i] for i in range(d)]
     if any(x == 0 for x in diag):
         raise ConeError("parallelepiped of dependent vectors")
+    count = math.prod(abs(x) for x in diag)
+    if count > sys.maxsize:
+        raise ConeError(
+            f"the parallelepiped of the cone on {[g.coords for g in gens]} has {count} lattice points, "
+            f"more than the {sys.maxsize} that can be enumerated"
+        )
     u_inv = u.inverse_unimodular()
     # exact inverse of the generator matrix, once
     det, adj_cols = adjugate(g_cols.rows)
@@ -156,38 +165,168 @@ def embedding_dimension(c: Cone) -> int:
 def floor_facets(c: Cone) -> list[list[LatticeVector]]:
     """Hilbert points on each compact facet of conv((c ∩ N) - {0}) facing the origin.
 
-    The hull equals conv(Hilbert basis) + c, so its facets are computed from
-    the homogenization; facets whose supporting value at the origin side is
-    positive form the "floor" through which every ray of the cone exits.
+    The hull equals conv(Hilbert basis) + c, and its compact facets, the
+    "floor" through which every ray of the cone exits, are found in integers
+    from the basis alone.  In rank 2 the floor is the basis in angular order,
+    split into maximal collinear runs.  In rank 3 it is gift-wrapped: the
+    first facet is pivoted about a floor edge on a wall of the cone, then
+    every polygon edge off the walls is pivoted about in turn (see
+    ``_floor_3d``).  Each facet is listed as its sorted Hilbert points, the
+    facets in increasing order of (-k, n) for the primitive normal n and
+    level k = <n, h> on the facet.
+
+    The result is certified: every facet has <n, h> >= k > 0 on the whole
+    basis and <n, g> > 0 on every generator, and every floor edge off the
+    walls lies in exactly two of the facets found; a failure raises
+    ``ConeError``.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise ConeError("hull floor requires a pointed full-dimensional cone")
-    hb = hilbert_basis(c)
     rank = c.lattice_rank
-    homog = [(1, *h.coords) for h in hb.members] + [(0, *g.coords) for g in c.generators]
-    from .cones import extreme_rays
+    if rank > 3:
+        raise ConeError(f"hull floor implemented for rank <= 3, got rank {rank}")
+    members = [h.coords for h in hilbert_basis(c).members]
+    if rank == 1:
+        return [[LatticeVector(members[0])]]
+    gens = [g.coords for g in c.generators]
+    if rank == 2:
+        facets = {(n, k): _certified_tight(n, k, members, gens) for n, k in _floor_2d_normals(members)}
+    else:
+        facets = _floor_3d(c, members, gens)
+    return [
+        [LatticeVector(p) for p in sorted(tight)]
+        for (n, _k), tight in sorted(facets.items(), key=lambda item: (-item[0][1], item[0][0]))
+    ]
 
-    normals, lin = extreme_rays(homog, rank + 1)
-    if lin:
-        raise ConeError("unexpected lineality in hull homogenization")
-    out = []
-    for nm in normals:
-        c0, m = nm[0], nm[1:]
-        if c0 >= 0:
-            continue
-        tight = [
-            h
-            for h in hb.members
-            if c0 + sum(a * b for a, b in zip(m, h.coords)) == 0
-        ]
-        if any(
-            sum(a * b for a, b in zip(m, g.coords)) == 0 for g in c.generators
-        ):
-            raise ConeError("floor facet with recession direction; cone degenerate")
-        if not tight:
-            raise ConeError("empty floor facet")
-        out.append(sorted(tight))
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _sub(u, v) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _certified_tight(n, k, members, gens) -> list[tuple[int, ...]]:
+    """The members on the floor facet (n, k), after checking that it is one:
+    <n, h> >= k > 0 on every member and <n, g> > 0 on every generator."""
+    values = [_dot(n, h) for h in members]
+    if k <= 0 or min(values) < k or any(_dot(n, g) <= 0 for g in gens):
+        raise ConeError(f"hull floor certificate failed at facet normal {n}, level {k}")
+    return [h for h, v in zip(members, values) if v == k]
+
+
+def _floor_2d_normals(members) -> set[tuple[tuple[int, int], int]]:
+    """(normal, level) of each compact edge of a rank-2 hull: the edges join
+    angularly consecutive Hilbert points, and collinear runs share one."""
+    chain = angular_order(members)
+    out = set()
+    for a, b in zip(chain, chain[1:]):
+        n = _gcd_normalize((b[1] - a[1], a[0] - b[0]))
+        if _dot(n, a) < 0:
+            n = (-n[0], -n[1])
+        out.add((n, _dot(n, a)))
     return out
+
+
+def _polygon(n, pts) -> list[tuple[int, ...]]:
+    """Vertices in cyclic order of the convex hull of points in rank 3 on a
+    plane with normal n, through the planar hull of their projection that
+    drops a coordinate n does not vanish on, an affine bijection of the plane."""
+    i = next(j for j in range(3) if n[j])
+    flat = {p[:i] + p[i + 1 :]: p for p in pts}
+    return [flat[q] for q in convex_hull_2d(list(flat))]
+
+
+def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """Primitive normal n, level k and vertices in cyclic order of one floor
+    facet of a rank-2 or rank-3 cone, given as its Hilbert points (an entry
+    of ``floor_facets``); the vertices span the cone over the facet."""
+    pts = [h.coords for h in tight]
+    a = pts[0]
+    if len(a) == 2:
+        n = _gcd_normalize((pts[-1][1] - a[1], a[0] - pts[-1][0]))
+        verts = [a, pts[-1]]  # sorted collinear points: the ends come first and last
+    else:
+        normals = (_cross(_sub(p, a), _sub(q, a)) for p, q in itertools.combinations(pts[1:], 2))
+        n = next((v for v in normals if any(v)), None)
+        if n is None:
+            raise ConeError(f"floor facet {pts} spans no plane")
+        n = _gcd_normalize(n)
+        verts = _polygon(n, pts)
+    if _dot(n, a) < 0:
+        n = tuple(-x for x in n)
+    return n, _dot(n, a), verts
+
+
+def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]]:
+    """Tight members of each compact hull facet (n, k) of a pointed
+    full-dimensional rank-3 cone, by gift wrapping over its Hilbert basis.
+
+    The first edge lies on the first wall of the cone: its least generator a
+    and the wall's Hilbert point b next to a in angle, which are neighbours
+    on the wall's planar floor.  Pivoting about an edge ab of a face already
+    found, away from that face, the planes through a and b are ordered by
+    angle; a single pass keeps the first plane and replaces it by the plane
+    through any member it leaves on the wrong side, and ends at the facet
+    across the edge.  Every polygon edge of a new facet that lies on no wall
+    is pivoted about in turn, until each such edge is in two facets.
+    """
+    walls = [m.coords for m in c.inequalities]
+    gen_set = set(gens)
+
+    def pivot(a, b, beyond, n):
+        """Primitive normal of the plane through a and b leaving every member
+        on the side of ``beyond``, a point off the line ab of the face already
+        found; n starts as that face's normal negated, which leaves exactly
+        the members off the face on the wrong side."""
+        d = _sub(b, a)
+        for q in members:
+            if _dot(n, _sub(q, a)) < 0:
+                n = _cross(d, _sub(q, a))
+                if _dot(n, _sub(beyond, a)) < 0:
+                    n = tuple(-x for x in n)
+        return _gcd_normalize(n)
+
+    facets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+    edges: dict[frozenset, int] = {}
+    todo = []
+
+    def add(n, k):
+        tight = _certified_tight(n, k, members, gens)
+        facets[(n, k)] = tight
+        verts = _polygon(n, tight)
+        if len(verts) < 3:
+            raise ConeError(f"hull floor facet {tight} spans no plane")
+        for i, (u, v) in enumerate(zip(verts, verts[1:] + verts[:1])):
+            if any(_dot(w, u) == 0 == _dot(w, v) for w in walls):
+                continue
+            key = frozenset((u, v))
+            edges[key] = edges.get(key, 0) + 1
+            if edges[key] == 1:
+                todo.append((u, v, verts[i - 1], n))
+
+    wall = walls[0]
+    face = [h for h in members if _dot(wall, h) == 0]
+    a = min(h for h in face if h in gen_set)
+    b = None
+    for q in face:
+        if q != a and (b is None or _dot(_cross(q, b), wall) * _dot(_cross(a, q), wall) > 0):
+            b = q
+    n = pivot(a, b, tuple(2 * x for x in a), tuple(-x for x in wall))
+    add(n, _dot(n, a))
+    while todo:
+        u, v, beyond, n = todo.pop()
+        if edges[frozenset((u, v))] != 1:
+            continue
+        across = pivot(u, v, beyond, tuple(-x for x in n))
+        level = _dot(across, u)
+        if (across, level) in facets:
+            raise ConeError(f"hull floor edge {u}, {v} is in one facet only")
+        add(across, level)
+    if any(count != 2 for count in edges.values()):
+        raise ConeError("hull floor is not closed: an edge off the walls is not in two facets")
+    return facets
 
 
 @dataclass(frozen=True)

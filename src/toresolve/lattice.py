@@ -9,6 +9,7 @@ indices and solve integral systems without ever touching floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,6 +155,38 @@ def primitive(v: LatticeVector) -> LatticeVector:
 
 def dot(u: LatticeVector, v: LatticeVector) -> int:
     return sum(a * b for a, b in zip(u.coords, v.coords))
+
+
+def _turn(o, a, b) -> int:
+    """Twice the signed area of the triangle oab: positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def angular_order(points: list) -> list:
+    """Planar vectors (tuples or ``LatticeVector``) in counterclockwise angular
+    order; a total order when they lie in a pointed cone (opening below pi)."""
+    return sorted(points, key=functools.cmp_to_key(lambda u, v: _turn((0, 0), tuple(v), tuple(u))))
+
+
+def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Vertices of the convex hull in counterclockwise order (monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[tuple[int, int]] = []
+    for p in pts:
+        while len(lower) >= 2 and _turn(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[int, int]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _turn(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:  # all collinear
+        return [min(pts), max(pts)]
+    return hull
 
 
 # ---------------------------------------------------------------------------

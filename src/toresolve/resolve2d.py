@@ -7,13 +7,12 @@ to the same self-intersection data, kept for cross-validation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .cones import Cone, Fan, make_cone, make_fan
 from .hilbert import floor_facets
-from .lattice import LatticeVector
+from .lattice import LatticeVector, angular_order
 
 
 class Resolve2dError(ValueError):
@@ -56,16 +55,6 @@ def cf_expansion(p: int, q: int) -> CFExpansion:
     return CFExpansion(p=p, q=q, terms=tuple(terms))
 
 
-def _angular_order(points: list[LatticeVector]) -> list[LatticeVector]:
-    """Sort rays of a pointed 2D region by angle (total order: opening < pi)."""
-
-    def cmp(u: LatticeVector, v: LatticeVector) -> int:
-        cr = u.coords[0] * v.coords[1] - u.coords[1] * v.coords[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
-
-
 def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     """Unique minimal resolution of a pointed full-dimensional rank-2 cone.
 
@@ -81,14 +70,14 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
         raise Resolve2dError("need a pointed full-dimensional cone")
     boundary: set[tuple[int, ...]] = set()
     for facet in floor_facets(c):
-        ordered = _angular_order(facet)
+        ordered = angular_order(facet)
         a, b = ordered[0], ordered[-1]
         d = b - a
         g = math.gcd(*d.coords)
         step = LatticeVector(tuple(x // g for x in d.coords))
         for k in range(g + 1):
             boundary.add((a + k * step).coords)
-    chain = _angular_order([LatticeVector(p) for p in boundary])
+    chain = angular_order([LatticeVector(p) for p in boundary])
     cones = []
     for u, v in zip(chain, chain[1:]):
         cone = make_cone([u, v])

@@ -25,9 +25,9 @@ from .classify import (
     height_one_polytope,
     index_one_cover,
 )
-from .cones import Cone, Fan, _simplicial_cone, is_basic, make_cone, make_fan, simplicial_cone
+from .cones import Cone, ConeError, Fan, _simplicial_cone, cone_over_polygon, is_basic, make_fan, simplicial_cone
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
-from .hilbert import floor_facets
+from .hilbert import floor_facets, floor_polygon
 from .lattice import Covector, IntMatrix, LatticeVector
 
 
@@ -120,15 +120,24 @@ class PolygonComplex:
 # ---------------------------------------------------------------------------
 
 
-def canonical_modification(c: Cone, *, _grading=...) -> Fan:
+def canonical_modification(c: Cone, *, _grading=..., _gradings: list | None = None) -> Fan:
     """Refinement over the compact hull-floor facets; canonical by construction.
 
     A Gorenstein cone of index one is already canonical (its integral grading
     functional is at least one on every nonzero lattice point), so {c} is
     returned without computing the floor.  Otherwise the maximal cones sit
-    over the bounded faces of conv((c ∩ N) - {0}) visible from the origin;
-    the fan equals {c} exactly when the cone is already canonical.
-    ``resolve`` passes ``gorenstein_data(c)`` as ``_grading`` when it holds it.
+    over the compact facets of conv((c ∩ N) - {0}), which ``floor_facets``
+    gift-wraps and certifies; the fan equals {c} exactly when the cone is
+    already canonical.  Projecting the facets from the origin tiles c, so
+    the fan is built directly: each piece from its facet's vertices, by
+    cross products of consecutive ones (``cone_over_polygon``) in rank 3 and
+    by ``simplicial_cone`` in rank 2, with no double description and no
+    pairwise intersection.  A facet with primitive normal n at level k gives
+    its piece the grading (n / k, k), which is ``gorenstein_data(piece)``.
+
+    ``resolve`` passes ``gorenstein_data(c)`` as ``_grading`` when it holds
+    it, and a list as ``_gradings`` to receive each maximal cone's grading in
+    the fan's order.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve3dError("canonical modification needs a pointed full-dimensional cone")
@@ -136,9 +145,23 @@ def canonical_modification(c: Cone, *, _grading=...) -> Fan:
         raise Resolve3dError("canonical modification implemented for rank <= 3")
     gd = gorenstein_data(c) if _grading is ... else _grading
     if gd is not None and gd[1] == 1:
-        return make_fan([c])
-    cones = [make_cone(facet) for facet in floor_facets(c)]
-    return make_fan(cones)
+        pieces = [(c, gd)]
+    else:
+        try:
+            pieces = [_floor_piece(facet) for facet in floor_facets(c)]
+        except ConeError as e:
+            raise Resolve3dError(f"canonical modification of {c}: {e}") from e
+        pieces.sort(key=lambda piece: tuple(g.coords for g in piece[0].generators))
+    if _gradings is not None:
+        _gradings.extend(piece_gd for _piece, piece_gd in pieces)
+    return Fan(lattice_rank=c.lattice_rank, maximal_cones=tuple(piece for piece, _gd in pieces))
+
+
+def _floor_piece(facet: list[LatticeVector]) -> tuple[Cone, tuple[Covector, int]]:
+    """The cone over one floor facet, with its grading from the facet normal."""
+    n, k, verts = floor_polygon(facet)
+    piece = simplicial_cone([LatticeVector(v) for v in verts]) if len(n) == 2 else cone_over_polygon(verts)
+    return piece, (Covector(tuple(Fraction(x, k) for x in n)), k)
 
 
 def polygon_form(c: Cone) -> tuple[LatticePolytope, IntMatrix]:
@@ -623,7 +646,8 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     pieces: list[Piece] = []
     first_completions: list[tuple[Fan, SupportFunction]] = []
     base_gd = gorenstein_data(c)
-    can_fan = canonical_modification(c, _grading=base_gd)
+    gradings: list[tuple[Covector, int]] = []
+    can_fan = canonical_modification(c, _grading=base_gd, _gradings=gradings)
     base_rays = {g.coords for g in c.generators}
     can_new = [r for r in can_fan.rays() if r.coords not in base_rays]
     steps.append(
@@ -639,8 +663,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         )
     )
     final_cones: list[Cone] = []
-    for piece_index, piece in enumerate(can_fan.maximal_cones):
-        gd = base_gd if piece == c else gorenstein_data(piece)
+    for piece_index, (piece, gd) in enumerate(zip(can_fan.maximal_cones, gradings)):
         pieces.append(resolve_piece(piece, _grading=gd))
         pc, to_ambient, rounds, _cert = pieces[-1]
         m_piece = gd[0]

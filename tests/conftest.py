@@ -6,7 +6,8 @@ enumerated over bounding boxes and filtered, the
 stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function, envelope
-subdivisions are recomputed by a 4-D double description, completion
+subdivisions and hull floors are recomputed by a 4-D double description,
+canonical modifications by validated fans of those floors, completion
 heights are recomputed with rational weights and barycentric folds,
 completion certificates are rebuilt with three cofactor passes per
 triangle, and strict convexity is rechecked membership first.
@@ -213,6 +214,46 @@ def dd_envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolyto
     if total != cell.area2():
         raise Resolve3dError("envelope subdivision does not tile the cell")
     return cells
+
+
+def dd_floor_facets(c: Cone) -> list[list[LatticeVector]]:
+    """Hilbert points on each compact facet of conv((c ∩ N) - {0}), by a
+    double description of the homogenized Hilbert basis.
+
+    The hull equals conv(Hilbert basis) + c; the facets of the cone over
+    {1} x basis and {0} x generators with normal (c0, m), c0 < 0, are the
+    compact ones, listed in the order of their primitive normals.
+    """
+    members = hilbert_basis(c).members
+    homog = [(1, *h.coords) for h in members] + [(0, *g.coords) for g in c.generators]
+    normals, lin = extreme_rays(homog, c.lattice_rank + 1)
+    if lin:
+        raise ConeError("unexpected lineality in hull homogenization")
+    out = []
+    for c0, *m in normals:
+        if c0 >= 0:
+            continue
+        if any(sum(a * b for a, b in zip(m, g.coords)) == 0 for g in c.generators):
+            raise ConeError("floor facet with recession direction; cone degenerate")
+        out.append(sorted(h for h in members if c0 + sum(a * b for a, b in zip(m, h.coords)) == 0))
+    return out
+
+
+def random_rank3_cones(seed: int, bound: int, count: int) -> list[Cone]:
+    """Pointed full-dimensional cones on 3 to 5 random vectors in
+    [-bound, bound]^3, drawn as the benchmark draws its random cones; seed
+    27182818 with bound 4 and count 40 gives its resolve-small cones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vs = [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(rng.randint(3, 5))]
+        try:
+            cone = make_cone([LatticeVector(v) for v in vs])
+        except (ConeError, ValueError):
+            continue
+        if cone.is_full_dimensional:
+            out.append(cone)
+    return out
 
 
 def count_calls(monkeypatch, fn) -> list:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -293,6 +294,15 @@ def test_resolve3d_job_solves_each_grading_once(tmp_path, monkeypatch, job, most
     assert len(calls) == most
 
 
+@pytest.mark.parametrize("job, most", [(FIG, 1), (INDEX_TWO, 2)])
+def test_render_job_takes_the_piece_grading_from_the_floor(tmp_path, monkeypatch, job, most):
+    # the piece's grading comes from the canonical step; INDEX_TWO also solves its cover's
+    calls = count_calls(monkeypatch, gorenstein_data)
+    infile = write_job(tmp_path, "in.json", job)
+    assert main(["render", "--in", infile, "--out", str(tmp_path / "out.svg")]) == 0
+    assert len(calls) == most
+
+
 @pytest.mark.parametrize(
     "job, which, listed, builds",
     [(FIG, "0", 1, 1), (FIG, "all", 8, 8), (BASIC, "0", 1, 1), (BASIC, "all", 1, 1)],
@@ -313,3 +323,96 @@ def test_hilbert_job_computes_the_dual_basis_once(tmp_path, monkeypatch):
     infile = write_job(tmp_path, "in.json", FIG)
     assert main(["hilbert", "--in", infile, "--out", str(tmp_path / "out.json"), "--degree-bound", "2"]) == 0
     assert len(calls) == 2
+
+
+HUGE = 10**30
+
+HOSTILE_JOBS = [
+    {"lattice_rank": 3, "cones": [{"generators": [[HUGE, 1, 1], [0, 1, 0], [0, 0, 1]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[-HUGE, 7, 1], [0, 1, 0], [0, 0, 1]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[2**63, 2**63 + 1, 5], [3, HUGE, 1], [0, 0, 1]]}]},
+    {"lattice_rank": 2, "cones": [{"generators": [[2**64, 3], [0, 1]]}]},
+    {"lattice_rank": 1, "cones": [{"generators": [[HUGE]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[0, 0, 0]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[0, 0, 0], [1, 0, 0]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[1, 2, 3], [2, 4, 6]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[1, 0, 0], [-1, 0, 0], [0, 1, 0]]}]},
+    {"lattice_rank": 2, "cones": [{"generators": [[1, 0], [3, 0]]}]},
+    {"lattice_rank": 2, "cones": [{"generators": [[1, 0], [0, 1]]}, {"generators": [[0, 0]]}]},
+    {"lattice_rank": 4, "cones": [{"generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 3]]}]},
+    {"lattice_rank": 5, "cones": [{"generators": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 2, 0, 0]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[1, 0, 0], [0, 1, 0]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[1, "2", 3]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[1.5, 2, 3]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[True, 0, 1]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": [[1, 0]]}]},
+    {"lattice_rank": 3, "cones": [{"generators": []}]},
+    {"lattice_rank": 3, "cones": []},
+    {"lattice_rank": 0, "cones": [{"generators": [[]]}]},
+    {"lattice_rank": -2, "cones": [{"generators": [[1, 0]]}]},
+    {"cones": [{"generators": [[1, 0]]}]},
+    [[1, 0, 0]],
+    "{not json",
+    "",
+]
+
+FUZZ_COMMANDS = [
+    ["classify"],
+    ["hilbert"],
+    ["hilbert", "--degree-bound", "2"],
+    ["resolve2d"],
+    ["resolve3d"],
+    ["resolve3d", "--completion", "all"],
+    ["resolve3d", "--completion", "1"],
+    ["resolve3d", "--svg", "{svg}"],
+    ["render"],
+]
+
+
+def fuzz_jobs(seed: int = 20261018, count: int = 80) -> list:
+    """The hostile jobs and ``count`` seeded random ones: ranks 1 to 5, rank
+    3 most often, one to rank + 2 generators in [-3, 3] (in [-1, 1] from
+    rank 4 on, where the Hilbert bases' parallelepipeds grow with the
+    determinant), one or two cones per job.  Half of the jobs draw their
+    last coordinates from [1, 3], so that their cones are pointed."""
+    rng = random.Random(seed)
+    jobs = list(HOSTILE_JOBS)
+    for _ in range(count):
+        rank = rng.choice((1, 2, 2, 3, 3, 3, 3, 4, 5))
+        bound = 3 if rank <= 3 else 1
+        last = (1, 3) if rng.random() < 0.5 else (-bound, bound)
+
+        def generator():
+            return [rng.randint(-bound, bound) for _ in range(rank - 1)] + [rng.randint(*last)]
+
+        cones = [
+            {"generators": [generator() for _ in range(rng.randint(1, rank + 2))]}
+            for _ in range(rng.choice((1, 1, 2)))
+        ]
+        jobs.append({"lattice_rank": rank, "cones": cones})
+    return jobs
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    """Every command on every hostile or random job exits 0, 1 or 2 and
+    writes no traceback; the huge generators are refused with exit 1 by
+    every command that takes their rank."""
+    exits = {}
+    for j, job in enumerate(fuzz_jobs()):
+        infile = write_job(tmp_path, f"job{j}.json", job)
+        for command in FUZZ_COMMANDS:
+            argv = [a.format(svg=tmp_path / "out.svg") for a in command]
+            try:
+                rc = main([argv[0], "--in", infile, "--out", str(tmp_path / "out"), *argv[1:]])
+            except SystemExit as e:
+                rc = e.code
+            except Exception as e:  # an exception escaping main is a traceback
+                pytest.fail(f"{command} on {job}: {e!r}")
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), (command, job, rc)
+            assert "Traceback" not in err, (command, job, err)
+            exits[j, " ".join(command)] = rc
+    for j in range(3):
+        assert all(exits[j, " ".join(c)] == 1 for c in FUZZ_COMMANDS if c[0] != "resolve2d"), j
+    assert exits[3, "resolve2d"] == exits[3, "hilbert"] == exits[3, "classify"] == 1
+    assert {0, 1, 2} <= set(exits.values())

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toresolve import cones, resolve3d
 from toresolve.classify import LatticePolytope, gorenstein_data
@@ -38,12 +39,14 @@ from conftest import (
     c3_hulls,
     count_calls,
     dd_envelope_subdivision,
+    dd_floor_facets,
     fraction_composite_heights,
     gorenstein_cone_over,
     membership_first_convexity,
     random_independent_generators,
     random_pointed_cone,
     random_polygon,
+    random_rank3_cones,
     sequential_fixed_point_phase,
     three_pass_certificate,
     unimodular_2x2,
@@ -101,7 +104,8 @@ def test_canonical_modification_rank3_noncanonical():
 
 
 def test_gorenstein_shortcut_matches_floor_facets(rng):
-    """On index-one cones the short-cut {c} equals the hull-floor fan."""
+    """On index-one cones the short-cut {c} equals the hull-floor fan of the
+    double-description oracle."""
     inputs = [make_cone([V(p[0], p[1], 1) for p in hull]) for hull in c3_hulls(20)]
     while len(inputs) < 35:
         c = random_pointed_cone(rng, 3, coord_bound=4, max_gens=5)
@@ -110,7 +114,92 @@ def test_gorenstein_shortcut_matches_floor_facets(rng):
     inputs += [make_cone([V(1, 0), V(1, 3)]), make_cone([V(1, 0), V(-1, 2)])]
     for c in inputs:
         assert gorenstein_data(c)[1] == 1
-        assert canonical_modification(c) == make_fan([make_cone(f) for f in floor_facets(c)]), c
+        assert canonical_modification(c) == make_fan([make_cone(f) for f in dd_floor_facets(c)]), c
+
+
+@functools.lru_cache(maxsize=None)
+def floor_corpus() -> tuple:
+    """300 seeded pointed cones in [-4,4]^3 that are not Gorenstein of index
+    one, so that their canonical modification needs the floor, and 40
+    seeded pointed rank-2 cones in [-6,6]^2."""
+    rng = random.Random(20261018)
+    rank3, rank2 = [], []
+    while len(rank3) < 300:
+        c = random_pointed_cone(rng, 3, coord_bound=4, max_gens=6)
+        if c is not None and c.is_full_dimensional and (gorenstein_data(c) or (0, 0))[1] != 1:
+            rank3.append(c)
+    while len(rank2) < 40:
+        c = random_pointed_cone(rng, 2, coord_bound=6)
+        if c is not None and c.is_full_dimensional:
+            rank2.append(c)
+    return tuple(rank3), tuple(rank2)
+
+
+def test_floor_facets_match_double_description_oracle():
+    """The gift-wrapped floor equals the 4-D double description, list order
+    included, and the fan built from it equals the validated fan of the
+    oracle's pieces; the draw holds cones of index > 1, cones that are not
+    Q-Gorenstein and cones that are not simplicial."""
+    rank3, rank2 = floor_corpus()
+    kinds = {"index > 1": 0, "not Q-Gorenstein": 0, "not simplicial": 0, "several pieces": 0}
+    for c in rank3 + rank2:
+        expected = dd_floor_facets(c)
+        assert floor_facets(c) == expected, c
+        fan = canonical_modification(c)
+        assert fan == make_fan([make_cone(f) for f in expected]), c
+        if c.lattice_rank == 3:
+            gd = gorenstein_data(c)
+            kinds["index > 1"] += gd is not None
+            kinds["not Q-Gorenstein"] += gd is None
+            kinds["not simplicial"] += not c.is_simplicial
+            kinds["several pieces"] += len(fan.maximal_cones) > 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_piece_gradings_come_from_floor_normals():
+    """The grading (n / k, k) of each floor facet's normal, handed on to
+    ``resolve_piece``, is ``gorenstein_data`` of its piece."""
+    rank3, rank2 = floor_corpus()
+    for c in rank3 + rank2:
+        gradings = []
+        fan = canonical_modification(c, _gradings=gradings)
+        assert gradings == [gorenstein_data(piece) for piece in fan.maximal_cones], c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    gens=st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3)), min_size=3, max_size=6, unique=True
+    ),
+    ops=st.lists(st.tuples(st.permutations(range(3)), st.integers(-2, 2)), min_size=1, max_size=4),
+    flip=st.booleans(),
+)
+def test_canonical_modification_invariant_under_unimodular_change_of_basis(gens, ops, flip):
+    """The gift wrap starts on the first wall of the cone at its least
+    generator, which a GL(3,Z) change of basis moves; the fan must move
+    with the cone."""
+    c = make_cone([V(*g) for g in gens])
+    assume(c.is_full_dimensional)
+    u = unimodular_from_ops(ops, flip)
+    moved = canonical_modification(make_cone([u.apply(g) for g in c.generators]))
+    image = [make_cone([u.apply(g) for g in piece.generators]) for piece in canonical_modification(c).maximal_cones]
+    assert moved == make_fan(image, validate=False)
+
+
+def test_canonical_modification_runs_no_double_description(monkeypatch):
+    """On the benchmark's random resolve-small cones the canonical step
+    builds its pieces without double description, make_cone or any
+    pairwise intersection."""
+    inputs = random_rank3_cones(27182818, 4, 40)
+    counted = [
+        count_calls(monkeypatch, fn)
+        for fn in (cones.extreme_rays, cones.intersect_cones, cones.make_cone, cones.make_fan)
+    ]
+    fans = [canonical_modification(c) for c in inputs]
+    assert counted == [[], [], [], []]
+    assert sum(len(f.maximal_cones) > 1 for f in fans) >= 10
+    make_cone(FIG_CONE)
+    assert len(counted[0]) == 1  # the wrappers are live
 
 
 # --------------------------------------------------------------------- polygon form
@@ -579,6 +668,17 @@ def test_resolve_noncanonical_multi_piece(rng):
         for r in fan.rays():
             if piece.contains(r):
                 assert gd[0].pair(r) == 1
+
+
+def test_resolve_solves_no_piece_grading(monkeypatch):
+    """The canonical step hands each piece its grading from the floor
+    normal, so ``resolve`` solves the input's grading and, for the index
+    check, each cover's only."""
+    c = make_cone(METAMORPHIC_CONES["index-2 pieces"])
+    calls = count_calls(monkeypatch, gorenstein_data)
+    _fan, trace = resolve(c)
+    assert len(trace.pieces) == 3 and len(trace.covers) == 1
+    assert len(calls) == 2
 
 
 def test_resolve_census_matches_polygon(rng):
