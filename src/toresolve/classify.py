@@ -133,6 +133,9 @@ class LatticePolytope:
 
     @cached_property
     def _interior(self) -> tuple[tuple[int, ...], ...]:
+        # Pick: the interior point count is (area2 - boundary count + 2) / 2
+        if self.area2() + 2 == sum(lattice_length(a, b) for a, b in self.edges()):
+            return ()
         boundary = set(self.boundary_points())
         return tuple(p for p in self._points if p not in boundary)
 

@@ -10,7 +10,8 @@ dual is an involution on everything this package produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import (
     Covector,
@@ -155,7 +156,8 @@ class Cone:
     ``make_cone`` only ever produces strongly convex (pointed) cones; duals
     of low-dimensional cones additionally carry a ``lineality`` basis.
     ``inequalities`` are the primitive facet normals, ``equations`` cut out
-    the linear span.
+    the linear span, whose dimension ``dim`` is set by constructors that know
+    it and otherwise found on first read.
     """
 
     lattice_rank: int
@@ -163,11 +165,10 @@ class Cone:
     inequalities: tuple[Covector, ...]
     equations: tuple[Covector, ...] = ()
     lineality: tuple[LatticeVector, ...] = ()
-    dim: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        rows = [g.coords for g in self.generators] + [l.coords for l in self.lineality]
-        object.__setattr__(self, "dim", _rank(rows))
+    @cached_property
+    def dim(self) -> int:
+        return _rank([g.coords for g in self.generators] + [l.coords for l in self.lineality])
 
     @property
     def is_pointed(self) -> bool:
@@ -209,14 +210,18 @@ class Cone:
         return f"Cone[{gens}]{extra}"
 
 
-def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank) -> Cone:
-    return Cone(
+def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank, dim=None) -> Cone:
+    """The cone on integer tuples, each list sorted; ``dim`` when known."""
+    cone = Cone(
         lattice_rank=rank,
-        generators=tuple(sorted(LatticeVector(r) for r in ray_tuples)),
-        inequalities=tuple(sorted(Covector(m) for m in ineq_tuples)),
-        equations=tuple(sorted(Covector(m) for m in eq_tuples)),
-        lineality=tuple(sorted(LatticeVector(l) for l in lin_tuples)),
+        generators=tuple(map(LatticeVector, sorted(ray_tuples))),
+        inequalities=tuple(map(Covector, sorted(ineq_tuples))),
+        equations=tuple(map(Covector, sorted(eq_tuples))),
+        lineality=tuple(map(LatticeVector, sorted(lin_tuples))),
     )
+    if dim is not None:
+        cone.__dict__["dim"] = dim
+    return cone
 
 
 def make_cone(vs: list[LatticeVector], require_pointed: bool = True) -> Cone:
@@ -253,7 +258,8 @@ def make_cone(vs: list[LatticeVector], require_pointed: bool = True) -> Cone:
         act = [m for m in ineqs if sum(a * b for a, b in zip(m, g)) == 0]
         if _rank(act + eqs) == rank - 1:
             extreme.append(g)
-    return _build_cone(extreme, (), ineqs, eqs, rank)
+    # the equations are a basis of the span's annihilator
+    return _build_cone(extreme, (), ineqs, eqs, rank, rank - len(eqs))
 
 
 def simplicial_cone(gens: list[LatticeVector]) -> Cone:
@@ -279,7 +285,26 @@ def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int, list[tuple[i
         raise ConeError(f"linearly dependent generators {sorted(rows)}")
     sign = 1 if det > 0 else -1
     normals = [_gcd_normalize(tuple(sign * x for x in col)) for col in cols]
-    return _build_cone(rows, (), normals, (), rank), det, cols
+    return _build_cone(rows, (), normals, (), rank, rank), det, cols
+
+
+def _mapped_cones(cones: list[Cone], b: IntMatrix) -> list[Cone]:
+    """``simplicial_cone`` of each cone's generators mapped by the nonsingular
+    b, read off the cone (the cone itself when b is the identity): a primitive
+    inward facet normal n maps to sign(det b) * n * adj(b), made primitive.
+    One adjugate serves all cones."""
+    if b == IntMatrix.identity(b.nrows):
+        return list(cones)
+    det, cols = adjugate(b.rows)
+    normal_map = IntMatrix(tuple(tuple(x if det > 0 else -x for x in col) for col in cols))
+    return [
+        _build_cone(
+            [_gcd_normalize(b.apply(g).coords) for g in c.generators], (),
+            [_gcd_normalize(normal_map.apply(n).coords) for n in c.inequalities], (),
+            c.lattice_rank, c.dim,
+        )
+        for c in cones
+    ]
 
 
 def _cross(u, v) -> tuple[int, int, int]:
@@ -303,7 +328,7 @@ def cone_over_polygon(vertices: list[tuple[int, ...]]) -> Cone:
     normals = [
         _gcd_normalize(tuple(sign * x for x in _cross(u, v))) for u, v in zip(rows, rows[1:] + rows[:1])
     ]
-    return _build_cone(rows, (), normals, (), 3)
+    return _build_cone(rows, (), normals, (), 3, 3)
 
 
 def dual_cone(c: Cone) -> Cone:

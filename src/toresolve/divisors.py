@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .classify import gorenstein_data
 from .cones import Cone, Fan
@@ -124,16 +125,17 @@ def is_strictly_upper_convex(psi: SupportFunction) -> bool:
     """
     if psi.linear_reps is None:
         raise DivisorError("missing linear representatives; compute them first")
-    fan_rays = psi.fan.rays()
+    # each ray's coordinates and value are read once; pairings are plain sums
+    rays = [(v, v.coords, psi.value(v)) for v in psi.fan.rays()]
     for i, cone in enumerate(psi.fan.maximal_cones):
-        m = psi.linear_reps[i]
+        m = psi.linear_reps[i].coords
         for r in cone.generators:
-            if m.pair(r) != psi.value(r):
+            if sum(map(mul, m, r.coords)) != psi.value(r):
                 raise DivisorError(
                     f"representative of cone {i} does not interpolate ray {r.coords}"
                 )
-        for v in fan_rays:
-            if m.pair(v) <= psi.value(v) and not cone.contains(v):
+        for v, x, h in rays:
+            if sum(map(mul, m, x)) <= h and not cone.contains(v):
                 return False
     return True
 

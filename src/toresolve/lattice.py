@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,12 +22,17 @@ class LatticeError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class LatticeVector:
-    """Integer point of the lattice N (coordinates w.r.t. a fixed basis)."""
+    """Integer point of the lattice N (coordinates w.r.t. a fixed basis); an
+    entry that is not an integer, such as a float or a Fraction, is refused."""
 
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        try:
+            object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
+        except TypeError:
+            bad = next(c for c in self.coords if not hasattr(type(c), "__index__"))
+            raise LatticeError(f"lattice vector entry {bad!r} is not an integer") from None
 
     @property
     def rank(self) -> int:
@@ -79,7 +85,7 @@ class Covector:
     coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(_int_or_fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(_int_or_fraction, self.coords)))
 
     @property
     def rank(self) -> int:
@@ -98,7 +104,7 @@ class Covector:
         return self.denominator == 1
 
     def pair(self, v: LatticeVector) -> int | Fraction:
-        return sum(c * x for c, x in zip(self.coords, v.coords))
+        return sum(map(operator.mul, self.coords, v.coords))
 
     def __add__(self, other: "Covector") -> "Covector":
         return Covector(tuple(a + b for a, b in zip(self.coords, other.coords)))

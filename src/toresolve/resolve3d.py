@@ -25,7 +25,9 @@ from .classify import (
     height_one_polytope,
     index_one_cover,
 )
-from .cones import Cone, ConeError, Fan, _simplicial_cone, cone_over_polygon, is_basic, make_fan, simplicial_cone
+from .cones import (
+    Cone, ConeError, Fan, _mapped_cones, _simplicial_cone, cone_over_polygon, is_basic, make_fan, simplicial_cone
+)
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets, floor_polygon
 from .lattice import Covector, IntMatrix, LatticeVector
@@ -89,7 +91,11 @@ class PolygonComplex:
         )
 
     def tags(self) -> list[dict]:
-        return [_cell_tag(c) for c in self.cells]
+        # cells are immutable: each keeps its tag beside its other cached facts
+        for c in self.cells:
+            if "_tag" not in vars(c):
+                vars(c)["_tag"] = _cell_tag(c)
+        return [vars(c)["_tag"] for c in self.cells]
 
     def census(self) -> dict:
         tags = self.tags()
@@ -97,9 +103,7 @@ class PolygonComplex:
             "cells": len(self.cells),
             "cells_with_interior_points": sum(1 for t in tags if t["interior_points"]),
             "interior_points": sum(t["interior_points"] for t in tags),
-            "edge_interior_points": len(
-                {p for c in self.cells for p in c.edge_interior_points()}
-            ),
+            "edge_interior_points": len({p for c in self.cells for p in c._edge_interior}),
             "basic_cells": sum(1 for t in tags if t["basic"]),
             "unit_parallelograms": sum(1 for t in tags if t["unit_parallelogram"]),
         }
@@ -685,8 +689,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         parallelograms = _double_point_cells(pc)
         first_completions.append(_completion_at(pc, parallelograms, 0))
         fan_local = first_completions[-1][0]
-        for cone in fan_local.maximal_cones:
-            final_cones.append(simplicial_cone([to_ambient.apply(g) for g in cone.generators]))
+        final_cones.extend(_mapped_cones(fan_local.maximal_cones, to_ambient))
         steps.append(
             ResolutionStep(
                 phase="completion",

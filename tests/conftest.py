@@ -10,7 +10,9 @@ subdivisions and hull floors are recomputed by a 4-D double description,
 canonical modifications by validated fans of those floors, completion
 heights are recomputed with rational weights and barycentric folds,
 completion certificates are rebuilt with three cofactor passes per
-triangle, and strict convexity is rechecked membership first.
+triangle, strict convexity is rechecked membership first, final fans are
+rebuilt with a second adjugate per cone, and interior points are found by
+a strict bounding-box scan.
 """
 
 import itertools
@@ -82,6 +84,28 @@ def box_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     los = [min(v[i] for v in p.vertices) for i in range(rank)]
     his = [max(v[i] for v in p.vertices) for i in range(rank)]
     return [q for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))) if p.contains(q)]
+
+
+def box_interior_points(p: LatticePolytope) -> list[tuple[int, ...]]:
+    """Interior lattice points of a polygon: the bounding-box points strictly
+    left of every counterclockwise edge (none below dimension 2)."""
+    edges = p.edges()
+    return [
+        q for q in box_lattice_points(p)
+        if edges and all((b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) > 0 for a, b in edges)
+    ]
+
+
+def rebuilt_final_fan(trace) -> tuple[Cone, ...]:
+    """The maximal cones of ``resolve``'s fan rebuilt from its trace: each
+    piece's completion-0 generators mapped into the input lattice and put
+    through ``simplicial_cone``, in the fan's order."""
+    rebuilt = [
+        simplicial_cone([matrix.apply(g) for g in mc.generators])
+        for (_pc, matrix, _rounds, _cert), (fan0, _psi) in zip(trace.pieces, trace.first_completions)
+        for mc in fan0.maximal_cones
+    ]
+    return tuple(sorted(rebuilt, key=lambda c: tuple(g.coords for g in c.generators)))
 
 
 def random_pointed_cone(rng: random.Random, rank: int, coord_bound: int = 6, max_gens: int = 4):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -355,6 +356,27 @@ HOSTILE_JOBS = [
     "{not json",
     "",
 ]
+
+
+def test_huge_basic_cone_finishes_at_once(tmp_path, capsys):
+    """A basic cone with a 10^30 coordinate: its unimodular height-one
+    triangle has no interior point by Pick's theorem, so nothing scans it;
+    classify refuses its grading-slab box."""
+    job = {"lattice_rank": 3, "cones": [{"generators": [[-HUGE, 7, 1], [1, 0, 0], [0, 1, 0]]}]}
+    infile = write_job(tmp_path, "in.json", job)
+    expected = {
+        ("resolve3d",): 0,
+        ("resolve3d", "--completion", "all"): 0,
+        ("resolve3d", "--completion", "0"): 0,
+        ("hilbert",): 0,
+        ("classify",): 1,
+    }
+    for command, rc in expected.items():
+        start = time.perf_counter()
+        assert main([command[0], "--in", infile, "--out", str(tmp_path / "out"), *command[1:]]) == rc
+        assert time.perf_counter() - start < 1, command
+    assert "grading slab box" in capsys.readouterr().err
+
 
 FUZZ_COMMANDS = [
     ["classify"],

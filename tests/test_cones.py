@@ -3,9 +3,11 @@ import random
 import pytest
 import sympy
 
+from toresolve import cones
 from toresolve.cones import (
     ConeError,
     _rank,
+    cone_over_polygon,
     dual_cone,
     faces,
     is_basic,
@@ -19,7 +21,7 @@ from toresolve.cones import (
 from toresolve.hilbert import _parallelepiped_points
 from toresolve.lattice import IntMatrix, LatticeVector, rational_solve
 
-from conftest import fraction_rank, random_independent_generators, random_pointed_cone
+from conftest import count_calls, fraction_rank, random_independent_generators, random_pointed_cone
 
 
 def V(*coords):
@@ -172,6 +174,38 @@ def test_simplicial_cone_matches_make_cone():
         dets.add(IntMatrix.from_vectors(gens).det())
     assert {1, -1} <= dets
     assert any(d > 1 for d in dets) and any(d < -1 for d in dets)
+
+
+def test_constructors_that_know_the_dimension_run_no_rank(monkeypatch):
+    """``simplicial_cone`` and ``cone_over_polygon`` build full-dimensional
+    cones and ``make_cone`` reads the dimension off its equations, so
+    reading ``dim`` runs no rank computation for them; other cones find it
+    on first read, once."""
+    made = make_cone([V(1, 0, 0), V(0, 1, 0)])
+    calls = count_calls(monkeypatch, cones._rank)
+    built = [
+        simplicial_cone([V(1, 0, 0), V(1, 2, 0), V(0, 1, 3)]),
+        cone_over_polygon([(0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1)]),
+    ]
+    assert [c.dim for c in built + [made]] == [3, 3, 2] and calls == []
+    dual = dual_cone(made)
+    assert dual.dim == dual.dim == 3 and len(calls) == 1
+
+
+def test_mapped_cones_equal_simplicial_cones_of_the_images():
+    """Mapping a simplicial cone by a nonsingular matrix B through one
+    adjugate of B gives ``simplicial_cone`` of the mapped generators, also
+    where |det B| > 1 leaves generators and normals to be made primitive."""
+    rng = random.Random(20261019)
+    dets = set()
+    for _ in range(200):
+        b = IntMatrix.from_vectors(random_independent_generators(rng, 3))
+        dets.add(b.det())
+        c = simplicial_cone(random_independent_generators(rng, 3))
+        assert cones._mapped_cones([c], b) == [simplicial_cone([b.apply(g) for g in c.generators])], (c, b)
+    assert {1, -1} <= dets and any(d > 1 for d in dets) and any(d < -1 for d in dets)
+    c = simplicial_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)])
+    assert cones._mapped_cones([c], IntMatrix.identity(3))[0] is c
 
 
 def test_simplicial_cone_rejects_dependent_input():

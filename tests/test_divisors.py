@@ -109,6 +109,17 @@ def test_strict_convexity_invariant_under_global_linear_shift():
     assert is_strictly_upper_convex(a) == is_strictly_upper_convex(b) == True
 
 
+def test_representative_that_does_not_interpolate_is_refused():
+    """A hand-built representative off its cone's ray values raises, even
+    where it would dominate every other ray (a Fraction entry included)."""
+    f = fan_of([(1, 0), (1, 1)], [(1, 1), (4, 5)])
+    good = with_linear_representatives(SupportFunction(fan=f, ray_values={(1, 0): 0, (1, 1): 1, (4, 5): 0}))
+    for bad in (Covector((0, 2)), Covector((Fraction(1, 2), 1))):
+        psi = SupportFunction(fan=f, ray_values=good.ray_values, linear_reps={**good.linear_reps, 0: bad})
+        with pytest.raises(DivisorError, match="does not interpolate"):
+            is_strictly_upper_convex(psi)
+
+
 def test_missing_representatives_rejected():
     f = fan_of([(1, 0), (0, 1)])
     with pytest.raises(DivisorError, match="representatives"):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from toresolve.lattice import (
     Covector,
@@ -138,6 +140,58 @@ def test_snf_shape_and_transforms(rng):
         nonzero = [d for d in diag if d]
         for d1, d2 in zip(nonzero, nonzero[1:]):
             assert d2 % d1 == 0 and d1 > 0
+
+
+def random_small_matrices(seed: int = 20261019, count: int = 200) -> list[IntMatrix]:
+    """``count`` seeded integer matrices of 1 to 4 rows and 1 to 5 columns,
+    entries in [-6, 6], some with a row that repeats a multiple of another."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            rows[-1] = [rng.choice((-2, 1, 3)) * x for x in rows[0]]
+        out.append(IntMatrix(tuple(map(tuple, rows))))
+    return out
+
+
+def test_snf_diagonal_matches_sympy_invariant_factors():
+    for a in random_small_matrices():
+        s, u, v = smith_normal_form(a)
+        assert (u * a * v).rows == s.rows
+        diagonal = tuple(s.rows[i][i] for i in range(min(a.nrows, a.ncols)))
+        assert diagonal == tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(a.rows))), a
+
+
+def _row_lattice(rows) -> sympy.Matrix:
+    """Sympy's Hermite form of the transpose: a canonical basis, as columns,
+    of the lattice the rows span."""
+    return sympy_hnf(sympy.Matrix(rows).T)
+
+
+def test_hnf_spans_the_row_lattice_sympy_finds():
+    """Sympy's Hermite form is column-style: on this matrix it gives
+    [[12, 0, 10], [0, 6, 0], [0, 0, 2]], while ours is row-style.  So the
+    check is that both span the same row lattice, and H = U * A."""
+    a = IntMatrix(((2, 4, 4), (-6, 6, 12), (10, -4, -16)))
+    assert hermite_normal_form(a)[0].rows == ((2, 4, 4), (0, 6, 0), (0, 0, 12))
+    assert sympy_hnf(sympy.Matrix(a.rows)) == sympy.Matrix([[12, 0, 10], [0, 6, 0], [0, 0, 2]])
+    for a in random_small_matrices():
+        h, u = hermite_normal_form(a)
+        assert (u * a).rows == h.rows and abs(u.det()) == 1
+        assert _row_lattice(h.rows) == _row_lattice(a.rows), a
+
+
+def test_lattice_vector_refuses_non_integer_entries():
+    with pytest.raises(LatticeError, match="1.5"):
+        LatticeVector((1.5, 2, 3))
+    with pytest.raises(LatticeError, match="Fraction"):
+        LatticeVector((Fraction(2), 0))
+    with pytest.raises(LatticeError, match="'2'"):
+        LatticeVector((1, "2"))
+    v = LatticeVector((True, 0, 1))
+    assert v.coords == (1, 0, 1) and all(type(c) is int for c in v.coords)
 
 
 def test_invariant_factors_divisibility():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toresolve import cones, resolve3d
 from toresolve.classify import LatticePolytope, gorenstein_data
-from toresolve.cones import is_basic, make_cone, make_fan, star_subdivision
+from toresolve.cones import _rank, dual_cone, is_basic, make_cone, make_fan, star_subdivision
 from toresolve.divisors import (
     SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
 )
@@ -18,6 +18,7 @@ from toresolve.lattice import IntMatrix, LatticeVector, primitive
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
+    _cell_tag,
     _completion_for_bits,
     _double_point_cells,
     _envelope_subdivision,
@@ -35,6 +36,7 @@ from toresolve.resolve3d import (
 from conftest import (
     _affine_value,
     _order_function_subdivision,
+    box_interior_points,
     box_lattice_points,
     c3_hulls,
     count_calls,
@@ -47,6 +49,7 @@ from conftest import (
     random_pointed_cone,
     random_polygon,
     random_rank3_cones,
+    rebuilt_final_fan,
     sequential_fixed_point_phase,
     three_pass_certificate,
     unimodular_2x2,
@@ -711,6 +714,94 @@ def test_cell_facts_survive_the_phases():
     assert pc.census()["cells"] == 88 and sum(c.area2() for c in pc.cells) == 120
     for cell in pc.cells:
         assert cell.lattice_points() == box_lattice_points(cell)
+
+
+@functools.lru_cache(maxsize=None)
+def facts_corpus() -> tuple:
+    """The 50 C3 hulls, FIG and 300 seeded random cones in [-4,4]^3."""
+    hulls = [make_cone([V(x, y, 1) for x, y in hull]) for hull in c3_hulls()]
+    return tuple(hulls + [make_cone(FIG_CONE)] + random_rank3_cones(20261019, 4, 300))
+
+
+def test_final_fan_mapped_from_completion_zero_equals_rebuilt_fan():
+    """Each final cone, mapped from its completion-0 cone with one adjugate
+    per piece, equals ``simplicial_cone`` of its mapped generators; covers
+    of index > 1, where the map has determinant the index, included."""
+    covers = 0
+    for c in facts_corpus():
+        fan, trace = resolve(c)
+        if trace.first_completions:
+            assert fan.maximal_cones == rebuilt_final_fan(trace), c
+        covers += len(trace.covers)
+    assert covers >= 50
+
+
+def test_cone_dimension_equals_rank_of_its_rays(monkeypatch):
+    """Every cone that ``simplicial_cone``, ``cone_over_polygon``,
+    ``dual_cone`` and ``make_cone`` build, on the resolve path of the corpus
+    and directly, has ``dim`` equal to the rank of its rays and lineality,
+    whether its constructor set it or it is found on first read."""
+    build = cones._build_cone
+    built = []
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cones, "_build_cone", recording)
+    rng = random.Random(20261019)
+    low = [c for c in (random_pointed_cone(rng, 3, 4, max_gens=2) for _ in range(60)) if c is not None]
+    for c in facts_corpus() + tuple(low):
+        dual_cone(c)
+        make_cone(list(c.generators))
+        if c.is_full_dimensional:
+            resolve(c)
+    for c in floor_corpus()[1]:
+        canonical_modification(c)
+    preset = [c for c in built if "dim" in vars(c)]
+    assert len(preset) > len(built) // 2 and any(c.dim < 3 for c in preset)
+    for c in built:
+        assert c.dim == _rank([g.coords for g in c.generators] + [l.coords for l in c.lineality]), c
+
+
+def test_kept_cell_tags_equal_fresh_tags_after_every_round(monkeypatch):
+    """After every round of both phases the kept tags equal ``_cell_tag`` of
+    fresh copies of the cells, and each cell is tagged once."""
+    census = PolygonComplex.census
+    fresh_tag = _cell_tag
+    rounds = []
+
+    def checked(pc):
+        assert pc.tags() == [fresh_tag(LatticePolytope(c.vertices)) for c in pc.cells]
+        rounds.append(pc)
+        return census(pc)
+
+    monkeypatch.setattr(PolygonComplex, "census", checked)
+    tagged = count_calls(monkeypatch, _cell_tag)
+    for c in facts_corpus():
+        resolve(c)
+    assert len(rounds) >= 300
+    assert len({id(args[0]) for args in tagged}) == len(tagged)
+
+
+def test_pick_shortcut_matches_box_interior_scan(monkeypatch):
+    """Interior points, short-cut by Pick's theorem where there are none,
+    equal the strict box scan on 1,200 seeded polygons and on lattice
+    points and segments."""
+    rng = random.Random(20261019)
+    polygons = [LatticePolytope.from_points([(0, 0)]), LatticePolytope.from_points([(0, 0), (4, 2)])]
+    while len(polygons) < 1202:
+        p = random_polygon(rng, bound=rng.choice((1, 2, 4)))
+        if p is not None:
+            polygons.append(p)
+    for p in polygons:
+        assert p.interior_points() == box_interior_points(p), p
+    empty = sum(not p.interior_points() for p in polygons)
+    assert 300 <= empty <= len(polygons) - 300
+    # a unimodular triangle 10^30 columns wide is answered without a column scan
+    huge = LatticePolytope.from_points([(0, 0), (1, 0), (10**30, 1)])
+    monkeypatch.setattr(LatticePolytope, "_points", property(lambda p: pytest.fail(f"{p} scanned")))
+    assert huge.interior_points() == []
 
 
 def test_resolve_rejects_bad_rank():
