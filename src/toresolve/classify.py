@@ -13,17 +13,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .cones import Cone, _rank, is_basic, make_cone, multiplicity
+from .cones import Cone, is_basic, make_cone, multiplicity
 from .hilbert import _to_sublattice, embedding_dimension
 from .lattice import (
     Covector,
     IntMatrix,
     LatticeVector,
     _turn,
-    adjugate,
     convex_hull_2d,
     extended_gcd_vector,
     hyperplane_basis,
@@ -47,17 +45,18 @@ class LatticePolytope:
 
     Two-dimensional polytopes store their vertices counterclockwise starting
     from the lexicographically smallest one; lower-dimensional ones store
-    them sorted.  The lattice, interior and edge-interior points are found on
-    first request and kept; the methods listing them return fresh lists.
+    them sorted.  Canonical vertices are affinely independent, except that a
+    planar hull can have more than three, so the dimension is the vertex
+    count less one, capped by the ambient rank.  The lattice, interior and
+    edge-interior points are found on first request and kept; the methods
+    listing them return fresh lists.
     """
 
     vertices: tuple[tuple[int, ...], ...]
     dimension: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        v0 = self.vertices[0]
-        rows = [tuple(x - y for x, y in zip(v, v0)) for v in self.vertices[1:]]
-        object.__setattr__(self, "dimension", _rank(rows))
+        object.__setattr__(self, "dimension", min(len(self.vertices) - 1, len(self.vertices[0])))
 
     @classmethod
     def from_points(cls, points) -> "LatticePolytope":
@@ -223,12 +222,11 @@ class SingularityReport:
 def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
     """The grading functional and index of a Q-Gorenstein cone, if any.
 
-    Solves <m, v> = 1 on n linearly independent generators through the
-    adjugate (m = sum of its columns / det) and checks the others.  Returns
-    the unique solution together with its denominator (the index); ``None``
-    when the generators do not lie on a common affine hyperplane off the
-    origin.  For index one the functional is integral and primitive and the
-    generators lie on the corresponding primitive affine hyperplane.
+    This is ``c.grading``: the unique m with <m, v> = 1 on every generator,
+    together with its denominator (the index); ``None`` when the generators
+    do not lie on a common affine hyperplane off the origin.  For index one
+    the functional is integral and primitive and the generators lie on the
+    corresponding primitive affine hyperplane.
     """
     if not c.is_pointed:
         raise ClassifyError("grading data requires a pointed cone")
@@ -237,21 +235,10 @@ def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
             "grading data requires a full-dimensional cone; classify() projects "
             "low-dimensional cones to their span lattice first"
         )
-    gens = [g.coords for g in c.generators]
-    for rows in itertools.combinations(gens, c.lattice_rank):
-        det, cols = adjugate(list(rows))
-        if det:
-            break
-    num = [sum(col) for col in zip(*cols)]
-    if any(sum(x * y for x, y in zip(num, g)) != det for g in gens):
-        return None
-    m = Covector(tuple(Fraction(x, det) for x in num))
-    index = m.denominator
-    if index == 1:
-        mi = m.integral_vector()
-        if math.gcd(*mi.coords) != 1:
-            raise ClassifyError("integral grading functional fails to be primitive")
-    return m, index
+    gd = c.grading
+    if gd is not None and gd[1] == 1 and math.gcd(*gd[0].integral_vector().coords) != 1:
+        raise ClassifyError("integral grading functional fails to be primitive")
+    return gd
 
 
 def _grading_slab_points(c: Cone, m: Covector) -> list[LatticeVector]:
@@ -454,16 +441,15 @@ class CoverCertificate:
     index: int
 
 
-def index_one_cover(c: Cone, *, _grading=...) -> tuple[Cone, CoverCertificate]:
+def index_one_cover(c: Cone) -> tuple[Cone, CoverCertificate]:
     """Re-coordinatize the cone over the sublattice where the grading is integral.
 
     For a Q-Gorenstein cone of index ell > 1 the sublattice
     {n : <m, n> integral} has index ell; over it the same real cone is
-    Gorenstein.  Index-one input is rejected.  A caller that holds
-    ``gorenstein_data(c)`` passes it as ``_grading``; the cover's grading is
-    still solved, to check that it has index one.
+    Gorenstein.  Index-one input is rejected.  The cover's grading is solved,
+    to check that it has index one, and kept on the cover.
     """
-    gd = gorenstein_data(c) if _grading is ... else _grading
+    gd = gorenstein_data(c)
     if gd is None:
         raise ClassifyError("index-one cover requires a Q-Gorenstein cone")
     m, index = gd

@@ -20,17 +20,12 @@ from .cones import Cone, dual_cone, make_cone
 from .hilbert import _binomial_relations, hilbert_basis
 from .lattice import Covector, LatticeVector
 from .resolve2d import minimal_resolution
-from .resolve3d import (
-    PolygonComplex,
-    _completion_at,
-    _double_point_cells,
-    canonical_modification,
-    resolve,
-    resolve_piece,
-)
+from .resolve3d import PolygonComplex, canonical_modification, completion, resolve, resolve_piece
 
 # ``--completion all`` refuses cones with more completions than this
 MAX_LISTED_COMPLETIONS = 1024
+# ``render`` and ``--svg`` refuse a polygon wider or taller than this many lattice units
+MAX_DRAWN_EXTENT = 4096
 
 # optional flags read by one command only: flag -> (argparse destination, command)
 _FLAG_READERS = {
@@ -216,8 +211,9 @@ def _cmd_resolve3d(cones, args) -> str:
             entry["completions"] = _completions_json(_only_piece(trace.pieces), args.completion, first)
         results.append(entry)
     if args.svgfile:
+        svg = render_svg(_only_piece(trace.pieces)[0], scale=args.scale)
         with open(args.svgfile, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(_only_piece(trace.pieces)[0], scale=args.scale))
+            fh.write(svg)
     return serialize({"results": results})
 
 
@@ -235,8 +231,7 @@ def _completions_json(piece, which: str, first) -> list[dict]:
     """The selected completions of a resolved piece, in the input lattice;
     ``first`` is its completion 0 when already built, else ``None``."""
     pc, to_ambient, _rounds, _cert = piece
-    parallelograms = _double_point_cells(pc)
-    count = 2 ** len(parallelograms)
+    count = 2 ** len(pc.parallelograms)
     if which == "all":
         if count > MAX_LISTED_COMPLETIONS:
             raise ValueError(
@@ -255,7 +250,7 @@ def _completions_json(piece, which: str, first) -> list[dict]:
                 f"{count - 1} ({count} completions)"
             )
         indices = [index]
-    built = [first if i == 0 and first else _completion_at(pc, parallelograms, i) for i in indices]
+    built = [first if i == 0 and first else completion(pc, i) for i in indices]
 
     def ambient(coords) -> list[int]:
         return list(to_ambient.apply(LatticeVector(coords)).coords)
@@ -279,7 +274,14 @@ def _completions_json(piece, which: str, first) -> list[dict]:
 
 def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
     """Draw the height-one polygon complex: lattice dots, cells, shaded
-    ordinary double points with their box diagonals dashed."""
+    ordinary double points with their box diagonals dashed.  A polygon wider
+    or taller than ``MAX_DRAWN_EXTENT`` is refused before any point is listed."""
+    extent = max(max(axis) - min(axis) for axis in zip(*pc.polygon.vertices))
+    if extent > MAX_DRAWN_EXTENT:
+        raise ValueError(
+            f"the height-one polygon {pc.polygon.vertices} spans {extent} lattice units, "
+            f"more than the {MAX_DRAWN_EXTENT} that are drawn"
+        )
     pts = pc.polygon.lattice_points()
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
@@ -331,9 +333,8 @@ def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
 def _cmd_render(cones, args) -> str:
     if len(cones) != 1:
         raise ValueError("render expects exactly one cone in the input file")
-    gradings = []
-    piece = _only_piece(canonical_modification(cones[0], _gradings=gradings).maximal_cones)
-    return render_svg(resolve_piece(piece, _grading=gradings[0])[0], scale=args.scale)
+    piece = _only_piece(canonical_modification(cones[0]).maximal_cones)
+    return render_svg(resolve_piece(piece)[0], scale=args.scale)
 
 
 # each command's handler returns the text written to --out

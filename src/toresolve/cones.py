@@ -9,8 +9,10 @@ dual is an involution on everything this package produces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .lattice import (
@@ -157,7 +159,7 @@ class Cone:
     of low-dimensional cones additionally carry a ``lineality`` basis.
     ``inequalities`` are the primitive facet normals, ``equations`` cut out
     the linear span, whose dimension ``dim`` is set by constructors that know
-    it and otherwise found on first read.
+    it and otherwise found on first read; so is the ``grading``.
     """
 
     lattice_rank: int
@@ -169,6 +171,13 @@ class Cone:
     @cached_property
     def dim(self) -> int:
         return _rank([g.coords for g in self.generators] + [l.coords for l in self.lineality])
+
+    @cached_property
+    def grading(self) -> tuple[Covector, int] | None:
+        """The grading functional m_sigma (equal to one on every generator)
+        and its index, or ``None``; meant for pointed full-dimensional cones,
+        which ``classify.gorenstein_data`` checks for."""
+        return _solve_grading(self)
 
     @property
     def is_pointed(self) -> bool:
@@ -210,6 +219,24 @@ class Cone:
         return f"Cone[{gens}]{extra}"
 
 
+def _solve_grading(c: Cone) -> tuple[Covector, int] | None:
+    """Solve <m, v> = 1 on n linearly independent generators through the
+    adjugate (m = sum of its columns / det) and check the others; the index
+    is the denominator of m."""
+    gens = [g.coords for g in c.generators]
+    for rows in itertools.combinations(gens, c.lattice_rank):
+        det, cols = adjugate(list(rows))
+        if det:
+            break
+    else:
+        raise ConeError(f"the grading of {c} needs {c.lattice_rank} linearly independent generators")
+    num = [sum(col) for col in zip(*cols)]
+    if any(sum(x * y for x, y in zip(num, g)) != det for g in gens):
+        return None
+    m = Covector(tuple(Fraction(x, det) for x in num))
+    return m, m.denominator
+
+
 def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank, dim=None) -> Cone:
     """The cone on integer tuples, each list sorted; ``dim`` when known."""
     cone = Cone(
@@ -224,7 +251,7 @@ def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank, dim=None) 
     return cone
 
 
-def make_cone(vs: list[LatticeVector], require_pointed: bool = True) -> Cone:
+def make_cone(vs: list[LatticeVector]) -> Cone:
     """Cone positively spanned by ``vs``.
 
     Redundant generators are discarded, the extreme rays primitivized and
@@ -249,7 +276,7 @@ def make_cone(vs: list[LatticeVector], require_pointed: bool = True) -> Cone:
         raise ConeError("cone generated by zero vectors only")
     dual_rays, dual_lin = extreme_rays(gens, rank)
     # pointedness: the dual must be full-dimensional
-    if require_pointed and _rank(dual_rays + dual_lin) < rank:
+    if _rank(dual_rays + dual_lin) < rank:
         raise ConeError(f"not pointed: pos{sorted(gens)} contains a line")
     ineqs = dual_rays
     eqs = dual_lin
@@ -345,10 +372,6 @@ def dual_cone(c: Cone) -> Cone:
         [l.coords for l in c.lineality],
         c.lattice_rank,
     )
-
-
-def _face_generators(c: Cone, normals: tuple[Covector, ...]) -> tuple[LatticeVector, ...]:
-    return tuple(g for g in c.generators if all(m.pair(g) == 0 for m in normals))
 
 
 def faces(c: Cone) -> list[Cone]:
@@ -465,17 +488,11 @@ class Fan:
     def supports(self, v: LatticeVector) -> bool:
         return any(c.contains(v) for c in self.maximal_cones)
 
-    def cone_containing(self, v: LatticeVector) -> Cone | None:
-        for c in self.maximal_cones:
-            if c.contains(v):
-                return c
-        return None
-
     def __repr__(self):
         return f"Fan({len(self.maximal_cones)} maximal cones, rank {self.lattice_rank})"
 
 
-def make_fan(cones: list[Cone], validate: bool = True) -> Fan:
+def make_fan(cones: list[Cone]) -> Fan:
     """Validated fan from a list of cones.
 
     Cones that are faces of other cones are dropped; any pair whose
@@ -505,15 +522,14 @@ def make_fan(cones: list[Cone], validate: bool = True) -> Fan:
                 raise ConeError(f"cone {c} is contained in {d} but is not a face of it")
         if not redundant:
             maximal.append(c)
-    if validate:
-        for i in range(len(maximal)):
-            for j in range(i + 1, len(maximal)):
-                k = intersect_cones(maximal[i], maximal[j])
-                if not (is_face_of(k, maximal[i]) and is_face_of(k, maximal[j])):
-                    raise ConeError(
-                        "incompatible cone pair: intersection of "
-                        f"{maximal[i]} and {maximal[j]} is not a common face"
-                    )
+    for i in range(len(maximal)):
+        for j in range(i + 1, len(maximal)):
+            k = intersect_cones(maximal[i], maximal[j])
+            if not (is_face_of(k, maximal[i]) and is_face_of(k, maximal[j])):
+                raise ConeError(
+                    "incompatible cone pair: intersection of "
+                    f"{maximal[i]} and {maximal[j]} is not a common face"
+                )
     key = lambda c: tuple(g.coords for g in c.generators)
     return Fan(lattice_rank=rank, maximal_cones=tuple(sorted(maximal, key=key)))
 

@@ -142,11 +142,6 @@ class Covector:
         return f"Covector({entries})"
 
 
-def pair(m: Covector, n: LatticeVector) -> int | Fraction:
-    """Exact natural pairing <m, n>."""
-    return m.pair(n)
-
-
 def primitive(v: LatticeVector) -> LatticeVector:
     """Divide v by the gcd of its coordinates.
 
@@ -157,10 +152,6 @@ def primitive(v: LatticeVector) -> LatticeVector:
         raise LatticeError("the zero vector has no primitive representative")
     g = math.gcd(*v.coords)
     return LatticeVector(tuple(c // g for c in v.coords))
-
-
-def dot(u: LatticeVector, v: LatticeVector) -> int:
-    return sum(a * b for a, b in zip(u.coords, v.coords))
 
 
 def _turn(o, a, b) -> int:

@@ -1,8 +1,9 @@
 """Minimal resolution of two-dimensional toric singularities.
 
-The resolution fan is read off the boundary of conv((cone ∩ N) - {0}); the
-negative-continued-fraction expansion gives an independent arithmetic route
-to the same self-intersection data, kept for cross-validation.
+The resolution fan is read off the boundary of conv((cone ∩ N) - {0}), whose
+lattice points are the Hilbert basis; the negative-continued-fraction
+expansion gives an independent arithmetic route to the same
+self-intersection data, kept for cross-validation.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Fan, make_cone, make_fan
-from .hilbert import floor_facets
+from .cones import Cone, Fan, _simplicial_cone, make_fan
+from .hilbert import hilbert_basis
 from .lattice import LatticeVector, angular_order
 
 
@@ -59,7 +60,8 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     """Unique minimal resolution of a pointed full-dimensional rank-2 cone.
 
     The rays of the output fan are the lattice points on the bounded part of
-    the hull boundary (equivalently the Hilbert basis); consecutive rays span
+    the hull boundary, which in rank 2 are exactly the Hilbert basis (Oda,
+    *Convex Bodies and Algebraic Geometry*, 1.6); consecutive rays span
     basic cones, and each interior ray u_i satisfies
     u_{i-1} + u_{i+1} = b_i * u_i with the i-th exceptional curve of
     self-intersection -b_i.
@@ -68,22 +70,11 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
         raise Resolve2dError("minimal resolution is a rank-2 operation")
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve2dError("need a pointed full-dimensional cone")
-    boundary: set[tuple[int, ...]] = set()
-    for facet in floor_facets(c):
-        ordered = angular_order(facet)
-        a, b = ordered[0], ordered[-1]
-        d = b - a
-        g = math.gcd(*d.coords)
-        step = LatticeVector(tuple(x // g for x in d.coords))
-        for k in range(g + 1):
-            boundary.add((a + k * step).coords)
-    chain = angular_order([LatticeVector(p) for p in boundary])
+    chain = angular_order(hilbert_basis(c).members)
     cones = []
     for u, v in zip(chain, chain[1:]):
-        cone = make_cone([u, v])
-        from .cones import multiplicity
-
-        if multiplicity(cone) != 1:
+        cone, det, _cols = _simplicial_cone([u, v])
+        if det not in (1, -1):
             raise Resolve2dError(
                 f"hull boundary pair {u.coords}, {v.coords} is not basic; "
                 "Hilbert-basis computation is inconsistent"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .classify import (
     CoverCertificate,
@@ -69,7 +70,8 @@ class PolygonComplex:
 
     ``round_heights`` accumulates, per subdivision round, the 0/1 lattice
     heights whose regular subdivisions produced the rounds; they assemble
-    into the projectivity certificates of the completions.
+    into the projectivity certificates of the completions.  ``parallelograms``
+    lists the unit parallelograms that the completions fill, once found.
     """
 
     polygon: LatticePolytope
@@ -96,6 +98,18 @@ class PolygonComplex:
             if "_tag" not in vars(c):
                 vars(c)["_tag"] = _cell_tag(c)
         return [vars(c)["_tag"] for c in self.cells]
+
+    @cached_property
+    def parallelograms(self) -> tuple[LatticePolytope, ...]:
+        """The unit parallelogram cells; any other cell must be basic."""
+        out = []
+        for cell, tag in zip(self.cells, self.tags()):
+            if tag["basic"]:
+                continue
+            if not tag["unit_parallelogram"]:
+                raise Resolve3dError(f"cell {cell.vertices} violates the completion precondition")
+            out.append(cell)
+        return tuple(out)
 
     def census(self) -> dict:
         tags = self.tags()
@@ -124,7 +138,7 @@ class PolygonComplex:
 # ---------------------------------------------------------------------------
 
 
-def canonical_modification(c: Cone, *, _grading=..., _gradings: list | None = None) -> Fan:
+def canonical_modification(c: Cone) -> Fan:
     """Refinement over the compact hull-floor facets; canonical by construction.
 
     A Gorenstein cone of index one is already canonical (its integral grading
@@ -137,35 +151,30 @@ def canonical_modification(c: Cone, *, _grading=..., _gradings: list | None = No
     cross products of consecutive ones (``cone_over_polygon``) in rank 3 and
     by ``simplicial_cone`` in rank 2, with no double description and no
     pairwise intersection.  A facet with primitive normal n at level k gives
-    its piece the grading (n / k, k), which is ``gorenstein_data(piece)``.
-
-    ``resolve`` passes ``gorenstein_data(c)`` as ``_grading`` when it holds
-    it, and a list as ``_gradings`` to receive each maximal cone's grading in
-    the fan's order.
+    its piece the grading (n / k, k), which the piece keeps as ``grading``.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve3dError("canonical modification needs a pointed full-dimensional cone")
     if c.lattice_rank > 3:
         raise Resolve3dError("canonical modification implemented for rank <= 3")
-    gd = gorenstein_data(c) if _grading is ... else _grading
+    gd = gorenstein_data(c)
     if gd is not None and gd[1] == 1:
-        pieces = [(c, gd)]
+        pieces = [c]
     else:
         try:
             pieces = [_floor_piece(facet) for facet in floor_facets(c)]
         except ConeError as e:
             raise Resolve3dError(f"canonical modification of {c}: {e}") from e
-        pieces.sort(key=lambda piece: tuple(g.coords for g in piece[0].generators))
-    if _gradings is not None:
-        _gradings.extend(piece_gd for _piece, piece_gd in pieces)
-    return Fan(lattice_rank=c.lattice_rank, maximal_cones=tuple(piece for piece, _gd in pieces))
+        pieces.sort(key=lambda piece: tuple(g.coords for g in piece.generators))
+    return Fan(lattice_rank=c.lattice_rank, maximal_cones=tuple(pieces))
 
 
-def _floor_piece(facet: list[LatticeVector]) -> tuple[Cone, tuple[Covector, int]]:
-    """The cone over one floor facet, with its grading from the facet normal."""
+def _floor_piece(facet: list[LatticeVector]) -> Cone:
+    """The cone over one floor facet, keeping its grading from the facet normal."""
     n, k, verts = floor_polygon(facet)
     piece = simplicial_cone([LatticeVector(v) for v in verts]) if len(n) == 2 else cone_over_polygon(verts)
-    return piece, (Covector(tuple(Fraction(x, k) for x in n)), k)
+    piece.__dict__["grading"] = (Covector(tuple(Fraction(x, k) for x in n)), k)
+    return piece
 
 
 def polygon_form(c: Cone) -> tuple[LatticePolytope, IntMatrix]:
@@ -180,12 +189,7 @@ def polygon_form(c: Cone) -> tuple[LatticePolytope, IntMatrix]:
     gd = gorenstein_data(c)
     if gd is None or gd[1] != 1:
         raise Resolve3dError("polygon form requires a Gorenstein cone of index one")
-    return _polygon_form(c, gd[0])
-
-
-def _polygon_form(c: Cone, m: Covector) -> tuple[LatticePolytope, IntMatrix]:
-    """``polygon_form`` for a cone whose integral grading m is known."""
-    polytope, basis = height_one_polytope(c, m)
+    polytope, basis = height_one_polytope(c, gd[0])
     if polytope.dimension != 2:
         raise Resolve3dError("degenerate height-one cross-section")
     return polytope, basis
@@ -326,7 +330,7 @@ def blowup_curve_phase(pc: PolygonComplex) -> PolygonComplex:
     if any(c.interior_points() for c in pc.cells):
         raise Resolve3dError("run the fixed-point phase first: interior points remain")
     pc, _rounds = _phase(pc, "curve-blow-up", LatticePolytope.edge_interior_points)
-    _double_point_cells(pc)
+    pc.parallelograms  # raises unless every non-basic cell is a unit parallelogram
     return pc
 
 
@@ -467,20 +471,6 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
 
-def _double_point_cells(pc: PolygonComplex) -> list[LatticePolytope]:
-    parallelograms = []
-    for cell, tag in zip(pc.cells, pc.tags()):
-        if tag["basic"]:
-            continue
-        if tag["unit_parallelogram"]:
-            parallelograms.append(cell)
-            continue
-        raise Resolve3dError(
-            f"cell {cell.vertices} violates the completion precondition"
-        )
-    return parallelograms
-
-
 def _completion_for_bits(
     pc: PolygonComplex, parallelograms: list[LatticePolytope], bits: tuple[int, ...]
 ) -> tuple[Fan, SupportFunction]:
@@ -536,23 +526,16 @@ def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
     Returns a fan of basic cones at height one and an integral-height support
     function strictly upper convex exactly on it (the projectivity certificate).
     """
-    return _completion_at(pc, _double_point_cells(pc), index)
-
-
-def _completion_at(
-    pc: PolygonComplex, parallelograms: list[LatticePolytope], index: int
-) -> tuple[Fan, SupportFunction]:
-    k = len(parallelograms)
+    k = len(pc.parallelograms)
     if not 0 <= index < 2**k:
         raise Resolve3dError(f"completion index {index} out of range ({2**k} completions)")
     bits = tuple((index >> (k - 1 - j)) & 1 for j in range(k))
-    return _completion_for_bits(pc, parallelograms, bits)
+    return _completion_for_bits(pc, pc.parallelograms, bits)
 
 
 def completions(pc: PolygonComplex) -> list[tuple[Fan, SupportFunction]]:
     """All 2^k completions, ``completion(pc, i)`` for i from 0 to 2^k - 1."""
-    parallelograms = _double_point_cells(pc)
-    return [_completion_at(pc, parallelograms, i) for i in range(2 ** len(parallelograms))]
+    return [completion(pc, i) for i in range(2 ** len(pc.parallelograms))]
 
 
 # ---------------------------------------------------------------------------
@@ -607,25 +590,21 @@ def _report_for(base: Cone, m: Covector, rays) -> DiscrepancyReport:
     return DiscrepancyReport(base_cone=base, m_sigma=m, entries=entries)
 
 
-def resolve_piece(piece: Cone, *, _grading=...) -> Piece:
+def resolve_piece(piece: Cone) -> Piece:
     """Both crepant blow-up phases on one canonical piece.
 
     Returns the final polygon complex, the matrix carrying its polygon
     coordinates (x, y, 1) back to the piece's lattice, the phase rounds, and
     the index-one cover certificate (``None`` when the piece is Gorenstein).
-    ``resolve`` passes ``gorenstein_data(piece)`` as ``_grading``.
     """
-    gd = gorenstein_data(piece) if _grading is ... else _grading
+    gd = gorenstein_data(piece)
     if gd is None:
         raise Resolve3dError("canonical piece unexpectedly not Q-Gorenstein")
-    m, index = gd
-    if index == 1:
+    if gd[1] == 1:
         work, cert = piece, None
     else:
-        work, cert = index_one_cover(piece, _grading=gd)
-        # the cover's grading is m pulled back along the sublattice basis
-        m = Covector(tuple(m.pair(LatticeVector(col)) for col in cert.sublattice_basis.transpose().rows))
-    polygon, basis = _polygon_form(work, m)
+        work, cert = index_one_cover(piece)
+    polygon, basis = polygon_form(work)
     pc, fixed_point_rounds = _phase(
         PolygonComplex.initial(polygon), "fixed-point-blow-up", LatticePolytope.interior_points
     )
@@ -650,8 +629,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     pieces: list[Piece] = []
     first_completions: list[tuple[Fan, SupportFunction]] = []
     base_gd = gorenstein_data(c)
-    gradings: list[tuple[Covector, int]] = []
-    can_fan = canonical_modification(c, _grading=base_gd, _gradings=gradings)
+    can_fan = canonical_modification(c)
     base_rays = {g.coords for g in c.generators}
     can_new = [r for r in can_fan.rays() if r.coords not in base_rays]
     steps.append(
@@ -667,10 +645,10 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         )
     )
     final_cones: list[Cone] = []
-    for piece_index, (piece, gd) in enumerate(zip(can_fan.maximal_cones, gradings)):
-        pieces.append(resolve_piece(piece, _grading=gd))
+    for piece_index, piece in enumerate(can_fan.maximal_cones):
+        pieces.append(resolve_piece(piece))
         pc, to_ambient, rounds, _cert = pieces[-1]
-        m_piece = gd[0]
+        m_piece = piece.grading[0]
         for rnd in rounds:
             mapped = tuple(sorted(to_ambient.apply(_lift(p)) for p in rnd.new_rays))
             steps.append(
@@ -686,19 +664,18 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
                 )
             )
         # a completion joins existing vertices only, so it adds no ray
-        parallelograms = _double_point_cells(pc)
-        first_completions.append(_completion_at(pc, parallelograms, 0))
+        first_completions.append(completion(pc, 0))
         fan_local = first_completions[-1][0]
         final_cones.extend(_mapped_cones(fan_local.maximal_cones, to_ambient))
         steps.append(
             ResolutionStep(
                 phase="completion",
                 piece=piece_index,
-                centers=tuple(parallelograms),
+                centers=pc.parallelograms,
                 new_rays=(),
                 discrepancy=_report_for(piece, m_piece, ()),
                 census_after={
-                    "completions": 2 ** len(parallelograms),
+                    "completions": 2 ** len(pc.parallelograms),
                     "maximal_cones": len(fan_local.maximal_cones),
                 },
             )

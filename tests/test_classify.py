@@ -16,7 +16,7 @@ from toresolve.classify import (
     is_nakajima,
     lri_general_section,
 )
-from toresolve.cones import dual_cone, faces, make_cone
+from toresolve.cones import ConeError, dual_cone, faces, make_cone
 from toresolve.lattice import Covector, IntMatrix, LatticeVector, rational_solve
 from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, crepant_fixed_point_phase
 
@@ -90,6 +90,16 @@ def test_gorenstein_data_absent():
     c = make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(2, 2, -1)])
     assert len(c.generators) == 4
     assert gorenstein_data(c) is None
+
+
+def test_grading_needs_a_full_dimensional_cone():
+    """A cone of lower dimension has no unique grading: gorenstein_data
+    refuses it by name, and the kept property raises a domain error."""
+    flat = make_cone([V(1, 0, 0), V(1, 1, 0)])
+    with pytest.raises(ClassifyError, match="full-dimensional"):
+        gorenstein_data(flat)
+    with pytest.raises(ConeError, match="linearly independent"):
+        flat.grading
 
 
 def test_classify_running_example():
@@ -282,6 +292,12 @@ def _cone_rank(c) -> int:
 def test_stored_dimensions_match_rank_oracle():
     rank3 = LatticePolytope(vertices=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert rank3.dimension == _polytope_rank(rank3) == 3
+    # degenerate inputs: points, segments, collinear triples, repeated points
+    small = [[(2, -1)], [(2, -1), (2, -1)], [(0, 0), (3, 6)], [(0, 0), (1, 2), (3, 6)], [(5, 1), (-1, 1), (2, 1)],
+             [(0, 4), (0, -2), (0, 1), (0, 4)], [(1, 2, 3)], [(1, 2, 3), (1, 2, 3)], [(1, 2, 3), (-4, 0, 7)]]
+    for pts in small:
+        p = LatticePolytope.from_points(pts)
+        assert p.dimension == _polytope_rank(p) == min(len(set(pts)), 2) - 1, pts
     # the criterion-3 corpus: 50 random hulls in [-4,4]^2, resolved to their cells
     rng = random.Random(31415926)
     hulls = 0

@@ -5,9 +5,8 @@ import time
 
 import pytest
 
-from toresolve import hilbert, resolve3d
-from toresolve.classify import gorenstein_data
-from toresolve.cli import ParseError, main, parse_job, serialize
+from toresolve import cones, hilbert, resolve3d
+from toresolve.cli import MAX_DRAWN_EXTENT, ParseError, main, parse_job, serialize
 
 from conftest import count_calls
 
@@ -267,7 +266,7 @@ def test_resolve3d_job_resolves_each_piece_once(tmp_path, monkeypatch):
 
 
 def test_resolve3d_job_reuses_the_grading(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, gorenstein_data)
+    calls = count_calls(monkeypatch, cones._solve_grading)
     infile = write_job(tmp_path, "in.json", FIG)
     assert main(["resolve3d", "--in", infile, "--out", str(tmp_path / "out.json"), "--completion", "0"]) == 0
     assert len(calls) <= 3
@@ -289,7 +288,7 @@ BASIC = {"lattice_rank": 3, "cones": [{"generators": [[1, 0, 0], [0, 1, 0], [0, 
 @pytest.mark.parametrize("job, most", [(FIG, 1), (INDEX_TWO, 2)])
 def test_resolve3d_job_solves_each_grading_once(tmp_path, monkeypatch, job, most):
     # FIG: the input cone's grading only; INDEX_TWO: also the cover's, to check its index
-    calls = count_calls(monkeypatch, gorenstein_data)
+    calls = count_calls(monkeypatch, cones._solve_grading)
     infile = write_job(tmp_path, "in.json", job)
     assert main(["resolve3d", "--in", infile, "--out", str(tmp_path / "out.json"), "--completion", "0"]) == 0
     assert len(calls) == most
@@ -298,7 +297,7 @@ def test_resolve3d_job_solves_each_grading_once(tmp_path, monkeypatch, job, most
 @pytest.mark.parametrize("job, most", [(FIG, 1), (INDEX_TWO, 2)])
 def test_render_job_takes_the_piece_grading_from_the_floor(tmp_path, monkeypatch, job, most):
     # the piece's grading comes from the canonical step; INDEX_TWO also solves its cover's
-    calls = count_calls(monkeypatch, gorenstein_data)
+    calls = count_calls(monkeypatch, cones._solve_grading)
     infile = write_job(tmp_path, "in.json", job)
     assert main(["render", "--in", infile, "--out", str(tmp_path / "out.svg")]) == 0
     assert len(calls) == most
@@ -355,13 +354,15 @@ HOSTILE_JOBS = [
     [[1, 0, 0]],
     "{not json",
     "",
+    {"lattice_rank": 3, "cones": [{"generators": [[-HUGE, 7, 1], [1, 0, 0], [0, 1, 0]]}]},
 ]
 
 
 def test_huge_basic_cone_finishes_at_once(tmp_path, capsys):
     """A basic cone with a 10^30 coordinate: its unimodular height-one
     triangle has no interior point by Pick's theorem, so nothing scans it;
-    classify refuses its grading-slab box."""
+    classify refuses its grading-slab box, and render and --svg refuse to
+    draw a triangle 10^30 lattice units across."""
     job = {"lattice_rank": 3, "cones": [{"generators": [[-HUGE, 7, 1], [1, 0, 0], [0, 1, 0]]}]}
     infile = write_job(tmp_path, "in.json", job)
     expected = {
@@ -370,12 +371,17 @@ def test_huge_basic_cone_finishes_at_once(tmp_path, capsys):
         ("resolve3d", "--completion", "0"): 0,
         ("hilbert",): 0,
         ("classify",): 1,
+        ("render",): 1,
+        ("resolve3d", "--svg", str(tmp_path / "out.svg")): 1,
     }
     for command, rc in expected.items():
         start = time.perf_counter()
         assert main([command[0], "--in", infile, "--out", str(tmp_path / "out"), *command[1:]]) == rc
         assert time.perf_counter() - start < 1, command
-    assert "grading slab box" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grading slab box" in err
+    assert err.count(f"more than the {MAX_DRAWN_EXTENT} that are drawn") == 2
+    assert not (tmp_path / "out.svg").exists()
 
 
 FUZZ_COMMANDS = [

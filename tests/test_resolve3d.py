@@ -8,19 +8,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toresolve import cones, resolve3d
-from toresolve.classify import LatticePolytope, gorenstein_data
-from toresolve.cones import _rank, dual_cone, is_basic, make_cone, make_fan, star_subdivision
+from toresolve.classify import LatticePolytope, gorenstein_data, index_one_cover
+from toresolve.cones import Fan, _rank, dual_cone, is_basic, make_cone, make_fan, star_subdivision
 from toresolve.divisors import (
     SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
 )
 from toresolve.hilbert import floor_facets
-from toresolve.lattice import IntMatrix, LatticeVector, primitive
+from toresolve.lattice import Covector, IntMatrix, LatticeVector, primitive
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
     _cell_tag,
     _completion_for_bits,
-    _double_point_cells,
     _envelope_subdivision,
     _fold,
     blowup_curve_phase,
@@ -160,13 +159,34 @@ def test_floor_facets_match_double_description_oracle():
 
 
 def test_piece_gradings_come_from_floor_normals():
-    """The grading (n / k, k) of each floor facet's normal, handed on to
-    ``resolve_piece``, is ``gorenstein_data`` of its piece."""
+    """The grading (n / k, k) of each floor facet's normal, kept on its
+    piece, is the grading solved afresh; every index-one cover keeps the
+    grading pulled back along its sublattice basis; and each resolved
+    piece's parallelograms are those of a fresh scan of its cell tags."""
     rank3, rank2 = floor_corpus()
+    covers = 0
     for c in rank3 + rank2:
-        gradings = []
-        fan = canonical_modification(c, _gradings=gradings)
-        assert gradings == [gorenstein_data(piece) for piece in fan.maximal_cones], c
+        pieces = canonical_modification(c).maximal_cones
+        assert all("grading" in vars(piece) for piece in pieces), c
+        assert [piece.grading for piece in pieces] == [cones._solve_grading(piece) for piece in pieces], c
+        if c.lattice_rank == 2:
+            continue
+        for piece in pieces:
+            m, index = piece.grading
+            if index > 1:
+                cover, cert = index_one_cover(piece)
+                pulled = Covector(tuple(m.pair(LatticeVector(col)) for col in cert.sublattice_basis.transpose().rows))
+                assert vars(cover)["grading"] == (pulled, 1), piece
+                covers += 1
+            pc = resolve3d.resolve_piece(piece)[0]
+            scanned = []
+            for cell in pc.cells:
+                tag = _cell_tag(LatticePolytope(cell.vertices))
+                if not tag["basic"]:
+                    assert tag["unit_parallelogram"], cell
+                    scanned.append(cell)
+            assert pc.parallelograms == tuple(scanned), piece
+    assert covers >= 50
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -186,7 +206,8 @@ def test_canonical_modification_invariant_under_unimodular_change_of_basis(gens,
     u = unimodular_from_ops(ops, flip)
     moved = canonical_modification(make_cone([u.apply(g) for g in c.generators]))
     image = [make_cone([u.apply(g) for g in piece.generators]) for piece in canonical_modification(c).maximal_cones]
-    assert moved == make_fan(image, validate=False)
+    key = lambda cone: tuple(g.coords for g in cone.generators)
+    assert moved == Fan(lattice_rank=3, maximal_cones=tuple(sorted(image, key=key)))
 
 
 def test_canonical_modification_runs_no_double_description(monkeypatch):
@@ -430,7 +451,7 @@ def test_completion_by_index_in_diagonal_choice_order():
     )
     for pc in (fig, strip):
         comps = completions(pc)
-        parallelograms = _double_point_cells(pc)
+        parallelograms = pc.parallelograms
         # lexicographic in the diagonal choices: binary digits, most significant first
         by_choice = [
             _completion_for_bits(pc, parallelograms, bits)
@@ -454,8 +475,9 @@ def test_completion_precondition_scanned_once_per_piece(monkeypatch):
         return tags(pc)
 
     monkeypatch.setattr(PolygonComplex, "tags", counting_tags)
+    # the curve phase found the parallelograms already
     assert len(completions(fig)) == 8
-    assert len(calls) == 1
+    assert len(calls) == 0
     calls.clear()
     resolve(make_cone(FIG_CONE))
     assert len(calls) == 5
@@ -481,7 +503,7 @@ def test_integer_certificate_matches_fraction_oracle(monkeypatch):
         pc = blowup_curve_phase(
             crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
         )
-        parallelograms = _double_point_cells(pc)
+        parallelograms = pc.parallelograms
         for bits in itertools.islice(itertools.product((0, 1), repeat=len(parallelograms)), 16):
             _completion_for_bits(pc, parallelograms, bits)
     assert len(exponents) > 52 and max(exponents) >= 1
@@ -523,7 +545,7 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
         pc = blowup_curve_phase(
             crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
         )
-        parallelograms = _double_point_cells(pc)
+        parallelograms = pc.parallelograms
         for bits in itertools.islice(itertools.product((0, 1), repeat=len(parallelograms)), 16):
             fan, psi = _completion_for_bits(pc, parallelograms, bits)
             oracle_fan, oracle_psi = three_pass_certificate(*seen[-1])
@@ -674,11 +696,10 @@ def test_resolve_noncanonical_multi_piece(rng):
 
 
 def test_resolve_solves_no_piece_grading(monkeypatch):
-    """The canonical step hands each piece its grading from the floor
-    normal, so ``resolve`` solves the input's grading and, for the index
-    check, each cover's only."""
+    """Each piece keeps its grading from the floor normal, so ``resolve``
+    solves the input's grading and, for the index check, each cover's only."""
     c = make_cone(METAMORPHIC_CONES["index-2 pieces"])
-    calls = count_calls(monkeypatch, gorenstein_data)
+    calls = count_calls(monkeypatch, cones._solve_grading)
     _fan, trace = resolve(c)
     assert len(trace.pieces) == 3 and len(trace.covers) == 1
     assert len(calls) == 2
