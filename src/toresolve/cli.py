@@ -11,9 +11,11 @@ out of range, is refused with exit status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .classify import classify
 from .cones import Cone, dual_cone, make_cone
@@ -73,8 +75,62 @@ def parse_job(text: str) -> dict:
 
 
 def serialize(obj) -> str:
-    """Canonical JSON serialization (stable across runs and platforms)."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON serialization (stable across runs and platforms): the
+    bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, for
+    documents of dicts with string keys, lists, tuples, ints, booleans, None
+    and strings.  Any other value, a float included, raises ``TypeError``."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, out: list[str], nl: str) -> None:
+    """Append ``o`` to ``out`` as indented JSON; ``nl`` is a newline followed
+    by the indentation of the level that holds ``o``."""
+    t = type(o)
+    if t is str:
+        out.append(encode_basestring_ascii(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in o):
+            # coordinate lists, most of the bytes of every report
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(o[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _cones_of(job: dict) -> list[Cone]:
@@ -211,7 +267,7 @@ def _cmd_resolve3d(cones, args) -> str:
             entry["completions"] = _completions_json(_only_piece(trace.pieces), args.completion, first)
         results.append(entry)
     if args.svgfile:
-        svg = render_svg(_only_piece(trace.pieces)[0], scale=args.scale)
+        svg = _draw(cones[0], _only_piece(trace.pieces)[0], args.scale)
         with open(args.svgfile, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return serialize({"results": results})
@@ -250,21 +306,22 @@ def _completions_json(piece, which: str, first) -> list[dict]:
                 f"{count - 1} ({count} completions)"
             )
         indices = [index]
-    built = [first if i == 0 and first else completion(pc, i) for i in indices]
 
     def ambient(coords) -> list[int]:
         return list(to_ambient.apply(LatticeVector(coords)).coords)
 
-    return [
-        {
+    def entry(fan, psi) -> dict:
+        return {
             "rays": sorted(ambient(r.coords) for r in fan.rays()),
             "maximal_cones": sorted(
                 sorted(ambient(g.coords) for g in mc.generators) for mc in fan.maximal_cones
             ),
             "height_certificate": {str(ambient(r)): v for r, v in psi.ray_values.items()},
         }
-        for fan, psi in built
-    ]
+
+    # each completion becomes its entry as soon as it is built, so one fan is held at a time
+    built = (first if i == 0 and first else completion(pc, i) for i in indices)
+    return [entry(fan, psi) for fan, psi in built]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +336,7 @@ def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
     extent = max(max(axis) - min(axis) for axis in zip(*pc.polygon.vertices))
     if extent > MAX_DRAWN_EXTENT:
         raise ValueError(
-            f"the height-one polygon {pc.polygon.vertices} spans {extent} lattice units, "
+            f"the height-one polygon spans {extent} lattice units, "
             f"more than the {MAX_DRAWN_EXTENT} that are drawn"
         )
     pts = pc.polygon.lattice_points()
@@ -334,7 +391,15 @@ def _cmd_render(cones, args) -> str:
     if len(cones) != 1:
         raise ValueError("render expects exactly one cone in the input file")
     piece = _only_piece(canonical_modification(cones[0]).maximal_cones)
-    return render_svg(resolve_piece(piece)[0], scale=args.scale)
+    return _draw(cones[0], resolve_piece(piece)[0], args.scale)
+
+
+def _draw(c: Cone, pc: PolygonComplex, scale: int) -> str:
+    """``render_svg`` of the one piece of the input cone ``c``; a refusal names ``c``."""
+    try:
+        return render_svg(pc, scale=scale)
+    except ValueError as e:
+        raise ValueError(f"cannot draw {c}: {e}") from None
 
 
 # each command's handler returns the text written to --out
@@ -359,7 +424,10 @@ def _refusal(args) -> str | None:
     return None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused:
+    parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="toresolve",
         description="classify and resolve 2- and 3-dimensional toric singularities",
@@ -373,7 +441,11 @@ def main(argv=None) -> int:
         "--degree-bound", dest="degree_bound", type=int, help="hilbert: relations up to this degree"
     )
     parser.add_argument("--scale", type=int, default=40, help="SVG pixels per lattice unit")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     refusal = _refusal(args)
     if refusal:
         print(f"toresolve: {refusal}", file=sys.stderr)

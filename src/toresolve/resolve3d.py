@@ -14,6 +14,7 @@ an exact integral height function certifying projectivity.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -533,9 +534,10 @@ def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
     return _completion_for_bits(pc, pc.parallelograms, bits)
 
 
-def completions(pc: PolygonComplex) -> list[tuple[Fan, SupportFunction]]:
-    """All 2^k completions, ``completion(pc, i)`` for i from 0 to 2^k - 1."""
-    return [completion(pc, i) for i in range(2 ** len(pc.parallelograms))]
+def completions(pc: PolygonComplex) -> Iterator[tuple[Fan, SupportFunction]]:
+    """All 2^k completions, ``completion(pc, i)`` for i from 0 to 2^k - 1,
+    each built as it is drawn; a broken precondition raises at the call."""
+    return (completion(pc, i) for i in range(2 ** len(pc.parallelograms)))
 
 
 # ---------------------------------------------------------------------------

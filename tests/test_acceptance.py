@@ -93,7 +93,7 @@ def test_criterion_2_three_dimensional_golden():
     pc = crepant_fixed_point_phase(PolygonComplex.initial(triangle))
     pc = blowup_curve_phase(pc)
     assert pc.census()["unit_parallelograms"] == 3
-    comps = completions(pc)
+    comps = list(completions(pc))
     assert len(comps) == 8
     for fan, psi in comps:
         assert is_strictly_upper_convex(psi)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from toresolve import cones, hilbert, resolve3d
+from toresolve import cli, cones, hilbert, resolve3d
 from toresolve.cli import MAX_DRAWN_EXTENT, ParseError, main, parse_job, serialize
 
 from conftest import count_calls
@@ -25,6 +26,92 @@ def test_parse_serialize_round_trip():
     text = serialize(C45)
     job = parse_job(text)
     assert serialize(job) == text
+
+
+# keys and strings that need escaping, are non-ASCII, or hold brackets like
+# the height-certificate keys
+TEXTS = ["", "a", "phase", "[0, 1, 1]", "[-3, 3, 1]", 'say "hi"', "back\\slash", "tab\tnew\nline",
+         "\x00\x1f\x7f", "caf\u00e9", "\u65e5\u672c", "\u2028", "\U0001f600", "{[}]", "/"]
+
+
+def random_text(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return rng.choice(TEXTS)
+    return "".join(rng.choice(TEXTS) for _ in range(rng.randint(0, 4)))
+
+
+def random_int(rng: random.Random) -> int:
+    bound = 10 ** rng.randint(0, 30)
+    return rng.randint(-bound, bound)
+
+
+def random_doc(rng: random.Random, depth: int = 0):
+    """A document of the kinds the CLI writes: nested dicts with string keys,
+    lists and tuples (empty, all-int or mixed), ints up to 10^30 in size,
+    booleans, None and strings."""
+    kind = rng.random() if depth < 4 else 0
+    if kind < 0.3:
+        return rng.choice([random_int, random_text, lambda r: r.choice([True, False, None])])(rng)
+    if kind < 0.45:
+        return [random_int(rng) for _ in range(rng.randint(0, 4))]
+    if kind < 0.7:
+        items = [random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    return {random_text(rng): random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_serialize_writes_the_bytes_of_json_dumps():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        doc = random_doc(rng)
+        assert serialize(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
+    # ints and booleans in one list leave the all-int fast path
+    doc = {"b": [1, True, 0, False, None], "a": (0, -(10**30)), "": [[], {}, ()]}
+    assert serialize(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [0.5, [1, 2.0], {"a": {"b": (1.5,)}}, {1: 2}, {"a": {1, 2}}])
+def test_serialize_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        serialize(doc)
+
+
+def test_one_parser_serves_every_job_of_a_process(tmp_path, monkeypatch, capsys):
+    """Jobs run one after the other in one process share one parser and
+    leave nothing behind for the next job."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        fig = write_job(tmp_path, "fig.json", FIG)
+        gens, _argv, noncanonical_digest = GOLDEN["noncanonical"]
+        noncanonical = write_job(tmp_path, "nc.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
+        svg, out = tmp_path / "f.svg", tmp_path / "out.json"
+        assert main(["resolve3d", "--in", fig, "--out", str(out), "--scale", "10", "--svg", str(svg)]) == 0
+        assert main(["resolve3d", "--in", fig, "--out", str(out), "--completion", "3"]) == 0
+        svg.unlink()
+        assert main(["resolve3d", "--in", noncanonical, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == noncanonical_digest
+        assert not svg.exists()
+        assert main(["resolve3d", "--in", fig, "--out", str(out), "--completion", "all"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["fig"][2]
+        # refusals after a successful job: ours, then argparse's own
+        assert main(["render", "--in", fig, "--out", str(out), "--completion", "0"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resolve3d", "--in", fig])
+        assert exit_info.value.code == 2
+        assert main(["resolve3d", "--in", noncanonical, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == noncanonical_digest
+        assert len(built) == 1
+        assert "--completion" in capsys.readouterr().err
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_parse_rejects_unknown_fields():
@@ -380,7 +467,10 @@ def test_huge_basic_cone_finishes_at_once(tmp_path, capsys):
         assert time.perf_counter() - start < 1, command
     err = capsys.readouterr().err
     assert "grading slab box" in err
-    assert err.count(f"more than the {MAX_DRAWN_EXTENT} that are drawn") == 2
+    refusals = [line for line in err.splitlines() if f"more than the {MAX_DRAWN_EXTENT} that are drawn" in line]
+    assert len(refusals) == 2
+    # each drawing refusal names the input cone, not the polygon in its own frame
+    assert all(str(tuple(g)) in line for line in refusals for g in job["cones"][0]["generators"])
     assert not (tmp_path / "out.svg").exists()
 
 

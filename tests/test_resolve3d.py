@@ -411,7 +411,7 @@ def test_curve_phase_wide_strip_iterates():
 def test_completions_worked_example_eight():
     pc = crepant_fixed_point_phase(PolygonComplex.initial(FIG_TRIANGLE))
     pc = blowup_curve_phase(pc)
-    comps = completions(pc)
+    comps = list(completions(pc))
     assert len(comps) == 8
     for fan, psi in comps:
         assert len(fan.rays()) == 19
@@ -424,7 +424,7 @@ def test_completions_worked_example_eight():
 
 def test_completions_single_square_two_small_resolutions():
     sq = LatticePolytope.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    comps = completions(PolygonComplex.initial(sq))
+    comps = list(completions(PolygonComplex.initial(sq)))
     assert len(comps) == 2
     diagonals = set()
     for fan, psi in comps:
@@ -439,7 +439,7 @@ def test_completions_single_square_two_small_resolutions():
 
 def test_completions_already_triangulated_singleton():
     tri = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
-    comps = completions(PolygonComplex.initial(tri))
+    comps = list(completions(PolygonComplex.initial(tri)))
     assert len(comps) == 1
     assert len(comps[0][0].maximal_cones) == 1
 
@@ -450,7 +450,7 @@ def test_completion_by_index_in_diagonal_choice_order():
         PolygonComplex.initial(LatticePolytope.from_points([(0, 0), (4, 0), (4, 1), (0, 1)]))
     )
     for pc in (fig, strip):
-        comps = completions(pc)
+        comps = list(completions(pc))
         parallelograms = pc.parallelograms
         # lexicographic in the diagonal choices: binary digits, most significant first
         by_choice = [
@@ -476,7 +476,7 @@ def test_completion_precondition_scanned_once_per_piece(monkeypatch):
 
     monkeypatch.setattr(PolygonComplex, "tags", counting_tags)
     # the curve phase found the parallelograms already
-    assert len(completions(fig)) == 8
+    assert len(list(completions(fig))) == 8
     assert len(calls) == 0
     calls.clear()
     resolve(make_cone(FIG_CONE))
