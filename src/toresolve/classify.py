@@ -465,9 +465,9 @@ def index_one_cover(c: Cone) -> tuple[Cone, CoverCertificate]:
     gens = []
     for g in c.generators:
         sol = rational_solve([LatticeVector(r) for r in b_cols.rows], list(g.coords))
-        if sol is None or any(x.denominator != 1 for x in sol[0].coords):
+        if sol is None or not sol.is_integral:
             raise ClassifyError("generator not in the grading sublattice")
-        gens.append(LatticeVector(tuple(int(x) for x in sol[0].coords)))
+        gens.append(sol.integral_vector())
     cover = make_cone(gens)
     new_gd = gorenstein_data(cover)
     if new_gd is None or new_gd[1] != 1:

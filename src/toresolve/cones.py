@@ -9,10 +9,8 @@ dual is an involution on everything this package produces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .lattice import (
@@ -22,6 +20,7 @@ from .lattice import (
     adjugate,
     lattice_determinant,
     primitive,
+    rational_solve,
 )
 
 
@@ -220,21 +219,11 @@ class Cone:
 
 
 def _solve_grading(c: Cone) -> tuple[Covector, int] | None:
-    """Solve <m, v> = 1 on n linearly independent generators through the
-    adjugate (m = sum of its columns / det) and check the others; the index
-    is the denominator of m."""
-    gens = [g.coords for g in c.generators]
-    for rows in itertools.combinations(gens, c.lattice_rank):
-        det, cols = adjugate(list(rows))
-        if det:
-            break
-    else:
+    """Solve <m, v> = 1 on the generators; the index is the denominator of m."""
+    if c.dim != c.lattice_rank:
         raise ConeError(f"the grading of {c} needs {c.lattice_rank} linearly independent generators")
-    num = [sum(col) for col in zip(*cols)]
-    if any(sum(x * y for x, y in zip(num, g)) != det for g in gens):
-        return None
-    m = Covector(tuple(Fraction(x, det) for x in num))
-    return m, m.denominator
+    m = rational_solve(list(c.generators), [1] * len(c.generators))
+    return None if m is None else (m, m.denominator)
 
 
 def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank, dim=None) -> Cone:

@@ -17,7 +17,7 @@ from operator import mul
 
 from .classify import gorenstein_data
 from .cones import Cone, Fan
-from .lattice import Covector, LatticeVector, adjugate, minimal_integral_scale, rational_solve
+from .lattice import Covector, LatticeVector, minimal_integral_scale, rational_solve
 
 
 class DivisorError(ValueError):
@@ -61,22 +61,8 @@ def canonical_support(f: Fan) -> SupportFunction:
 
 
 def _cone_representative(cone: Cone, psi: SupportFunction) -> Covector | None:
-    """The covector m with <m, v> = psi(v) on the cone's rays, if any.
-
-    On a simplicial full-dimensional cone m = sum_i psi(v_i) * adj_i / det,
-    with adj_i the adjugate columns of the generator matrix; other cones go
-    through ``rational_solve``.
-    """
-    rays = list(cone.generators)
-    values = [psi.value(r) for r in rays]
-    if cone.is_simplicial and cone.is_full_dimensional:
-        det, cols = adjugate([r.coords for r in rays])
-        numerators = [sum(v * col[k] for v, col in zip(values, cols)) for k in range(len(rays))]
-        return Covector(tuple(Fraction(x, det) for x in numerators))
-    sol = rational_solve(rays, values)
-    if sol is None:
-        return None
-    return sol[0]
+    """The covector m with <m, v> = psi(v) on the cone's rays, if any."""
+    return rational_solve(list(cone.generators), [psi.value(r) for r in cone.generators])
 
 
 def with_linear_representatives(psi: SupportFunction) -> SupportFunction | None:

@@ -101,16 +101,16 @@ def _to_sublattice(c: Cone):
     ann = integer_kernel(IntMatrix.from_vectors(list(c.generators)))
     basis = integer_kernel(IntMatrix.from_vectors(ann))
     b_cols = IntMatrix(tuple(zip(*(v.coords for v in basis))))
-    small_gens = [LatticeVector(_solve_columns(b_cols, g)) for g in c.generators]
+    small_gens = [_solve_columns(b_cols, g) for g in c.generators]
     return make_cone(small_gens), b_cols
 
 
-def _solve_columns(b_cols: IntMatrix, g: LatticeVector) -> tuple[int, ...]:
+def _solve_columns(b_cols: IntMatrix, g: LatticeVector) -> LatticeVector:
     # solve B * x = g: each row of B pairs with the coordinate vector x
     sol = rational_solve([LatticeVector(r) for r in b_cols.rows], list(g.coords))
-    if sol is None:
-        raise ConeError("generator outside sublattice span")
-    return tuple(int(x) for x in sol[0].coords)
+    if sol is None or not sol.is_integral:
+        raise ConeError("generator outside the sublattice")
+    return sol.integral_vector()
 
 
 def hilbert_basis(c: Cone) -> HilbertBasis:

@@ -10,6 +10,7 @@ indices and solve integral systems without ever touching floating point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -233,30 +234,9 @@ class IntMatrix:
         )
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise LatticeError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[-1][-1]
+        return _det(self.rows)
 
     def is_unimodular(self) -> bool:
         return self.nrows == self.ncols and abs(self.det()) == 1
@@ -419,6 +399,35 @@ def lattice_determinant(vs: list[LatticeVector]) -> int:
     return math.prod(facs)
 
 
+def _det(rows) -> int:
+    """Determinant of a square integer matrix given by rows: by cofactors in
+    rank 3, by fraction-free (Bareiss) elimination otherwise."""
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def adjugate(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
     """Determinant and adjugate columns of a square integer matrix given by rows.
 
@@ -435,8 +444,8 @@ def adjugate(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
             (b * f - c * e, c * d - a * f, a * e - b * d),
         ]
     else:
-        minor = lambda i, k: IntMatrix(tuple(r[:k] + r[k + 1 :] for j, r in enumerate(rows) if j != i))
-        cols = [tuple((-1) ** (i + k) * minor(i, k).det() for k in range(n)) for i in range(n)]
+        minor = lambda i, k: [r[:k] + r[k + 1 :] for j, r in enumerate(rows) if j != i]
+        cols = [tuple((-1) ** (i + k) * _det(minor(i, k)) for k in range(n)) for i in range(n)]
     return sum(x * y for x, y in zip(rows[0], cols[0])), cols
 
 
@@ -451,39 +460,36 @@ def integer_kernel(a: IntMatrix) -> list[LatticeVector]:
     return basis
 
 
-def rational_solve(rows: list[LatticeVector], rhs: list[Fraction]):
-    """Solve <x, row_i> = rhs_i over Q.
+def rational_solve(rows: list[LatticeVector], rhs: list) -> Covector | None:
+    """Solve <x, row_i> = rhs_i over Q; ``None`` when the system is inconsistent.
 
-    Returns (solution as Covector, n_free) or None when inconsistent.  When
-    the system is underdetermined, free variables are set to zero.
+    The rank r is the size of the largest nonsingular minor.  On the first r
+    coordinates carrying one, x solves the first r rows independent there by
+    the adjugate; its other entries are 0, the free variables that
+    Gauss-Jordan elimination leaves at zero.  Every row is checked in
+    integers (<num, row_i> = rhs_i * det) before any ``Fraction`` is built.
     """
     if not rows:
         raise LatticeError("empty system")
-    n = rows[0].rank
-    aug = [[Fraction(c) for c in r.coords] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
+    a = [r.coords for r in rows]
+    n = len(a[0])
+    num, det = [0] * n, 1
+    minors = (
+        (ks, ix)
+        for r in range(min(len(a), n), 0, -1)
+        for ks in itertools.combinations(range(n), r)
+        for ix in itertools.combinations(range(len(a)), r)
+    )
+    for ks, ix in minors:
+        square = [[a[i][k] for k in ks] for i in ix]
+        if _det(square):
+            det, cols = adjugate(square)
+            for j, k in enumerate(ks):
+                num[k] = sum([rhs[i] * col[j] for i, col in zip(ix, cols)])
             break
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return Covector(tuple(x)), n - len(pivots)
+    if any(sum(map(operator.mul, num, row)) != b * det for row, b in zip(a, rhs)):
+        return None
+    return Covector(tuple([x // det if x % det == 0 else Fraction(x, det) for x in num]))
 
 
 def minimal_integral_scale(rows: list[LatticeVector], rhs: list[int]):
@@ -514,7 +520,7 @@ def minimal_integral_scale(rows: list[LatticeVector], rhs: list[int]):
             y.append(k * ub[j] // d if j < m else 0)
     # x = V y
     x = [sum(v.rows[i][j] * y[j] for j in range(n)) for i in range(n)]
-    witness = Covector(tuple(Fraction(c) for c in x))
+    witness = Covector(tuple(x))
     for row, b in zip(rows, rhs):
         if witness.pair(row) != k * b:
             return None

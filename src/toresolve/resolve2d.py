@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Fan, _simplicial_cone, make_fan
+from .cones import Cone, Fan, _simplicial_cone
 from .hilbert import hilbert_basis
 from .lattice import LatticeVector, angular_order
 
@@ -64,7 +64,9 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     *Convex Bodies and Algebraic Geometry*, 1.6); consecutive rays span
     basic cones, and each interior ray u_i satisfies
     u_{i-1} + u_{i+1} = b_i * u_i with the i-th exceptional curve of
-    self-intersection -b_i.
+    self-intersection -b_i; as det(u_{i-1}, u_i) = 1 in counterclockwise
+    order, b_i = det(u_{i-1}, u_{i+1}).  The consecutive cones tile the cone
+    by construction, so the fan is built without pairwise validation.
     """
     if c.lattice_rank != 2:
         raise Resolve2dError("minimal resolution is a rank-2 operation")
@@ -81,28 +83,14 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
             )
         cones.append(cone)
     exceptional = []
-    for i in range(1, len(chain) - 1):
-        u_prev, u, u_next = chain[i - 1], chain[i], chain[i + 1]
-        s = u_prev + u_next
-        b = None
-        for su, cu in zip(s.coords, u.coords):
-            if cu != 0:
-                if su % cu != 0:
-                    raise Resolve2dError(
-                        f"three-term relation fails at ray {u.coords}"
-                    )
-                q = su // cu
-                if b is None:
-                    b = q
-                elif b != q:
-                    raise Resolve2dError(
-                        f"three-term relation inconsistent at ray {u.coords}"
-                    )
-        if b is None or s != b * u:
+    for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):
+        b = u_prev.coords[0] * u_next.coords[1] - u_prev.coords[1] * u_next.coords[0]
+        if u_prev + u_next != b * u:
             raise Resolve2dError(f"three-term relation fails at ray {u.coords}")
         if b < 2:
             raise Resolve2dError(
                 f"self-intersection -{b} at {u.coords}: resolution is not minimal"
             )
         exceptional.append((u, -b))
-    return make_fan(cones), exceptional
+    cones.sort(key=lambda cone: tuple(g.coords for g in cone.generators))
+    return Fan(2, tuple(cones)), exceptional

@@ -472,16 +472,14 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
 
-def _completion_for_bits(
-    pc: PolygonComplex, parallelograms: list[LatticePolytope], bits: tuple[int, ...]
-) -> tuple[Fan, SupportFunction]:
+def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan, SupportFunction]:
     choice = {}
-    for cell, bit in zip(parallelograms, bits):
+    for cell, bit in zip(pc.parallelograms, bits):
         choice[cell] = _parallelogram_diagonals(cell)[bit]
     tris = _triangulation_cells(pc, choice)
     var_index: dict[Point, int] = {}
     ineqs = []
-    for cell in parallelograms:
+    for cell in pc.parallelograms:
         diag = choice[cell]
         others = tuple(v for v in cell.vertices if v not in diag)
         coeffs: dict[int, int] = {}
@@ -531,7 +529,7 @@ def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
     if not 0 <= index < 2**k:
         raise Resolve3dError(f"completion index {index} out of range ({2**k} completions)")
     bits = tuple((index >> (k - 1 - j)) & 1 for j in range(k))
-    return _completion_for_bits(pc, pc.parallelograms, bits)
+    return _completion_for_bits(pc, bits)
 
 
 def completions(pc: PolygonComplex) -> Iterator[tuple[Fan, SupportFunction]]:

@@ -11,8 +11,9 @@ canonical modifications by validated fans of those floors, completion
 heights are recomputed with rational weights and barycentric folds,
 completion certificates are rebuilt with three cofactor passes per
 triangle, strict convexity is rechecked membership first, final fans are
-rebuilt with a second adjugate per cone, and interior points are found by
-a strict bounding-box scan.
+rebuilt with a second adjugate per cone, interior points are found by
+a strict bounding-box scan, and linear systems are solved by Gauss-Jordan
+elimination over the rationals.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from toresolve.cones import (
 from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.divisors import SupportFunction, with_linear_representatives
 from toresolve.hilbert import hilbert_basis
-from toresolve.lattice import IntMatrix, LatticeVector
+from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, blowup_fixed_point
 
 Point = tuple[int, int]
@@ -391,25 +392,47 @@ def sequential_fixed_point_phase(polygon: LatticePolytope, rng: random.Random) -
         pc = blowup_fixed_point(pc, rng.choice(eligible))
 
 
+def _gauss_jordan(a: list[list[Fraction]], n: int) -> list[int]:
+    """Reduce the rational rows a in place on their first n columns; the
+    pivot columns, whose rows come first."""
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots
+
+
 def fraction_rank(rows) -> int:
     """Rank by Gauss-Jordan elimination over the rationals."""
     if not rows:
         return 0
     a = [[Fraction(x) for x in r] for r in rows]
-    n = len(a[0])
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][c] for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+    return len(_gauss_jordan(a, len(a[0])))
+
+
+def gauss_jordan_solve(rows: list[LatticeVector], rhs) -> Covector | None:
+    """Solve <x, row_i> = rhs_i by Gauss-Jordan elimination over the
+    rationals, free variables set to zero; None when inconsistent."""
+    if not rows:
+        raise LatticeError("empty system")
+    n = rows[0].rank
+    aug = [[Fraction(c) for c in r.coords] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    pivots = _gauss_jordan(aug, n)
+    if any(aug[i][n] != 0 for i in range(len(pivots), len(aug))):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return Covector(tuple(x))
 
 
 def unimodular_2x2(bound: int = 5):

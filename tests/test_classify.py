@@ -17,12 +17,13 @@ from toresolve.classify import (
     lri_general_section,
 )
 from toresolve.cones import ConeError, dual_cone, faces, make_cone
-from toresolve.lattice import Covector, IntMatrix, LatticeVector, rational_solve
+from toresolve.lattice import Covector, IntMatrix, LatticeVector
 from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, crepant_fixed_point_phase
 
 from conftest import (
     box_lattice_points,
     fraction_rank,
+    gauss_jordan_solve,
     gorenstein_cone_over,
     nakajima_construction_oracle,
     random_pointed_cone,
@@ -51,8 +52,8 @@ def test_gorenstein_data_examples():
     assert m == Covector((1, 0)) and index == 1
 
 
-def test_gorenstein_data_matches_rational_solve():
-    """The adjugate grading equals the rational solution of <m, g> = 1 on
+def test_gorenstein_data_matches_gauss_jordan():
+    """The grading equals the Gauss-Jordan solution of <m, g> = 1 on
     seeded random pointed cones of rank 2 and 3 and on rank-4 cube cones,
     None included."""
     rng = random.Random(909)
@@ -67,13 +68,13 @@ def test_gorenstein_data_matches_rational_solve():
         checked += 1
         ranks.add(rank)
         gd = gorenstein_data(c)
-        sol = rational_solve(list(c.generators), [1] * len(c.generators))
+        sol = gauss_jordan_solve(list(c.generators), [1] * len(c.generators))
         if sol is None:
             assert gd is None, c
             kinds["not Q-Gorenstein"] += 1
             continue
-        assert gd == (sol[0], sol[0].denominator), c
-        assert [type(x) for x in gd[0].coords] == [type(x) for x in sol[0].coords]
+        assert gd == (sol, sol.denominator), c
+        assert [type(x) for x in gd[0].coords] == [type(x) for x in sol.coords]
         kinds["index one" if gd[1] == 1 else "index > 1"] += 1
     assert ranks == {2, 3} and min(kinds.values()) >= 20, kinds
     # rank-4 cones over the cube [-1, 1]^3 (one corner raised or not): the
@@ -82,8 +83,8 @@ def test_gorenstein_data_matches_rational_solve():
         cube = itertools.product((-1, 1), repeat=3)
         c = make_cone([V(*p, h * corner if p == (1, 1, 1) else h) for p in cube])
         assert IntMatrix(tuple(g.coords for g in c.generators[:4])).det() == 0
-        sol = rational_solve(list(c.generators), [1] * len(c.generators))
-        assert gorenstein_data(c) == (None if sol is None else (sol[0], sol[0].denominator)), c
+        sol = gauss_jordan_solve(list(c.generators), [1] * len(c.generators))
+        assert gorenstein_data(c) == (None if sol is None else (sol, sol.denominator)), c
 
 
 def test_gorenstein_data_absent():

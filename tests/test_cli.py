@@ -292,12 +292,27 @@ GOLDEN = {
     # an argv ending in --svg pins the SVG file rather than --out
     "fig-svg": (FIG["cones"][0]["generators"], ["resolve3d", "--svg"],
                 "489273013a9d76f588dff680452074aebf6341bdecc1af2f26588b2636ca85fc"),
+    # the plane is not full-dimensional, so it goes through its span lattice
+    "classify-plane": ([[1, 0, 0], [1, 2, 0]], ["classify"],
+                       "76e1d137fe82b86d1dfa46f227ce4b443e4768132a63920014691f7f69a4db78"),
+    "classify-square": ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], ["classify"],
+                        "e09fa7b6491811a13c478574f9c77d7bccd61fb3ddaafae6c1c846936e06e32a"),
+    "classify-index-two": ([[1, 0, 0], [0, 1, 0], [1, 1, 2]], ["classify"],
+                           "be038dbf7f95266340525a33aabf89b2c43ff2374aa1c20a8af1654c7d69376c"),
+    "hilbert-plane": ([[1, 0, 0], [1, 2, 0]], ["hilbert", "--degree-bound", "2"],
+                      "b13bdf04fa41b17aa4591814aa50a558a680188402b3c7c11fe137718da76e0c"),
+    "hilbert-square": ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], ["hilbert", "--degree-bound", "2"],
+                       "1cce62ef0f9ae3658e225bc25b4ded08e0491b0fb99de9aead95e03fc640a72b"),
+    "resolve2d-45": ([[1, 0], [4, 5]], ["resolve2d"],
+                     "bf785058fb966a79f2be642b57385011e388caf47baddaf73dcb06df85728c08"),
+    "resolve2d-76": ([[0, 1], [7, -6]], ["resolve2d"],
+                     "0207931724f1d1b47fd971d1a1cb0f29fac0f60f6e272d4687bf3ae38dbdcce6"),
 }
 
 
 @pytest.mark.parametrize("gens, argv, digest", GOLDEN.values(), ids=GOLDEN.keys())
 def test_golden_cli_bytes(tmp_path, gens, argv, digest):
-    infile = write_job(tmp_path, "in.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
+    infile = write_job(tmp_path, "in.json", {"lattice_rank": len(gens[0]), "cones": [{"generators": gens}]})
     outfile = tmp_path / "out"
     pinned = outfile
     if argv[-1] == "--svg":

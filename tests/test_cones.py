@@ -19,9 +19,11 @@ from toresolve.cones import (
     star_subdivision,
 )
 from toresolve.hilbert import _parallelepiped_points
-from toresolve.lattice import IntMatrix, LatticeVector, rational_solve
+from toresolve.lattice import IntMatrix, LatticeVector
 
-from conftest import count_calls, fraction_rank, random_independent_generators, random_pointed_cone
+from conftest import (
+    count_calls, fraction_rank, gauss_jordan_solve, random_independent_generators, random_pointed_cone
+)
 
 
 def V(*coords):
@@ -313,13 +315,11 @@ def _triangulate_for_test(c):
 
 
 def _in_simplex_combination(simplex, p):
-    sol = rational_solve(
+    sol = gauss_jordan_solve(
         [LatticeVector(tuple(g.coords[i] for g in simplex)) for i in range(p.rank)],
         list(p.coords),
     )
-    if sol is None:
-        return False
-    return all(x >= 0 for x in sol[0].coords)
+    return sol is not None and all(x >= 0 for x in sol.coords)
 
 
 def test_subdividing_point_reduces_multiplicity(rng):

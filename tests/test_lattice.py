@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from toresolve.lattice import (
     rational_solve,
     smith_normal_form,
 )
+
+from conftest import fraction_rank, gauss_jordan_solve
 
 
 def V(*coords):
@@ -209,11 +212,47 @@ def test_integer_kernel_saturated():
         [LatticeVector(tuple(k.coords[i] for k in kern)) for i in range(3)],
         [1, 1, -1],
     )
-    assert sol is not None and all(x.denominator == 1 for x in sol[0].coords)
+    assert sol is not None and sol.is_integral
 
 
 def test_rational_solve_inconsistent():
     assert rational_solve([V(1, 0), V(1, 0)], [1, 2]) is None
+    with pytest.raises(LatticeError, match="empty system"):
+        rational_solve([], [])
+
+
+def test_rational_solve_matches_gauss_jordan():
+    """2,000 seeded systems of each rank 0..5 (1-5 unknowns, 1-6 rows,
+    entries of the factors in [-3, 3]): the adjugate solution equals the
+    Gauss-Jordan one, free variables at zero, None when inconsistent."""
+    rng = random.Random(20261019)
+    seen = {"inconsistent": 0, "all zero": 0, "free variable before a pivot": 0}
+    for rank in range(6):
+        drawn = 0
+        while drawn < 2000:
+            n, m = rng.randint(max(rank, 1), 5), rng.randint(max(rank, 1), 6)
+            left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(m)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+            zeroed = rng.sample(range(n), rng.randint(0, n - rank))
+            for row in right:
+                for j in zeroed:
+                    row[j] = 0
+            a = [tuple(sum(x * row[j] for x, row in zip(l, right)) for j in range(n)) for l in left]
+            if fraction_rank(a) != rank:
+                continue
+            drawn += 1
+            if rng.random() < 0.5:  # consistent by construction
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                rhs = [sum(map(operator.mul, r, x)) for r in a]
+            else:
+                rhs = [rng.randint(-3, 3) * rng.randint(0, 1) for _ in a]
+            rows = [LatticeVector(r) for r in a]
+            sol = rational_solve(rows, rhs)
+            assert sol == gauss_jordan_solve(rows, rhs), (a, rhs)
+            seen["inconsistent"] += sol is None
+            seen["all zero"] += rank == 0 and not any(rhs)
+            seen["free variable before a pivot"] += any(j < rank for j in zeroed)
+    assert min(seen.values()) >= 200, seen
 
 
 def test_minimal_integral_scale():

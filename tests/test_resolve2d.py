@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from toresolve.cones import is_basic, make_cone
+from toresolve.cones import is_basic, make_cone, make_fan, simplicial_cone
 from toresolve.hilbert import hilbert_basis
 from toresolve.resolve2d import Resolve2dError, cf_expansion, minimal_resolution
-from toresolve.lattice import LatticeVector
+from toresolve.lattice import LatticeVector, angular_order
 
 from conftest import random_pointed_cone
 
@@ -90,6 +91,31 @@ def test_rays_equal_hilbert_basis_random(rng):
         for u, b in exc:
             assert b <= -2
         checked += 1
+
+
+def test_minimal_resolution_matches_validated_fan():
+    """On 300 seeded rank-2 cones the directly built fan equals the validated
+    make_fan of the same chain cones, and each b_i is the quotient of the
+    three-term relation u_{i-1} + u_{i+1} = b_i * u_i, read coordinatewise."""
+    rng = random.Random(20261019)
+    checked = singular = 0
+    while checked < 300:
+        c = random_pointed_cone(rng, 2, coord_bound=9, max_gens=3)
+        if c is None or not c.is_full_dimensional:
+            continue
+        checked += 1
+        fan, exc = minimal_resolution(c)
+        chain = angular_order(hilbert_basis(c).members)
+        assert fan == make_fan([simplicial_cone([u, v]) for u, v in zip(chain, chain[1:])]), c
+        oracle = []
+        for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):
+            s = u_prev + u_next
+            b = next(x // y for x, y in zip(s.coords, u.coords) if y != 0)
+            assert s == b * u
+            oracle.append((u, -b))
+        assert exc == oracle, c
+        singular += bool(exc)
+    assert singular >= 200
 
 
 def test_minimal_resolution_rejects_other_ranks():

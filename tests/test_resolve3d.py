@@ -451,13 +451,12 @@ def test_completion_by_index_in_diagonal_choice_order():
     )
     for pc in (fig, strip):
         comps = list(completions(pc))
-        parallelograms = pc.parallelograms
         # lexicographic in the diagonal choices: binary digits, most significant first
         by_choice = [
-            _completion_for_bits(pc, parallelograms, bits)
-            for bits in itertools.product((0, 1), repeat=len(parallelograms))
+            _completion_for_bits(pc, bits)
+            for bits in itertools.product((0, 1), repeat=len(pc.parallelograms))
         ]
-        assert len(comps) == 2 ** len(parallelograms)
+        assert len(comps) == 2 ** len(pc.parallelograms)
         for i in range(len(comps)):
             assert completion(pc, i) == comps[i] == by_choice[i]
         for bad in (-1, len(comps)):
@@ -503,9 +502,8 @@ def test_integer_certificate_matches_fraction_oracle(monkeypatch):
         pc = blowup_curve_phase(
             crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
         )
-        parallelograms = pc.parallelograms
-        for bits in itertools.islice(itertools.product((0, 1), repeat=len(parallelograms)), 16):
-            _completion_for_bits(pc, parallelograms, bits)
+        for bits in itertools.islice(itertools.product((0, 1), repeat=len(pc.parallelograms)), 16):
+            _completion_for_bits(pc, bits)
     assert len(exponents) > 52 and max(exponents) >= 1
 
 
@@ -545,9 +543,8 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
         pc = blowup_curve_phase(
             crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
         )
-        parallelograms = pc.parallelograms
-        for bits in itertools.islice(itertools.product((0, 1), repeat=len(parallelograms)), 16):
-            fan, psi = _completion_for_bits(pc, parallelograms, bits)
+        for bits in itertools.islice(itertools.product((0, 1), repeat=len(pc.parallelograms)), 16):
+            fan, psi = _completion_for_bits(pc, bits)
             oracle_fan, oracle_psi = three_pass_certificate(*seen[-1])
             assert fan == oracle_fan
             assert psi.ray_values == oracle_psi.ray_values
@@ -560,10 +557,12 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
 
 
 def test_completion_refuses_non_unimodular_triangle():
-    # a single triangle of area 2 has no wall, so only the basic test can refuse it
+    # a single triangle of area 2 has no wall, so only the basic test can refuse it;
+    # its complex has no parallelograms to fill (the property itself would refuse the cell)
     pc = PolygonComplex.initial(LatticePolytope.from_points([(0, 0), (2, 0), (0, 1)]))
+    vars(pc)["parallelograms"] = ()
     with pytest.raises(Resolve3dError, match="is not basic"):
-        _completion_for_bits(pc, [], ())
+        _completion_for_bits(pc, ())
     with pytest.raises(Resolve3dError, match="is not basic"):
         three_pass_certificate([((0, 0), (2, 0), (0, 1))], {(0, 0): 0, (2, 0): 0, (0, 1): 0})
 
