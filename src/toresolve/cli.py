@@ -307,16 +307,21 @@ def _completions_json(piece, which: str, first) -> list[dict]:
             )
         indices = [index]
 
-    def ambient(coords) -> list[int]:
-        return list(to_ambient.apply(LatticeVector(coords)).coords)
+    # every completion has the cell vertices as its rays: map each into the
+    # input lattice once, with its certificate key, by integer row sums
+    ambient = {
+        (x, y, 1): [a * x + b * y + c for a, b, c in to_ambient.rows]
+        for x, y in {p for cell in pc.cells for p in cell.vertices}
+    }
+    keys = {r: str(v) for r, v in ambient.items()}
 
     def entry(fan, psi) -> dict:
         return {
-            "rays": sorted(ambient(r.coords) for r in fan.rays()),
+            "rays": sorted(ambient[r.coords] for r in fan.rays()),
             "maximal_cones": sorted(
-                sorted(ambient(g.coords) for g in mc.generators) for mc in fan.maximal_cones
+                sorted(ambient[g.coords] for g in mc.generators) for mc in fan.maximal_cones
             ),
-            "height_certificate": {str(ambient(r)): v for r, v in psi.ray_values.items()},
+            "height_certificate": {keys[r]: v for r, v in psi.ray_values.items()},
         }
 
     # each completion becomes its entry as soon as it is built, so one fan is held at a time

@@ -107,7 +107,8 @@ def is_strictly_upper_convex(psi: SupportFunction) -> bool:
     For every maximal cone sigma with representative m and every fan ray v
     outside sigma, <m, v> must strictly exceed psi(v); on sigma's own rays
     equality is required.  All comparisons are exact rationals; membership
-    in sigma is tested only for rays where <m, v> does not exceed psi(v).
+    in sigma is tested only for rays where <m, v> does not exceed psi(v) and
+    that are not among its generators, which the interpolation check covers.
     """
     if psi.linear_reps is None:
         raise DivisorError("missing linear representatives; compute them first")
@@ -115,13 +116,15 @@ def is_strictly_upper_convex(psi: SupportFunction) -> bool:
     rays = [(v, v.coords, psi.value(v)) for v in psi.fan.rays()]
     for i, cone in enumerate(psi.fan.maximal_cones):
         m = psi.linear_reps[i].coords
+        own = []
         for r in cone.generators:
             if sum(map(mul, m, r.coords)) != psi.value(r):
                 raise DivisorError(
                     f"representative of cone {i} does not interpolate ray {r.coords}"
                 )
+            own.append(r.coords)
         for v, x, h in rays:
-            if sum(map(mul, m, x)) <= h and not cone.contains(v):
+            if sum(map(mul, m, x)) <= h and x not in own and not cone.contains(v):
                 return False
     return True
 

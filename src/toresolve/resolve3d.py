@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .classify import (
     CoverCertificate,
@@ -28,7 +29,7 @@ from .classify import (
     index_one_cover,
 )
 from .cones import (
-    Cone, ConeError, Fan, _mapped_cones, _simplicial_cone, cone_over_polygon, is_basic, make_fan, simplicial_cone
+    Cone, ConeError, Fan, _build_cone, _cross, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
 )
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets, floor_polygon
@@ -41,6 +42,9 @@ class Resolve3dError(ValueError):
 
 Point = tuple[int, int]
 HeightMap = tuple[tuple[Point, int], ...]
+Triangle = tuple[Point, Point, Point]
+Dual = tuple[tuple[int, int, int], ...]
+Wall = tuple[Point, Point, Point, Point]
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +76,10 @@ class PolygonComplex:
     ``round_heights`` accumulates, per subdivision round, the 0/1 lattice
     heights whose regular subdivisions produced the rounds; they assemble
     into the projectivity certificates of the completions.  ``parallelograms``
-    lists the unit parallelograms that the completions fill, once found.
+    lists the unit parallelograms that the completions fill, once found;
+    ``triangle_cones`` and ``round_folds`` keep, for all completions, the
+    cones over the triangles and the round folds across the walls they have
+    used.
     """
 
     polygon: LatticePolytope
@@ -111,6 +118,21 @@ class PolygonComplex:
                 raise Resolve3dError(f"cell {cell.vertices} violates the completion precondition")
             out.append(cell)
         return tuple(out)
+
+    @cached_property
+    def triangle_cones(self) -> dict[Triangle, tuple[Cone, Dual]]:
+        """Per triangle that a completion has used, keyed by its vertices in
+        the order ``_triangulation_cells`` lists them, its cone and the dual
+        basis of its lifted vertices; filled by ``_completion_for_bits``, so
+        each is built once and read by every completion of the piece."""
+        return {}
+
+    @cached_property
+    def round_folds(self) -> dict[Wall, tuple[int, ...]]:
+        """Per wall (a, b, c, d) that a completion has met, the folds of the
+        round heights across it, in round order; filled by
+        ``_composite_heights``, since completions share most of their walls."""
+        return {}
 
     def census(self) -> dict:
         tags = self.tags()
@@ -343,42 +365,60 @@ def blowup_curve_phase(pc: PolygonComplex) -> PolygonComplex:
 def _fourier_motzkin(ineqs: list[tuple[dict[int, int], int]], variables: list[int]):
     """Solve sum(coef_v * x_v) >= const systems exactly; None when infeasible.
 
-    Desk-scale Fourier-Motzkin with rational back-substitution; fine for the
-    handful of diagonal constraints this pipeline produces.
+    Fourier-Motzkin elimination on integer rows, in the order of
+    ``variables``, which lists every variable of the system.  A row waits in
+    the bucket of its least variable, the first of its variables to be
+    eliminated, so each elimination touches only the rows that hold its
+    variable.  A lower bound p * x + ... >= a (p > 0) and an upper bound
+    -q * x + ... >= b (q > 0) combine into q * lower + p * upper, divided by
+    the gcd of its entries: a positive multiple of the rational combination,
+    so every bound, and every value found by back-substitution (the midpoint
+    of the tightest bounds, the one tight bound, or 0), is that of rational
+    elimination.  The values are ``Fraction``s.
     """
-    system = [({v: Fraction(c) for v, c in lhs.items() if c}, Fraction(rhs)) for lhs, rhs in ineqs]
-    order = list(variables)
-    assignments: list[tuple[int, list, list]] = []
-    for var in order:
-        with_var = [(l, r) for l, r in system if l.get(var)]
-        rest = [(l, r) for l, r in system if not l.get(var)]
-        lowers, uppers = [], []  # x >= expr, x <= expr as (coeffs, const)
-        for l, r in with_var:
-            c = l[var]
-            others = {v: -cc / c for v, cc in l.items() if v != var and cc}
-            bound = (others, r / c)
-            (lowers if c > 0 else uppers).append(bound)
-        for lo_c, lo_r in lowers:
-            for up_c, up_r in uppers:
-                comb = dict(up_c)
-                for v, cc in lo_c.items():
-                    comb[v] = comb.get(v, Fraction(0)) - cc
-                comb = {v: cc for v, cc in comb.items() if cc}
-                # upper bound must be >= lower bound: up - lo >= lo_r - up_r
-                rest.append((comb, lo_r - up_r))
-        assignments.append((var, lowers, uppers))
-        system = rest
-    for l, r in system:
-        if not l and r > 0:
+    position = {v: i for i, v in enumerate(variables)}
+    buckets: list[list[tuple[dict[int, int], int]]] = [[] for _ in variables]
+
+    def file(lhs: dict[int, int], rhs: int) -> bool:
+        """Put the row in its bucket; False when it is 0 >= rhs > 0."""
+        if not lhs:
+            return rhs <= 0
+        g = math.gcd(rhs, *lhs.values())
+        if g > 1:
+            lhs, rhs = {v: c // g for v, c in lhs.items()}, rhs // g
+        buckets[min(map(position.__getitem__, lhs))].append((lhs, rhs))
+        return True
+
+    for lhs, rhs in ineqs:
+        if not file({v: c for v, c in lhs.items() if c}, rhs):
             return None
+    assignments = []
+    for i, var in enumerate(variables):
+        lowers = [row for row in buckets[i] if row[0][var] > 0]
+        uppers = [row for row in buckets[i] if row[0][var] < 0]
+        for lo, a in lowers:
+            p = lo[var]
+            for up, b in uppers:
+                q = -up[var]
+                comb = {v: q * c for v, c in lo.items() if v != var}
+                for v, c in up.items():
+                    if v != var:
+                        comb[v] = comb.get(v, 0) + p * c
+                if not file({v: c for v, c in comb.items() if c}, q * a + p * b):
+                    return None
+        assignments.append((var, lowers, uppers))
     values: dict[int, Fraction] = {}
 
-    def ev(coeffs, const):
-        return sum(c * values[v] for v, c in coeffs.items()) + const
+    def bound(lhs: dict[int, int], rhs: int, var: int) -> Fraction:
+        # (rhs - sum of c * x over the other variables) / lhs[var], over one common denominator
+        terms = [(c, values[v]) for v, c in lhs.items() if v != var]
+        den = math.lcm(*(x.denominator for _c, x in terms))
+        num = rhs * den - sum(c * x.numerator * (den // x.denominator) for c, x in terms)
+        return Fraction(num, lhs[var] * den)
 
     for var, lowers, uppers in reversed(assignments):
-        lo = max((ev(c, r) for c, r in lowers), default=None)
-        up = min((ev(c, r) for c, r in uppers), default=None)
+        lo = max((bound(l, r, var) for l, r in lowers), default=None)
+        up = min((bound(l, r, var) for l, r in uppers), default=None)
         if lo is not None and up is not None:
             if lo > up:
                 return None
@@ -415,7 +455,27 @@ def _triangulation_cells(pc: PolygonComplex, choice: dict[LatticePolytope, tuple
     return tris
 
 
-def _walls(tris) -> list[tuple[Point, Point, Point, Point]]:
+def _basic_triangle_cone(t: Triangle) -> tuple[Cone, Dual]:
+    """The cone over a unimodular triangle lifted to height one, and the dual
+    basis of its lifted vertices in their order.
+
+    With rows rᵢ = (xᵢ, yᵢ, 1) and det = r₀ · (r₁ × r₂) = ±1, the vector
+    nᵢ = det · (rᵢ₊₁ × rᵢ₊₂) pairs to 1 with rᵢ and to 0 with the other rows.
+    These are the adjugate columns signed by det, which are primitive as the
+    matrix is unimodular, so they are the cone's inward facet normals, as
+    ``simplicial_cone`` finds them.  A height function h on the triangle has
+    the linear representative Σ h(pᵢ) nᵢ.
+    """
+    rows = [(x, y, 1) for x, y in t]
+    cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+    det = sum(map(mul, rows[0], cols[0]))
+    if det not in (1, -1):
+        raise Resolve3dError(f"completion triangle {t} is not basic")
+    dual = tuple(tuple(det * x for x in col) for col in cols)
+    return _build_cone(rows, (), dual, (), 3, 3), dual
+
+
+def _walls(tris) -> list[Wall]:
     """(a, b, c, d) for each interior wall ab of triangles abc and abd."""
     opposite: dict[tuple[Point, Point], Point] = {}
     walls = []
@@ -447,6 +507,12 @@ def _fold(wall, h: dict[Point, int]) -> int:
     return a + x * (b - a) + y * (c - a) - d
 
 
+def _support_fold(wall, h: dict[Point, int]) -> int:
+    """``_fold`` of h across the wall, or 0 at once when h lists none of its
+    four points (absent points have height 0)."""
+    return 0 if h.keys().isdisjoint(wall) else _fold(wall, h)
+
+
 def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[Point, int]:
     """Exact integral heights whose folds are strictly positive on every wall.
 
@@ -454,20 +520,30 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
     with weights 2^(t(L-1-r)) for layer r of L, at the least t that makes
     every fold positive, then divides out the common power of two; this is
     the sum with weights eps^(r+1), eps = 2^-t, with denominators cleared.
-    Folds are linear in the heights, so each layer's folds are taken once.
+    Folds are linear in the heights, so each layer is folded on its own, and
+    only across the walls with a point that it lists.  The folds of the
+    rounds across a wall do not depend on the diagonals, so the piece keeps
+    them, in ``pc.round_folds``, for all its completions; only chi is folded
+    for each.
     """
-    layers = [dict(r) for r in pc.round_heights] + [chi]
-    walls = _walls(tris)
-    folds = list(zip(*([_fold(w, layer) for w in walls] for layer in layers)))
-    top = len(layers) - 1
+    rounds = [dict(r) for r in pc.round_heights]
+    known = pc.round_folds
+    folds = []  # per wall: the folds of the rounds, and the fold of chi
+    for wall in _walls(tris):
+        if wall not in known:
+            known[wall] = tuple(_support_fold(wall, layer) for layer in rounds)
+        folds.append((known[wall], _support_fold(wall, chi)))
+    top = len(rounds)
     for t in range(64):
-        weights = [1 << (t * (top - r)) for r in range(len(layers))]
-        if all(sum(w * f for w, f in zip(weights, wall_folds)) > 0 for wall_folds in folds):
-            heights = {
-                p: sum(w * layer.get(p, 0) for w, layer in zip(weights, layers))
-                for p in dict.fromkeys(p for tri in tris for p in tri)
-            }
-            g = math.gcd(1 << (t * len(layers)), *heights.values())
+        # chi, the last layer, has weight 1
+        weights = [1 << (t * (top - r)) for r in range(top)] + [1]
+        if all(sum(map(mul, weights, round_folds)) + chi_fold > 0 for round_folds, chi_fold in folds):
+            heights = dict.fromkeys((p for tri in tris for p in tri), 0)
+            for w, layer in zip(weights, rounds + [chi]):
+                for p, h in layer.items():
+                    if p in heights:
+                        heights[p] += w * h
+            g = math.gcd(1 << (t * (top + 1)), *heights.values())
             return {p: v // g for p, v in heights.items()}
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
@@ -477,6 +553,13 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
     for cell, bit in zip(pc.parallelograms, bits):
         choice[cell] = _parallelogram_diagonals(cell)[bit]
     tris = _triangulation_cells(pc, choice)
+    # the cones first: they refuse a triangle that is not basic
+    known = pc.triangle_cones
+    cones = []
+    for t in tris:
+        if t not in known:
+            known[t] = _basic_triangle_cone(t)
+        cones.append(known[t])
     var_index: dict[Point, int] = {}
     ineqs = []
     for cell in pc.parallelograms:
@@ -497,14 +580,9 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
             chi[p] = int(sol[i] * denom)
     heights = _composite_heights(pc, chi, tris)
     pairs = []
-    for t in tris:
-        cone, det, cols = _simplicial_cone([_lift(p) for p in t])
-        if det not in (1, -1):
-            raise Resolve3dError(f"completion triangle {t} is not basic")
-        # the representative sum_i h(v_i) adj_i / det, with 1 / det = det
-        values = [heights[p] for p in t]
-        m = Covector(tuple(det * sum(h * col[k] for h, col in zip(values, cols)) for k in range(3)))
-        pairs.append((cone, m))
+    for (a, b, c), (cone, dual) in zip(tris, cones):
+        ha, hb, hc = heights[a], heights[b], heights[c]
+        pairs.append((cone, Covector(tuple(ha * x + hb * y + hc * z for x, y, z in zip(*dual)))))
     pairs.sort(key=lambda cm: tuple(g.coords for g in cm[0].generators))
     fan = Fan(lattice_rank=3, maximal_cones=tuple(cone for cone, _m in pairs))
     psi = SupportFunction(

@@ -9,6 +9,7 @@ definition as linearity domains of the order function, envelope
 subdivisions and hull floors are recomputed by a 4-D double description,
 canonical modifications by validated fans of those floors, completion
 heights are recomputed with rational weights and barycentric folds,
+diagonal-choice systems are solved by Fourier-Motzkin over the rationals,
 completion certificates are rebuilt with three cofactor passes per
 triangle, strict convexity is rechecked membership first, final fans are
 rebuilt with a second adjugate per cone, interior points are found by
@@ -347,6 +348,56 @@ def fraction_composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris):
             return {p: int(v * denom) for p, v in h.items()}, t
         eps /= 2
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
+
+
+def fraction_fourier_motzkin(ineqs: list[tuple[dict[int, int], int]], variables: list[int]):
+    """Solve sum(coef_v * x_v) >= const systems over the rationals; None when
+    infeasible.  Scans the whole system once per variable, in the order of
+    ``variables``, divides every bound by its coefficient, and back-substitutes
+    the midpoint of the tightest bounds, the one tight bound, or 0."""
+    system = [({v: Fraction(c) for v, c in lhs.items() if c}, Fraction(rhs)) for lhs, rhs in ineqs]
+    assignments: list[tuple[int, list, list]] = []
+    for var in variables:
+        with_var = [(l, r) for l, r in system if l.get(var)]
+        rest = [(l, r) for l, r in system if not l.get(var)]
+        lowers, uppers = [], []  # x >= expr, x <= expr as (coeffs, const)
+        for l, r in with_var:
+            c = l[var]
+            others = {v: -cc / c for v, cc in l.items() if v != var and cc}
+            bound = (others, r / c)
+            (lowers if c > 0 else uppers).append(bound)
+        for lo_c, lo_r in lowers:
+            for up_c, up_r in uppers:
+                comb = dict(up_c)
+                for v, cc in lo_c.items():
+                    comb[v] = comb.get(v, Fraction(0)) - cc
+                comb = {v: cc for v, cc in comb.items() if cc}
+                # upper bound must be >= lower bound: up - lo >= lo_r - up_r
+                rest.append((comb, lo_r - up_r))
+        assignments.append((var, lowers, uppers))
+        system = rest
+    for l, r in system:
+        if not l and r > 0:
+            return None
+    values: dict[int, Fraction] = {}
+
+    def ev(coeffs, const):
+        return sum(c * values[v] for v, c in coeffs.items()) + const
+
+    for var, lowers, uppers in reversed(assignments):
+        lo = max((ev(c, r) for c, r in lowers), default=None)
+        up = min((ev(c, r) for c, r in uppers), default=None)
+        if lo is not None and up is not None:
+            if lo > up:
+                return None
+            values[var] = (lo + up) / 2
+        elif lo is not None:
+            values[var] = lo
+        elif up is not None:
+            values[var] = up
+        else:
+            values[var] = Fraction(0)
+    return values
 
 
 def three_pass_certificate(tris, heights: dict[Point, int]):

@@ -7,9 +7,10 @@ import time
 import pytest
 
 from toresolve import cli, cones, hilbert, resolve3d
+from toresolve.classify import LatticePolytope
 from toresolve.cli import MAX_DRAWN_EXTENT, ParseError, main, parse_job, serialize
 
-from conftest import count_calls
+from conftest import c3_hulls, count_calls
 
 
 def write_job(tmp_path, name, payload):
@@ -258,6 +259,36 @@ def test_completions_in_input_lattice(tmp_path):
     assert as_sets(first["maximal_cones"]) == as_sets(entry["maximal_cones"])
     assert first["rays"] == entry["final_rays"]
     assert sorted(first["height_certificate"]) == sorted(str(r) for r in entry["final_rays"])
+
+
+def test_every_listed_completion_of_a_hull_has_area_many_cones_and_every_point(tmp_path, monkeypatch, capsys):
+    """Each completion that ``--completion all`` writes for a C3 hull cone
+    (one Gorenstein piece) has as many maximal cones as the hull's normalized
+    area 2i + b - 2 (Pick), the Euler number of a crepant resolution
+    (Batyrev-Dais), and every lattice point of the hull at height one as a
+    ray.  The listing cap is lowered to 64, so the hulls with more
+    completions exit 1 before any completion is built."""
+    monkeypatch.setattr(cli, "MAX_LISTED_COMPLETIONS", 64)
+    listed = refused = 0
+    for hull in c3_hulls():
+        polygon = LatticePolytope.from_points(hull)
+        points = polygon.lattice_points()
+        interior = len(polygon.interior_points())
+        area = 2 * interior + (len(points) - interior) - 2
+        assert area == polygon.area2()
+        gens = [[x, y, 1] for x, y in hull]
+        infile = write_job(tmp_path, "in.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
+        outfile = tmp_path / "out.json"
+        if main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "all"]) == 1:
+            assert "more than the 64 that are listed" in capsys.readouterr().err
+            refused += 1
+            continue
+        completions = json.loads(outfile.read_text())["results"][0]["completions"]
+        for entry in completions:
+            assert len(entry["maximal_cones"]) == area
+            assert entry["rays"] == sorted([x, y, 1] for x, y in points)
+        listed += len(completions)
+    assert (listed, refused) == (392, 21)
 
 
 def test_render_index_two_cone(tmp_path):

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toresolve import cones, resolve3d
 from toresolve.classify import LatticePolytope, gorenstein_data, index_one_cover
-from toresolve.cones import Fan, _rank, dual_cone, is_basic, make_cone, make_fan, star_subdivision
+from toresolve.cones import (
+    Fan, _rank, dual_cone, is_basic, make_cone, make_fan, simplicial_cone, star_subdivision
+)
 from toresolve.divisors import (
     SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
 )
@@ -22,6 +24,7 @@ from toresolve.resolve3d import (
     _completion_for_bits,
     _envelope_subdivision,
     _fold,
+    _fourier_motzkin,
     blowup_curve_phase,
     blowup_fixed_point,
     canonical_modification,
@@ -42,6 +45,7 @@ from conftest import (
     dd_envelope_subdivision,
     dd_floor_facets,
     fraction_composite_heights,
+    fraction_fourier_motzkin,
     gorenstein_cone_over,
     membership_first_convexity,
     random_independent_generators,
@@ -507,6 +511,66 @@ def test_integer_certificate_matches_fraction_oracle(monkeypatch):
     assert len(exponents) > 52 and max(exponents) >= 1
 
 
+def _coupled(ineqs) -> bool:
+    """Whether two inequalities share a variable."""
+    seen: set = set()
+    for lhs, _rhs in ineqs:
+        if seen & set(lhs):
+            return True
+        seen |= set(lhs)
+    return False
+
+
+def test_integer_fourier_motzkin_matches_fraction_oracle_on_seeded_systems(rng):
+    """Integer elimination by occurrence gives the values of the rational
+    elimination, or None with it, on random systems in a shuffled variable
+    order: feasible and infeasible ones, with free and with coupled variables."""
+    kinds = set()
+    for _ in range(400):
+        variables = rng.sample(range(10), rng.randint(1, 5))
+        ineqs = []
+        for _row in range(rng.randint(1, 5)):
+            support = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+            ineqs.append(({v: rng.choice((-3, -2, -1, 1, 2, 3)) for v in support}, rng.randint(-4, 4)))
+        values = _fourier_motzkin(ineqs, variables)
+        assert values == fraction_fourier_motzkin(ineqs, variables), (ineqs, variables)
+        if values is not None:
+            assert all(sum(c * values[v] for v, c in lhs.items()) >= rhs for lhs, rhs in ineqs)
+            assert set(values) == set(variables)
+        kinds.add("feasible" if values is not None else "infeasible")
+        if set(variables) - {v for lhs, _rhs in ineqs for v in lhs}:
+            kinds.add("free")
+        if _coupled(ineqs):
+            kinds.add("coupled")
+    assert kinds == {"feasible", "infeasible", "free", "coupled"}
+    # a zero coefficient is no occurrence, and a variable-free row only decides feasibility
+    assert _fourier_motzkin([({0: 0, 1: 2}, 1)], [0, 1]) == {0: 0, 1: Fraction(1, 2)}
+    assert _fourier_motzkin([({0: 1, 1: -1}, 0), ({0: -1, 1: 1}, 1)], [0, 1]) is None
+
+
+def test_integer_fourier_motzkin_matches_fraction_oracle_on_completion_systems(monkeypatch):
+    """Every diagonal-choice system of at most 16 completions per piece of the
+    C3 hulls, FIG and the 4x1 strip has the values of rational elimination."""
+    integer_fm = resolve3d._fourier_motzkin
+    systems = []
+
+    def compared(ineqs, variables):
+        values = integer_fm(ineqs, variables)
+        assert values is not None and values == fraction_fourier_motzkin(ineqs, variables)
+        systems.append(ineqs)
+        return values
+
+    monkeypatch.setattr(resolve3d, "_fourier_motzkin", compared)
+    strip = [(0, 0), (4, 0), (4, 1), (0, 1)]
+    for hull in c3_hulls() + [list(FIG_TRIANGLE.vertices), strip]:
+        pc = blowup_curve_phase(
+            crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
+        )
+        for bits in itertools.islice(itertools.product((0, 1), repeat=len(pc.parallelograms)), 16):
+            _completion_for_bits(pc, bits)
+    assert len(systems) > 500 and sum(map(_coupled, systems)) > 100
+
+
 def test_fold_matches_fraction_interpolation(rng):
     unimodular = unimodular_2x2(3)
     for _ in range(200):
@@ -527,7 +591,10 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
     adjugate; fans, ray values and representatives equal those of the route
     through simplicial_cone, is_basic and with_linear_representatives, with
     int entries on both sides, on at most 16 completions per piece of the
-    C3 hulls, FIG and the 4x1 strip."""
+    C3 hulls, FIG and the 4x1 strip.  Listing the completions in reverse
+    order, on a copy of the complex that keeps nothing yet, gives the same
+    fans and certificates, and every triangle cone the completions share
+    equals simplicial_cone of its lifted triangle."""
     composite = resolve3d._composite_heights
     seen = []
 
@@ -543,7 +610,9 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
         pc = blowup_curve_phase(
             crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
         )
-        for bits in itertools.islice(itertools.product((0, 1), repeat=len(pc.parallelograms)), 16):
+        listed = list(itertools.islice(itertools.product((0, 1), repeat=len(pc.parallelograms)), 16))
+        forward = []
+        for bits in listed:
             fan, psi = _completion_for_bits(pc, bits)
             oracle_fan, oracle_psi = three_pass_certificate(*seen[-1])
             assert fan == oracle_fan
@@ -552,7 +621,19 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
             for f in (psi, oracle_psi):
                 assert all(type(x) is int for x in f.ray_values.values())
                 assert all(type(x) is int for m in f.linear_reps.values() for x in m.coords)
+            forward.append((fan, psi))
             compared += 1
+        fresh = PolygonComplex(pc.polygon, pc.cells, pc.round_heights)
+        assert [_completion_for_bits(fresh, bits) for bits in reversed(listed)] == forward[::-1]
+        assert fresh.triangle_cones.keys() == pc.triangle_cones.keys()
+        for t, (cone, dual) in pc.triangle_cones.items():
+            lifted = [V(x, y, 1) for x, y in t]
+            oracle = simplicial_cone(lifted)
+            assert cone == oracle and cone.dim == oracle.dim == 3
+            assert [[sum(a * b for a, b in zip(n, r.coords)) for r in lifted] for n in dual] == [
+                [1, 0, 0], [0, 1, 0], [0, 0, 1]
+            ]
+            assert fresh.triangle_cones[t] == (cone, dual)
     assert compared > 500
 
 
