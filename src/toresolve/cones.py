@@ -2,14 +2,18 @@
 
 Cones are stored with both a generator (extreme ray) and an inequality
 (facet normal) description, computed once by an exact double-description
-pass, or from the adjugate for simplicial cones.  Duals of low-dimensional cones are not pointed; they carry an
-explicit lineality basis instead of being rejected, so that taking the
-dual is an involution on everything this package produces.
+pass that keeps each ray's incidence as an integer bitmask, or from the
+adjugate for simplicial cones.  ``make_cone`` keeps a generator when no
+other lies on all of its facets.  Duals of low-dimensional cones are not
+pointed; they carry an explicit lineality basis instead of being rejected,
+so that taking the dual is an involution on everything this package
+produces.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +58,10 @@ def _rank(rows: list[tuple[int, ...]]) -> int:
     return rank
 
 
+def _dot(a, x) -> int:
+    return sum(map(operator.mul, a, x))
+
+
 def extreme_rays(
     constraints: list[tuple[int, ...]], dim: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -61,93 +69,64 @@ def extreme_rays(
 
     Exact double-description over the integers: start from the full space,
     insert one halfspace at a time, and combine only adjacent ray pairs
-    (Fukuda's combinatorial adjacency test).  Rays are primitive integer
-    vectors; a final minimal-face rank test guarantees extremality.
+    (Fukuda's combinatorial adjacency test).  Each ray keeps its incidence as
+    an ``int`` bitmask, bit i set when the i-th processed constraint vanishes
+    on it.  A lineality step keeps every adjusted ray's mask and adds the new
+    bit (the old constraints vanish on the lineality), and the new ray gets
+    every old bit; a double-description step adds the bit to each tight ray
+    and gives the combination of rp and rn the mask (kp & kn) | bit.  rp and
+    rn are adjacent when no third ray's mask contains kp & kn.  Rays are
+    primitive integer vectors; a final minimal-face rank test on the rows
+    named by each mask guarantees extremality.
     """
-    lineality = [tuple(IntMatrix.identity(dim).rows[i]) for i in range(dim)]
+    lineality = list(IntMatrix.identity(dim).rows)
     rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
     processed: list[tuple[int, ...]] = []
-
-    def dotv(a, x):
-        return sum(p * q for p, q in zip(a, x))
-
     for a in constraints:
-        if all(c == 0 for c in a):
+        if not any(a):
             continue
-        lvals = [dotv(a, l) for l in lineality]
-        if any(v != 0 for v in lvals):
-            # reduce lineality: keep the kernel part, one generator becomes a ray
-            i0 = next(i for i, v in enumerate(lvals) if v != 0)
-            l0, v0 = lineality[i0], lvals[i0]
-            if v0 < 0:
-                l0 = tuple(-c for c in l0)
-                v0 = -v0
-            new_lin = []
-            for i, (l, v) in enumerate(zip(lineality, lvals)):
-                if i == i0:
-                    continue
-                new_lin.append(
-                    _gcd_normalize(tuple(v0 * c - v * d for c, d in zip(l, l0)))
-                )
-            rays = [
-                _gcd_normalize(tuple(v0 * c - dotv(a, r) * d for c, d in zip(r, l0)))
-                for r in rays
-            ]
-            rays = [r for r in rays if any(c != 0 for c in r)]
-            rays.append(l0)
-            lineality = new_lin
-            processed.append(a)
-            continue
-        vals = [dotv(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(a)
-            continue
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        active = {
-            r: frozenset(i for i, c in enumerate(processed) if dotv(c, r) == 0)
-            for r in rays
-        }
-        new_rays = list(keep)
-        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        for rp, vp in pos:
-            for rn, vn in neg:
-                common = active[rp] & active[rn]
-                adjacent = not any(
-                    r3 is not rp and r3 is not rn and common <= active[r3]
-                    for r3 in rays
-                )
-                if len(rays) <= 2:
-                    adjacent = True
-                if adjacent:
-                    comb = tuple(vp * c - vn * d for c, d in zip(rn, rp))
-                    if any(c != 0 for c in comb):
-                        new_rays.append(_gcd_normalize(comb))
+        bit = 1 << len(processed)
         processed.append(a)
-        seen = set()
-        rays = []
-        for r in new_rays:
-            if r not in seen:
-                seen.add(r)
-                rays.append(r)
+        lvals = [_dot(a, l) for l in lineality]
+        i0 = next((i for i, v in enumerate(lvals) if v), None)
+        if i0 is not None:
+            # reduce lineality: keep the kernel part, one generator becomes a ray
+            l0, v0 = lineality.pop(i0), lvals.pop(i0)
+            if v0 < 0:
+                l0, v0 = tuple(-c for c in l0), -v0
+            lineality = [_gcd_normalize(tuple(v0 * c - v * d for c, d in zip(l, l0))) for l, v in zip(lineality, lvals)]
+            rays = [_gcd_normalize(tuple(v0 * c - _dot(a, r) * d for c, d in zip(r, l0))) for r in rays] + [l0]
+            masks = [k | bit for k in masks] + [bit - 1]
+            continue
+        vals = [_dot(a, r) for r in rays]
+        masks = [k if v else k | bit for v, k in zip(vals, masks)]
+        if min(vals, default=0) >= 0:
+            continue
+        kept = [(r, k) for r, v, k in zip(rays, vals, masks) if v >= 0]
+        pos = [(j, r, v) for j, (r, v) in enumerate(zip(rays, vals)) if v > 0]
+        neg = [(j, r, v) for j, (r, v) in enumerate(zip(rays, vals)) if v < 0]
+        for jp, rp, vp in pos:
+            for jn, rn, vn in neg:
+                common = masks[jp] & masks[jn]
+                if len(rays) > 2 and any(
+                    not common & ~k3 for j3, k3 in enumerate(masks) if j3 != jp and j3 != jn
+                ):
+                    continue
+                comb = tuple(vp * c - vn * d for c, d in zip(rn, rp))
+                if any(comb):
+                    kept.append((_gcd_normalize(comb), common | bit))
+        unique = dict(kept)  # equal rays have equal masks
+        rays, masks = list(unique), list(unique.values())
 
-    # final extremality filter: the minimal face of an extreme ray has dim 1 + dim L
-    lin_dim = len(lineality)
-    final = []
-    for r in rays:
-        act = [c for c in processed if dotv(c, r) == 0]
-        # solution space of the active constraints within the lineality-extended space
-        if _rank(act) == dim - lin_dim - 1:
-            final.append(r)
-    seen = set()
-    rays = []
-    for r in sorted(final):
-        if r not in seen and not any(
-            r == l or r == tuple(-c for c in l) for l in lineality
-        ):
-            seen.add(r)
-            rays.append(r)
-    return rays, sorted(lineality)
+    # the minimal face of an extreme ray has dimension 1 + dim L; this also
+    # drops any ray on every constraint, so none is a lineality vector
+    target = dim - len(lineality) - 1
+    final = {
+        r for r, k in zip(rays, masks)
+        if _rank([c for i, c in enumerate(processed) if k >> i & 1]) == target
+    }
+    return sorted(final), sorted(lineality)
 
 
 @dataclass(frozen=True)
@@ -243,37 +222,28 @@ def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank, dim=None) 
 def make_cone(vs: list[LatticeVector]) -> Cone:
     """Cone positively spanned by ``vs``.
 
-    Redundant generators are discarded, the extreme rays primitivized and
-    the facet inequalities computed by dualization.  Input containing a
-    line is rejected ("not pointed").
+    The generators are made primitive and deduplicated as integer tuples,
+    the facet inequalities computed by dualization, and input containing a
+    line is rejected ("not pointed").  A generator is extreme exactly when
+    no other generator lies on all of its facets: one that is not extreme
+    lies inside a face of dimension >= 2, whose extreme generators lie on
+    strictly more facets; an extreme one spans its own minimal face.
+    Redundant generators are discarded.
     """
     if not vs:
         raise ConeError("empty generator list")
     rank = vs[0].rank
-    gens = []
-    seen = set()
-    for v in vs:
-        if v.rank != rank:
-            raise ConeError("mixed ambient ranks in generator list")
-        if v.is_zero:
-            continue
-        p = primitive(v).coords
-        if p not in seen:
-            seen.add(p)
-            gens.append(p)
+    if any(v.rank != rank for v in vs):
+        raise ConeError("mixed ambient ranks in generator list")
+    gens = list(dict.fromkeys(_gcd_normalize(v.coords) for v in vs if any(v.coords)))
     if not gens:
         raise ConeError("cone generated by zero vectors only")
-    dual_rays, dual_lin = extreme_rays(gens, rank)
+    ineqs, eqs = extreme_rays(gens, rank)
     # pointedness: the dual must be full-dimensional
-    if _rank(dual_rays + dual_lin) < rank:
+    if _rank(ineqs + eqs) < rank:
         raise ConeError(f"not pointed: pos{sorted(gens)} contains a line")
-    ineqs = dual_rays
-    eqs = dual_lin
-    extreme = []
-    for g in gens:
-        act = [m for m in ineqs if sum(a * b for a, b in zip(m, g)) == 0]
-        if _rank(act + eqs) == rank - 1:
-            extreme.append(g)
+    facet_sets = [sum(1 << i for i, m in enumerate(ineqs) if not _dot(m, g)) for g in gens]
+    extreme = [g for g, f in zip(gens, facet_sets) if sum(not f & ~f2 for f2 in facet_sets) == 1]
     # the equations are a basis of the span's annihilator
     return _build_cone(extreme, (), ineqs, eqs, rank, rank - len(eqs))
 
@@ -465,14 +435,12 @@ class Fan:
     maximal_cones: tuple[Cone, ...]
 
     def rays(self) -> tuple[LatticeVector, ...]:
-        seen = set()
-        out = []
-        for c in self.maximal_cones:
-            for g in c.generators:
-                if g.coords not in seen:
-                    seen.add(g.coords)
-                    out.append(g)
-        return tuple(sorted(out))
+        """The rays of the maximal cones, sorted; found on the first call and kept."""
+        return self._rays
+
+    @cached_property
+    def _rays(self) -> tuple[LatticeVector, ...]:
+        return tuple(sorted({g.coords: g for c in self.maximal_cones for g in c.generators}.values()))
 
     def supports(self, v: LatticeVector) -> bool:
         return any(c.contains(v) for c in self.maximal_cones)

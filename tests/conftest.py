@@ -13,8 +13,11 @@ diagonal-choice systems are solved by Fourier-Motzkin over the rationals,
 completion certificates are rebuilt with three cofactor passes per
 triangle, strict convexity is rechecked membership first, final fans are
 rebuilt with a second adjugate per cone, interior points are found by
-a strict bounding-box scan, and linear systems are solved by Gauss-Jordan
-elimination over the rationals.
+a strict bounding-box scan, linear systems are solved by Gauss-Jordan
+elimination over the rationals, double descriptions are rerun with
+frozenset incidence and extremality decided by rational rank, and facets
+of full-dimensional rank-3 and rank-4 cones are found by trying every
+hyperplane through rank - 1 generators.
 """
 
 import itertools
@@ -108,6 +111,133 @@ def rebuilt_final_fan(trace) -> tuple[Cone, ...]:
         for mc in fan0.maximal_cones
     ]
     return tuple(sorted(rebuilt, key=lambda c: tuple(g.coords for g in c.generators)))
+
+
+def _primitive_tuple(vec: tuple[int, ...]) -> tuple[int, ...]:
+    g = math.gcd(*vec)
+    return tuple(c // g for c in vec) if g > 1 else vec
+
+
+def reference_extreme_rays(constraints, dim: int):
+    """``extreme_rays`` as it was first written: each ray's incidence is a
+    frozenset of constraint indices, recomputed with dot products at every
+    constraint, adjacency is Fukuda's combinatorial test on those sets, and
+    the final minimal-face test takes ranks over the rationals."""
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    processed: list[tuple[int, ...]] = []
+
+    def dotv(a, x):
+        return sum(p * q for p, q in zip(a, x))
+
+    for a in constraints:
+        if all(c == 0 for c in a):
+            continue
+        lvals = [dotv(a, l) for l in lineality]
+        if any(v != 0 for v in lvals):
+            i0 = next(i for i, v in enumerate(lvals) if v != 0)
+            l0, v0 = lineality[i0], lvals[i0]
+            if v0 < 0:
+                l0 = tuple(-c for c in l0)
+                v0 = -v0
+            new_lin = [
+                _primitive_tuple(tuple(v0 * c - v * d for c, d in zip(l, l0)))
+                for i, (l, v) in enumerate(zip(lineality, lvals)) if i != i0
+            ]
+            rays = [_primitive_tuple(tuple(v0 * c - dotv(a, r) * d for c, d in zip(r, l0))) for r in rays]
+            rays = [r for r in rays if any(c != 0 for c in r)]
+            rays.append(l0)
+            lineality = new_lin
+            processed.append(a)
+            continue
+        vals = [dotv(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            processed.append(a)
+            continue
+        active = {r: frozenset(i for i, c in enumerate(processed) if dotv(c, r) == 0) for r in rays}
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
+        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
+        for rp, vp in pos:
+            for rn, vn in neg:
+                common = active[rp] & active[rn]
+                adjacent = len(rays) <= 2 or not any(
+                    r3 is not rp and r3 is not rn and common <= active[r3] for r3 in rays
+                )
+                if adjacent:
+                    comb = tuple(vp * c - vn * d for c, d in zip(rn, rp))
+                    if any(c != 0 for c in comb):
+                        new_rays.append(_primitive_tuple(comb))
+        processed.append(a)
+        rays = list(dict.fromkeys(new_rays))
+
+    lin_dim = len(lineality)
+    final = [r for r in rays if fraction_rank([c for c in processed if dotv(c, r) == 0]) == dim - lin_dim - 1]
+    out = []
+    for r in sorted(final):
+        if r not in out and not any(r == l or r == tuple(-c for c in l) for l in lineality):
+            out.append(r)
+    return out, sorted(lineality)
+
+
+def reference_make_cone(vs: list[LatticeVector]) -> tuple[Cone, int]:
+    """``make_cone`` as it was first written, with its dimension: the
+    reference double description, and a generator kept when the facets it
+    lies on and the equations have rank one less than the lattice's."""
+    if not vs:
+        raise ConeError("empty generator list")
+    rank = vs[0].rank
+    gens = []
+    for v in vs:
+        if v.rank != rank:
+            raise ConeError("mixed ambient ranks in generator list")
+        if not v.is_zero and _primitive_tuple(v.coords) not in gens:
+            gens.append(_primitive_tuple(v.coords))
+    if not gens:
+        raise ConeError("cone generated by zero vectors only")
+    ineqs, eqs = reference_extreme_rays(gens, rank)
+    if fraction_rank(ineqs + eqs) < rank:
+        raise ConeError(f"not pointed: pos{sorted(gens)} contains a line")
+    extreme = [
+        g for g in gens
+        if fraction_rank([m for m in ineqs if sum(a * b for a, b in zip(m, g)) == 0] + eqs) == rank - 1
+    ]
+    cone = Cone(
+        lattice_rank=rank,
+        generators=tuple(LatticeVector(g) for g in sorted(extreme)),
+        inequalities=tuple(Covector(m) for m in sorted(ineqs)),
+        equations=tuple(Covector(m) for m in sorted(eqs)),
+    )
+    return cone, rank - len(eqs)
+
+
+def _leibniz_det(rows) -> int:
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def brute_force_facets(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Sorted primitive inward facet normals of the full-dimensional pointed
+    cone on ``gens`` (rank 3 or 4): every hyperplane through rank - 1
+    linearly independent generators, its normal the signed maximal minors,
+    that leaves all generators on one side."""
+    rank = len(gens[0])
+    normals = set()
+    for sub in itertools.combinations(gens, rank - 1):
+        n = tuple((-1) ** i * _leibniz_det([g[:i] + g[i + 1:] for g in sub]) for i in range(rank))
+        if not any(n):
+            continue
+        n = _primitive_tuple(n)
+        vals = [sum(a * b for a, b in zip(n, g)) for g in gens]
+        if min(vals) >= 0:
+            normals.add(n)
+        elif max(vals) <= 0:
+            normals.add(tuple(-c for c in n))
+    return sorted(normals)
 
 
 def random_pointed_cone(rng: random.Random, rank: int, coord_bound: int = 6, max_gens: int = 4):

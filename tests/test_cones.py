@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from toresolve.cones import (
     _rank,
     cone_over_polygon,
     dual_cone,
+    extreme_rays,
     faces,
+    intersect_cones,
     is_basic,
     is_face_of,
     make_cone,
@@ -19,10 +22,11 @@ from toresolve.cones import (
     star_subdivision,
 )
 from toresolve.hilbert import _parallelepiped_points
-from toresolve.lattice import IntMatrix, LatticeVector
+from toresolve.lattice import IntMatrix, LatticeVector, primitive
 
 from conftest import (
-    count_calls, fraction_rank, gauss_jordan_solve, random_independent_generators, random_pointed_cone
+    brute_force_facets, count_calls, fraction_rank, gauss_jordan_solve, random_independent_generators,
+    random_pointed_cone, reference_extreme_rays, reference_make_cone,
 )
 
 
@@ -350,3 +354,98 @@ def test_subdividing_point_reduces_multiplicity(rng):
             if best is None or worst < best:
                 best = worst
         assert best is not None and best < multiplicity(c), gens(c)
+
+
+def _generator_draw(rng: random.Random, rank: int) -> list[LatticeVector]:
+    """Generators of every shape ``make_cone`` meets: plain draws, ones
+    spanning a lower-dimensional cone, ones containing a line, and ones with
+    repeated, scaled, interior or zero generators."""
+    vs = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rng.randint(1, rank + 3))]
+    shape = rng.randrange(5)
+    if shape == 1:
+        basis = vs[: rng.randint(1, rank - 1)]
+        vs = [[sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(rank)] for _ in range(len(vs) + 1)]
+    elif shape == 2:
+        vs.append([-x for x in vs[0]])
+    elif shape == 3:
+        vs += [vs[0], [2 * x for x in vs[-1]], [x + y for x, y in zip(vs[0], vs[-1])]]
+    elif shape == 4:
+        vs.insert(rng.randrange(len(vs) + 1), [0] * rank)
+    return [LatticeVector(tuple(v)) for v in vs]
+
+
+def test_double_description_matches_reference_oracles():
+    """``extreme_rays`` on incidence bitmasks and ``make_cone``'s facet-set
+    extremality agree with the frozenset double description and the rank
+    test: the same rays, lineality and order, the same cone fields and
+    dimension, the same error messages, and the same intersections."""
+    rng = random.Random(20261019)
+    shapes = {"lower-dimensional": 0, "not pointed": 0, "redundant": 0, "with a zero vector": 0}
+    for rank in (2, 3, 4, 5):
+        built = []
+        for _ in range(150):
+            vs = _generator_draw(rng, rank)
+            raw = [v.coords for v in vs]
+            assert extreme_rays(raw, rank) == reference_extreme_rays(raw, rank)
+            try:
+                expected = reference_make_cone(vs)
+            except ConeError as e:
+                with pytest.raises(ConeError) as got:
+                    make_cone(vs)
+                assert str(got.value) == str(e)
+                shapes["not pointed"] += "not pointed" in str(e)
+                continue
+            c = make_cone(vs)
+            assert (c, c.dim) == expected
+            shapes["lower-dimensional"] += c.dim < rank
+            shapes["redundant"] += len(c.generators) < len({primitive(v) for v in vs if not v.is_zero})
+            shapes["with a zero vector"] += any(v.is_zero for v in vs)
+            built.append(c)
+        for c1, c2 in zip(built, built[1:]):
+            constraints = [m.coords for m in c1.inequalities + c2.inequalities]
+            for m in c1.equations + c2.equations:
+                constraints += [m.coords, tuple(-x for x in m.coords)]
+            rays, lin = reference_extreme_rays(constraints, rank)
+            assert extreme_rays(constraints, rank) == (rays, lin)
+            if rays and not lin:
+                k = intersect_cones(c1, c2)
+                assert (k, k.dim) == reference_make_cone([LatticeVector(r) for r in rays])
+    assert min(shapes.values()) >= 10, shapes
+    for vs, message in (
+        ([], "empty generator list"),
+        ([V(1, 0), V(1, 0, 0)], "mixed ambient ranks in generator list"),
+        ([V(0, 0, 0), V(0, 0, 0)], "cone generated by zero vectors only"),
+    ):
+        with pytest.raises(ConeError, match=message):
+            make_cone(vs)
+
+
+def test_facets_match_brute_force_hyperplanes():
+    """Facets of full-dimensional rank-3 and rank-4 cones are the hyperplanes
+    through rank - 1 generators with every generator on one side, and the
+    generators kept are those on facets of rank one less than the lattice's."""
+    rng = random.Random(1996)
+    for rank in (3, 4):
+        checked = 0
+        while checked < 120:
+            vs = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(rank, rank + 4))]
+            try:
+                c = make_cone([LatticeVector(v) for v in vs])
+            except ConeError:
+                continue
+            if not c.is_full_dimensional:
+                continue
+            prim = list({tuple(x // math.gcd(*v) for x in v) for v in vs if any(v)})
+            normals = brute_force_facets(prim)
+            assert [m.coords for m in c.inequalities] == normals
+            assert [g.coords for g in c.generators] == sorted(
+                g for g in prim
+                if fraction_rank([n for n in normals if sum(a * b for a, b in zip(n, g)) == 0]) == rank - 1
+            )
+            checked += 1
+
+
+def test_fan_rays_are_kept():
+    f = make_fan([make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]), make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, -1)])])
+    assert f.rays() is f.rays()
+    assert [r.coords for r in f.rays()] == [(0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
