@@ -21,6 +21,7 @@ from .lattice import (
     Covector,
     IntMatrix,
     LatticeVector,
+    _integer_tuple,
     _turn,
     convex_hull_2d,
     extended_gcd_vector,
@@ -60,7 +61,7 @@ class LatticePolytope:
 
     @classmethod
     def from_points(cls, points) -> "LatticePolytope":
-        pts = [tuple(int(x) for x in p) for p in points]
+        pts = [_integer_tuple(p, "point", ClassifyError) for p in points]
         if not pts:
             raise ClassifyError("empty point set")
         if len(pts[0]) == 2:

@@ -3,11 +3,13 @@
 Cones are stored with both a generator (extreme ray) and an inequality
 (facet normal) description, computed once by an exact double-description
 pass that keeps each ray's incidence as an integer bitmask, or from the
-adjugate for simplicial cones.  ``make_cone`` keeps a generator when no
-other lies on all of its facets.  Duals of low-dimensional cones are not
-pointed; they carry an explicit lineality basis instead of being rejected,
-so that taking the dual is an involution on everything this package
-produces.
+adjugate for simplicial cones.  ``make_cone`` reads pointedness and
+extremality off the facet incidence of its generators, and every cone's
+``equations`` are a basis of the annihilator of its span, so its dimension
+is the lattice rank less their number; no rank is ever computed.  Duals of
+low-dimensional cones are not pointed; they carry an explicit lineality
+basis instead of being rejected, so that taking the dual is an involution
+on everything this package produces.
 """
 
 from __future__ import annotations
@@ -37,27 +39,6 @@ def _gcd_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c // g for c in vec) if g > 1 else vec
 
 
-def _rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
-
-    A nonzero pivot row p with first nonzero column c replaces every other
-    row r by p[c]*r - r[c]*p, which vanishes in column c; rows are kept
-    primitive so that the entries stay small, and zero rows are dropped.
-    """
-    a = [r for r in rows if any(r)]
-    rank = 0
-    while a:
-        p = a.pop()
-        c = next(i for i, x in enumerate(p) if x)
-        reduced = (
-            r if not r[c] else _gcd_normalize(tuple(p[c] * x - r[c] * y for x, y in zip(r, p)))
-            for r in a
-        )
-        a = [r for r in reduced if any(r)]
-        rank += 1
-    return rank
-
-
 def _dot(a, x) -> int:
     return sum(map(operator.mul, a, x))
 
@@ -75,19 +56,22 @@ def extreme_rays(
     bit (the old constraints vanish on the lineality), and the new ray gets
     every old bit; a double-description step adds the bit to each tight ray
     and gives the combination of rp and rn the mask (kp & kn) | bit.  rp and
-    rn are adjacent when no third ray's mask contains kp & kn.  Rays are
-    primitive integer vectors; a final minimal-face rank test on the rows
-    named by each mask guarantees extremality.
+    rn are adjacent when no third ray's mask contains kp & kn.
+
+    After each constraint, ``rays`` are exactly the extreme rays of the
+    current cone modulo the lineality span, one primitive vector each, and
+    each mask is its ray's zero set over the processed constraints.  A
+    lineality step keeps this, since projecting along l0 is an isomorphism
+    of the quotients; a double-description step keeps it because on a
+    minimal ray list the combinatorial test is exact (Fukuda and Prodon,
+    1996).  So every adjacent combination is extreme, and none lies in the
+    lineality span: the result needs no final check.
     """
     lineality = list(IntMatrix.identity(dim).rows)
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
-    processed: list[tuple[int, ...]] = []
-    for a in constraints:
-        if not any(a):
-            continue
-        bit = 1 << len(processed)
-        processed.append(a)
+    for n, a in enumerate(filter(any, constraints)):
+        bit = 1 << n
         lvals = [_dot(a, l) for l in lineality]
         i0 = next((i for i, v in enumerate(lvals) if v), None)
         if i0 is not None:
@@ -109,24 +93,12 @@ def extreme_rays(
         for jp, rp, vp in pos:
             for jn, rn, vn in neg:
                 common = masks[jp] & masks[jn]
-                if len(rays) > 2 and any(
-                    not common & ~k3 for j3, k3 in enumerate(masks) if j3 != jp and j3 != jn
-                ):
+                if any(not common & ~k3 for j3, k3 in enumerate(masks) if j3 != jp and j3 != jn):
                     continue
                 comb = tuple(vp * c - vn * d for c, d in zip(rn, rp))
-                if any(comb):
-                    kept.append((_gcd_normalize(comb), common | bit))
-        unique = dict(kept)  # equal rays have equal masks
-        rays, masks = list(unique), list(unique.values())
-
-    # the minimal face of an extreme ray has dimension 1 + dim L; this also
-    # drops any ray on every constraint, so none is a lineality vector
-    target = dim - len(lineality) - 1
-    final = {
-        r for r, k in zip(rays, masks)
-        if _rank([c for i, c in enumerate(processed) if k >> i & 1]) == target
-    }
-    return sorted(final), sorted(lineality)
+                kept.append((_gcd_normalize(comb), common | bit))
+        rays, masks = [r for r, _ in kept], [k for _, k in kept]
+    return sorted(rays), sorted(lineality)
 
 
 @dataclass(frozen=True)
@@ -135,9 +107,11 @@ class Cone:
 
     ``make_cone`` only ever produces strongly convex (pointed) cones; duals
     of low-dimensional cones additionally carry a ``lineality`` basis.
-    ``inequalities`` are the primitive facet normals, ``equations`` cut out
-    the linear span, whose dimension ``dim`` is set by constructors that know
-    it and otherwise found on first read; so is the ``grading``.
+    ``inequalities`` are the facet normals and ``equations`` a basis of the
+    annihilator of the linear span, which every constructor keeps, so the
+    dimension ``dim`` is the lattice rank less their number.  The
+    ``grading`` is set by the constructors that know it and otherwise found
+    on first read.
     """
 
     lattice_rank: int
@@ -146,9 +120,9 @@ class Cone:
     equations: tuple[Covector, ...] = ()
     lineality: tuple[LatticeVector, ...] = ()
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        return _rank([g.coords for g in self.generators] + [l.coords for l in self.lineality])
+        return self.lattice_rank - len(self.equations)
 
     @cached_property
     def grading(self) -> tuple[Covector, int] | None:
@@ -205,30 +179,29 @@ def _solve_grading(c: Cone) -> tuple[Covector, int] | None:
     return None if m is None else (m, m.denominator)
 
 
-def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank, dim=None) -> Cone:
-    """The cone on integer tuples, each list sorted; ``dim`` when known."""
-    cone = Cone(
+def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank) -> Cone:
+    """The cone on integer tuples, each list sorted."""
+    return Cone(
         lattice_rank=rank,
         generators=tuple(map(LatticeVector, sorted(ray_tuples))),
         inequalities=tuple(map(Covector, sorted(ineq_tuples))),
         equations=tuple(map(Covector, sorted(eq_tuples))),
         lineality=tuple(map(LatticeVector, sorted(lin_tuples))),
     )
-    if dim is not None:
-        cone.__dict__["dim"] = dim
-    return cone
 
 
 def make_cone(vs: list[LatticeVector]) -> Cone:
     """Cone positively spanned by ``vs``.
 
     The generators are made primitive and deduplicated as integer tuples,
-    the facet inequalities computed by dualization, and input containing a
-    line is rejected ("not pointed").  A generator is extreme exactly when
-    no other generator lies on all of its facets: one that is not extreme
-    lies inside a face of dimension >= 2, whose extreme generators lie on
-    strictly more facets; an extreme one spans its own minimal face.
-    Redundant generators are discarded.
+    and the facet inequalities and the equations computed by dualization.
+    Input containing a line is rejected ("not pointed"): a generator on
+    every facet, or any generator when there is no facet, is an implicit
+    equality of the dual, so the dual is not full-dimensional.  A generator
+    is extreme exactly when no other generator lies on all of its facets:
+    one that is not extreme lies inside a face of dimension >= 2, whose
+    extreme generators lie on strictly more facets; an extreme one spans its
+    own minimal face.  Redundant generators are discarded.
     """
     if not vs:
         raise ConeError("empty generator list")
@@ -239,13 +212,11 @@ def make_cone(vs: list[LatticeVector]) -> Cone:
     if not gens:
         raise ConeError("cone generated by zero vectors only")
     ineqs, eqs = extreme_rays(gens, rank)
-    # pointedness: the dual must be full-dimensional
-    if _rank(ineqs + eqs) < rank:
-        raise ConeError(f"not pointed: pos{sorted(gens)} contains a line")
     facet_sets = [sum(1 << i for i, m in enumerate(ineqs) if not _dot(m, g)) for g in gens]
+    if (1 << len(ineqs)) - 1 in facet_sets:
+        raise ConeError(f"not pointed: pos{sorted(gens)} contains a line")
     extreme = [g for g, f in zip(gens, facet_sets) if sum(not f & ~f2 for f2 in facet_sets) == 1]
-    # the equations are a basis of the span's annihilator
-    return _build_cone(extreme, (), ineqs, eqs, rank, rank - len(eqs))
+    return _build_cone(extreme, (), ineqs, eqs, rank)
 
 
 def simplicial_cone(gens: list[LatticeVector]) -> Cone:
@@ -271,7 +242,7 @@ def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int, list[tuple[i
         raise ConeError(f"linearly dependent generators {sorted(rows)}")
     sign = 1 if det > 0 else -1
     normals = [_gcd_normalize(tuple(sign * x for x in col)) for col in cols]
-    return _build_cone(rows, (), normals, (), rank, rank), det, cols
+    return _build_cone(rows, (), normals, (), rank), det, cols
 
 
 def _mapped_cones(cones: list[Cone], b: IntMatrix) -> list[Cone]:
@@ -287,7 +258,7 @@ def _mapped_cones(cones: list[Cone], b: IntMatrix) -> list[Cone]:
         _build_cone(
             [_gcd_normalize(b.apply(g).coords) for g in c.generators], (),
             [_gcd_normalize(normal_map.apply(n).coords) for n in c.inequalities], (),
-            c.lattice_rank, c.dim,
+            c.lattice_rank,
         )
         for c in cones
     ]
@@ -314,7 +285,7 @@ def cone_over_polygon(vertices: list[tuple[int, ...]]) -> Cone:
     normals = [
         _gcd_normalize(tuple(sign * x for x in _cross(u, v))) for u, v in zip(rows, rows[1:] + rows[:1])
     ]
-    return _build_cone(rows, (), normals, (), 3, 3)
+    return _build_cone(rows, (), normals, (), 3)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -402,11 +373,14 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
         mi = m.primitive().coords
         constraints.append(mi)
         constraints.append(tuple(-x for x in mi))
-    rays, lin = extreme_rays(constraints, c1.lattice_rank)
+    rank = c1.lattice_rank
+    rays, lin = extreme_rays(constraints, rank)
     if lin:
-        return _build_cone(rays, lin, (), (), c1.lattice_rank)
+        # not pointed: cone(rays) + span(lin), dualized once for its facets and span
+        ineqs, eqs = extreme_rays(rays + lin + [tuple(-x for x in l) for l in lin], rank)
+        return _build_cone(rays, lin, ineqs, eqs, rank)
     if not rays:
-        return _build_cone((), (), (), [m.coords for m in _standard_basis(c1.lattice_rank)], c1.lattice_rank)
+        return _build_cone((), (), (), [m.coords for m in _standard_basis(rank)], rank)
     return make_cone([LatticeVector(r) for r in rays])
 
 
@@ -428,7 +402,8 @@ def is_face_of(k: Cone, c: Cone) -> bool:
 class Fan:
     """Finite face-closed, intersection-compatible collection of pointed cones.
 
-    Only the maximal cones are stored; equality is equality of that set.
+    Only the maximal cones are stored; equality is equality of the lattice
+    rank and of that set, in any order.
     """
 
     lattice_rank: int
@@ -444,6 +419,16 @@ class Fan:
 
     def supports(self, v: LatticeVector) -> bool:
         return any(c.contains(v) for c in self.maximal_cones)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Fan)
+            and self.lattice_rank == other.lattice_rank
+            and frozenset(self.maximal_cones) == frozenset(other.maximal_cones)
+        )
+
+    def __hash__(self):
+        return hash((self.lattice_rank, frozenset(self.maximal_cones)))
 
     def __repr__(self):
         return f"Fan({len(self.maximal_cones)} maximal cones, rank {self.lattice_rank})"

@@ -21,6 +21,16 @@ class LatticeError(ValueError):
     """Domain error raised by lattice-level operations."""
 
 
+def _integer_tuple(values, what: str, error: type[ValueError] = LatticeError) -> tuple[int, ...]:
+    """The entries of the sequence ``values`` as ``int``; a float or a
+    ``Fraction``, even an integral one, raises ``error`` naming the entry."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(c for c in values if not hasattr(type(c), "__index__"))
+        raise error(f"{what} entry {bad!r} is not an integer") from None
+
+
 @dataclass(frozen=True, slots=True)
 class LatticeVector:
     """Integer point of the lattice N (coordinates w.r.t. a fixed basis); an
@@ -29,11 +39,7 @@ class LatticeVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
-        except TypeError:
-            bad = next(c for c in self.coords if not hasattr(type(c), "__index__"))
-            raise LatticeError(f"lattice vector entry {bad!r} is not an integer") from None
+        object.__setattr__(self, "coords", _integer_tuple(self.coords, "lattice vector"))
 
     @property
     def rank(self) -> int:
@@ -194,14 +200,13 @@ def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix (tuple of row tuples)."""
+    """Immutable integer matrix (tuple of row tuples); an entry that is not
+    an integer is refused, as in ``LatticeVector``."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows)
-        )
+        object.__setattr__(self, "rows", tuple(_integer_tuple(r, "matrix") for r in self.rows))
         if self.rows and len({len(r) for r in self.rows}) != 1:
             raise LatticeError("ragged matrix")
 

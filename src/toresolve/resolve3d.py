@@ -29,7 +29,7 @@ from .classify import (
     index_one_cover,
 )
 from .cones import (
-    Cone, ConeError, Fan, _build_cone, _cross, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
+    Cone, ConeError, Fan, _mapped_cones, _simplicial_cone, cone_over_polygon, is_basic, make_fan, simplicial_cone
 )
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets, floor_polygon
@@ -459,20 +459,16 @@ def _basic_triangle_cone(t: Triangle) -> tuple[Cone, Dual]:
     """The cone over a unimodular triangle lifted to height one, and the dual
     basis of its lifted vertices in their order.
 
-    With rows rᵢ = (xᵢ, yᵢ, 1) and det = r₀ · (r₁ × r₂) = ±1, the vector
-    nᵢ = det · (rᵢ₊₁ × rᵢ₊₂) pairs to 1 with rᵢ and to 0 with the other rows.
-    These are the adjugate columns signed by det, which are primitive as the
-    matrix is unimodular, so they are the cone's inward facet normals, as
-    ``simplicial_cone`` finds them.  A height function h on the triangle has
-    the linear representative Σ h(pᵢ) nᵢ.
+    With rows rᵢ = (xᵢ, yᵢ, 1) and det = r₀ · (r₁ × r₂) = ±1, the adjugate
+    columns are the cross products rᵢ₊₁ × rᵢ₊₂, and nᵢ = det · (rᵢ₊₁ × rᵢ₊₂)
+    pairs to 1 with rᵢ and to 0 with the other rows; these are the cone's
+    inward facet normals, as ``simplicial_cone`` finds them.  A height
+    function h on the triangle has the linear representative Σ h(pᵢ) nᵢ.
     """
-    rows = [(x, y, 1) for x, y in t]
-    cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
-    det = sum(map(mul, rows[0], cols[0]))
+    cone, det, cols = _simplicial_cone([LatticeVector((x, y, 1)) for x, y in t])
     if det not in (1, -1):
         raise Resolve3dError(f"completion triangle {t} is not basic")
-    dual = tuple(tuple(det * x for x in col) for col in cols)
-    return _build_cone(rows, (), dual, (), 3, 3), dual
+    return cone, tuple(tuple(det * x for x in col) for col in cols)
 
 
 def _walls(tris) -> list[Wall]:

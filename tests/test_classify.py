@@ -215,6 +215,18 @@ def test_lattice_points_match_box_scan_oracle():
     assert any(min(v[1] for v in p.vertices) < 0 and p.dimension == 2 for p in polytopes)
 
 
+def test_from_points_refuses_non_integer_entries():
+    with pytest.raises(ClassifyError, match="point entry 0.5 is not an integer"):
+        LatticePolytope.from_points([(0.5, 0), (1, 0), (0, 1)])
+    with pytest.raises(ClassifyError, match=r"point entry Fraction\(1, 2\)"):
+        LatticePolytope.from_points([(0, 0), (1, Fraction(1, 2)), (0, 1)])
+    with pytest.raises(ClassifyError, match=r"point entry Fraction\(1, 1\)"):
+        LatticePolytope.from_points([(0, 0), (Fraction(1), 0), (0, 1)])
+    p = LatticePolytope.from_points([(False, 0), (True, 0), (0, True)])
+    assert p.vertices == ((0, 0), (1, 0), (0, 1))
+    assert all(type(x) is int for v in p.vertices for x in v)
+
+
 def test_cached_points_are_copies_and_keep_equality():
     p = LatticePolytope.from_points([(-2, -1), (3, 0), (1, 4), (-2, 3)])
     for method in (p.lattice_points, p.interior_points, p.edge_interior_points):

@@ -7,7 +7,7 @@ import sympy
 from toresolve import cones
 from toresolve.cones import (
     ConeError,
-    _rank,
+    Fan,
     cone_over_polygon,
     dual_cone,
     extreme_rays,
@@ -25,7 +25,7 @@ from toresolve.hilbert import _parallelepiped_points
 from toresolve.lattice import IntMatrix, LatticeVector, primitive
 
 from conftest import (
-    brute_force_facets, count_calls, fraction_rank, gauss_jordan_solve, random_independent_generators,
+    brute_force_facets, fraction_rank, gauss_jordan_solve, random_independent_generators,
     random_pointed_cone, reference_extreme_rays, reference_make_cone,
 )
 
@@ -78,8 +78,10 @@ def test_dual_cone_by_hand():
 
 
 def test_integer_rank_matches_rational_oracles():
+    """The tests' rank oracle, Gauss-Jordan over the rationals, agrees with
+    sympy on integer matrices with zero rows and dependent rows."""
     rng = random.Random(20011027)
-    assert _rank([]) == 0
+    assert fraction_rank([]) == 0
     for _ in range(300):
         n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 5)
         rows = []
@@ -98,7 +100,7 @@ def test_integer_rank_matches_rational_oracles():
             rows.append(row)
         rng.shuffle(rows)
         rows = [tuple(r) for r in rows]
-        assert _rank(rows) == fraction_rank(rows) == sympy.Matrix(rows).rank(), rows
+        assert fraction_rank(rows) == sympy.Matrix(rows).rank(), rows
 
 
 def test_dual_involution_random(rng):
@@ -182,20 +184,43 @@ def test_simplicial_cone_matches_make_cone():
     assert any(d > 1 for d in dets) and any(d < -1 for d in dets)
 
 
-def test_constructors_that_know_the_dimension_run_no_rank(monkeypatch):
-    """``simplicial_cone`` and ``cone_over_polygon`` build full-dimensional
-    cones and ``make_cone`` reads the dimension off its equations, so
-    reading ``dim`` runs no rank computation for them; other cones find it
-    on first read, once."""
-    made = make_cone([V(1, 0, 0), V(0, 1, 0)])
-    calls = count_calls(monkeypatch, cones._rank)
+def _span_rank(c) -> int:
+    return fraction_rank([g.coords for g in c.generators] + [l.coords for l in c.lineality])
+
+
+def test_constructors_that_know_the_dimension_run_no_rank():
+    """Every constructor keeps ``equations`` a basis of the annihilator of
+    the span, so ``dim``, the lattice rank less their number, is the
+    rational rank of the rays and lineality: for ``make_cone``,
+    ``simplicial_cone``, ``cone_over_polygon``, ``_mapped_cones``,
+    ``dual_cone``, ``faces`` and every branch of ``intersect_cones``."""
+    rng = random.Random(20261020)
     built = [
         simplicial_cone([V(1, 0, 0), V(1, 2, 0), V(0, 1, 3)]),
         cone_over_polygon([(0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1)]),
+        make_cone([V(1, 0, 0), V(0, 1, 0)]),
     ]
-    assert [c.dim for c in built + [made]] == [3, 3, 2] and calls == []
-    dual = dual_cone(made)
-    assert dual.dim == dual.dim == 3 and len(calls) == 1
+    assert [c.dim for c in built] == [3, 3, 2]
+    b = IntMatrix(((1, 2, 0), (0, 1, 0), (3, 0, 2)))
+    built += cones._mapped_cones(built[:1], b)
+    duals = []
+    for rank in (2, 3, 4):
+        for _ in range(40):
+            c = random_pointed_cone(rng, rank, 3, max_gens=rank + 1)
+            if c is not None:
+                built += [c] + faces(c)
+                duals.append(dual_cone(c))
+    meets = [
+        intersect_cones(c1, c2)
+        for group in (built, duals)
+        for c1, c2 in zip(group, group[1:]) if c1.lattice_rank == c2.lattice_rank
+    ] + [intersect_cones(d, d) for d in duals]
+    every = built + duals + meets
+    for c in every:
+        assert c.dim == c.lattice_rank - len(c.equations) == _span_rank(c), c
+    assert sum(0 < c.dim < c.lattice_rank for c in every) >= 5
+    assert sum(c.dim == 0 for c in every) >= 5
+    assert sum(not c.is_pointed for c in duals) >= 5 and sum(not k.is_pointed for k in meets) >= 5
 
 
 def test_mapped_cones_equal_simplicial_cones_of_the_images():
@@ -420,6 +445,85 @@ def test_double_description_matches_reference_oracles():
             make_cone(vs)
 
 
+def _dot(a, x) -> int:
+    return sum(p * q for p, q in zip(a, x))
+
+
+def test_double_description_invariant_on_degenerate_constraints():
+    """On constraint systems with duplicated, scaled, zero and redundant rows
+    and the +-pairs that ``intersect_cones`` writes for equations, in
+    shuffled orders and ranks 2 to 6, ``extreme_rays`` returns the reference
+    rays and lineality, and every ray spans a minimal face modulo the
+    lineality: its tight constraints have rank dim - dim L - 1."""
+    rng = random.Random(19961018)
+    kinds = [0] * 5
+    for rank in range(2, 7):
+        for _ in range(50):
+            base = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(1, rank + 2))]
+            constraints = list(base)
+            for a in base:
+                kind = rng.randrange(5)
+                kinds[kind] += 1
+                if kind == 0:
+                    constraints.append(a)
+                elif kind == 1:
+                    constraints.append(tuple(rng.randint(2, 3) * x for x in a))
+                elif kind == 2:
+                    constraints.append((0,) * rank)
+                elif kind == 3:
+                    constraints.append(tuple(-x for x in a))
+                else:
+                    b = rng.choice(base)
+                    constraints.append(tuple(x + y for x, y in zip(a, b)))
+            rng.shuffle(constraints)
+            rays, lin = extreme_rays(constraints, rank)
+            assert (rays, lin) == reference_extreme_rays(constraints, rank), constraints
+            assert fraction_rank(constraints) == rank - len(lin)
+            assert all(_dot(a, l) == 0 for a in constraints for l in lin)
+            for r in rays:
+                assert all(_dot(a, r) >= 0 for a in constraints)
+                tight = [a for a in constraints if _dot(a, r) == 0]
+                assert fraction_rank(tight) == rank - len(lin) - 1, (constraints, r)
+    assert min(kinds) >= 50, kinds
+
+
+def _intersection_draw(rng: random.Random, rank: int):
+    """A pointed cone on 1 to rank + 1 generators or, three times as often,
+    a cone with lineality: the dual of one on 1 to rank - 1 generators; None
+    when the draw contains a line."""
+    dual = rng.random() < 0.75
+    n = rng.randint(1, rank - 1 if dual else rank + 1)
+    try:
+        c = make_cone([V(*(rng.randint(-3, 3) for _ in range(rank))) for _ in range(n)])
+    except ConeError:
+        return None
+    return dual_cone(c) if dual else c
+
+
+def test_intersect_cones_with_lineality_keeps_both_descriptions():
+    """An intersection that contains a line keeps its inequalities and
+    equations: membership agrees with both inputs, the dimension is the rank
+    of its rays and lineality, and dualizing twice gives it back."""
+    half_plane = dual_cone(make_cone([V(1, 0)]))
+    k = intersect_cones(half_plane, half_plane)
+    assert k == half_plane and not k.contains(V(-1, 0))
+    rng = random.Random(20261020)
+    not_pointed = 0
+    for _ in range(400):
+        rank = rng.choice((2, 3, 4))
+        c1, c2 = _intersection_draw(rng, rank), _intersection_draw(rng, rank)
+        if c1 is None or c2 is None:
+            continue
+        k = intersect_cones(c1, c2)
+        not_pointed += not k.is_pointed
+        assert k.dim == _span_rank(k) and dual_cone(dual_cone(k)) == k, (c1, c2)
+        probes = [g for c in (c1, c2, k) for g in c.generators + c.lineality]
+        probes += [-v for v in probes] + [V(*(rng.randint(-3, 3) for _ in range(rank))) for _ in range(20)]
+        for v in probes:
+            assert k.contains(v) == (c1.contains(v) and c2.contains(v)), (c1, c2, v)
+    assert not_pointed >= 30, not_pointed
+
+
 def test_facets_match_brute_force_hyperplanes():
     """Facets of full-dimensional rank-3 and rank-4 cones are the hyperplanes
     through rank - 1 generators with every generator on one side, and the
@@ -449,3 +553,10 @@ def test_fan_rays_are_kept():
     f = make_fan([make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]), make_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, -1)])])
     assert f.rays() is f.rays()
     assert [r.coords for r in f.rays()] == [(0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_fan_equality_ignores_the_order_of_maximal_cones():
+    a, b = make_cone([V(1, 0), V(1, 1)]), make_cone([V(1, 1), V(0, 1)])
+    assert Fan(2, (a, b)) == Fan(2, (b, a)) == make_fan([b, a])
+    assert hash(Fan(2, (a, b))) == hash(Fan(2, (b, a)))
+    assert Fan(2, (a, b)) != Fan(2, (a,)) and Fan(2, (a, b)) != Fan(3, (a, b))

@@ -197,6 +197,17 @@ def test_lattice_vector_refuses_non_integer_entries():
     assert v.coords == (1, 0, 1) and all(type(c) is int for c in v.coords)
 
 
+def test_int_matrix_refuses_non_integer_entries():
+    with pytest.raises(LatticeError, match="matrix entry 1.5 is not an integer"):
+        IntMatrix(((1.5, 2), (Fraction(7, 2), 1)))
+    with pytest.raises(LatticeError, match=r"matrix entry Fraction\(7, 2\)"):
+        IntMatrix(((1, 2), (Fraction(7, 2), 1)))
+    with pytest.raises(LatticeError, match=r"matrix entry Fraction\(2, 1\)"):
+        IntMatrix(((Fraction(2), 0), (0, 1)))
+    m = IntMatrix(((True, 0), (0, 1)))
+    assert m.rows == ((1, 0), (0, 1)) and all(type(x) is int for r in m.rows for x in r)
+
+
 def test_invariant_factors_divisibility():
     facs = invariant_factors(IntMatrix(((12, 6, 4), (3, 9, 6), (2, 16, 14))))
     assert facs == (1, 10, 30)

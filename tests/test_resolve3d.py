@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from toresolve import cones, resolve3d
 from toresolve.classify import LatticePolytope, gorenstein_data, index_one_cover
 from toresolve.cones import (
-    Fan, _rank, dual_cone, is_basic, make_cone, make_fan, simplicial_cone, star_subdivision
+    Fan, dual_cone, intersect_cones, is_basic, make_cone, make_fan, simplicial_cone, star_subdivision
 )
 from toresolve.divisors import (
     SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
@@ -46,6 +46,7 @@ from conftest import (
     dd_floor_facets,
     fraction_composite_heights,
     fraction_fourier_motzkin,
+    fraction_rank,
     gorenstein_cone_over,
     membership_first_convexity,
     random_independent_generators,
@@ -838,10 +839,11 @@ def test_final_fan_mapped_from_completion_zero_equals_rebuilt_fan():
 
 
 def test_cone_dimension_equals_rank_of_its_rays(monkeypatch):
-    """Every cone that ``simplicial_cone``, ``cone_over_polygon``,
-    ``dual_cone`` and ``make_cone`` build, on the resolve path of the corpus
-    and directly, has ``dim`` equal to the rank of its rays and lineality,
-    whether its constructor set it or it is found on first read."""
+    """Every cone built on the resolve path of the corpus and directly, by
+    ``simplicial_cone``, ``cone_over_polygon``, ``dual_cone``,
+    ``make_cone``, ``intersect_cones`` and the completion triangles, has
+    ``dim``, the lattice rank less the number of its equations, equal to the
+    rational rank of its rays and lineality."""
     build = cones._build_cone
     built = []
 
@@ -853,16 +855,15 @@ def test_cone_dimension_equals_rank_of_its_rays(monkeypatch):
     rng = random.Random(20261019)
     low = [c for c in (random_pointed_cone(rng, 3, 4, max_gens=2) for _ in range(60)) if c is not None]
     for c in facts_corpus() + tuple(low):
-        dual_cone(c)
+        intersect_cones(dual_cone(c), dual_cone(c))
         make_cone(list(c.generators))
         if c.is_full_dimensional:
             resolve(c)
     for c in floor_corpus()[1]:
         canonical_modification(c)
-    preset = [c for c in built if "dim" in vars(c)]
-    assert len(preset) > len(built) // 2 and any(c.dim < 3 for c in preset)
+    assert any(c.dim < 3 for c in built) and any(c.lineality for c in built)
     for c in built:
-        assert c.dim == _rank([g.coords for g in c.generators] + [l.coords for l in c.lineality]), c
+        assert c.dim == fraction_rank([g.coords for g in c.generators] + [l.coords for l in c.lineality]), c
 
 
 def test_kept_cell_tags_equal_fresh_tags_after_every_round(monkeypatch):
