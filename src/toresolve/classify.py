@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cones import Cone, is_basic, make_cone, multiplicity
+from .cones import Cone, is_basic, make_cone
 from .hilbert import _to_sublattice, embedding_dimension
 from .lattice import (
     Covector,
@@ -296,8 +296,6 @@ def classify(c: Cone) -> SingularityReport:
     if not c.is_full_dimensional:
         small, _ = _to_sublattice(c)
         return classify(small)
-    simplicial = c.is_simplicial
-    smooth = simplicial and multiplicity(c) == 1
     gd = gorenstein_data(c)
     gorenstein = gd is not None and gd[1] == 1
     canonical = terminal = False
@@ -313,8 +311,8 @@ def classify(c: Cone) -> SingularityReport:
         polytope, _basis = height_one_polytope(c, gd[0])
         lci = is_nakajima(polytope)
     return SingularityReport(
-        smooth=smooth,
-        q_factorial=simplicial,
+        smooth=is_basic(c),
+        q_factorial=c.is_simplicial,
         q_gorenstein=gd,
         gorenstein=gorenstein,
         terminal=terminal,

@@ -340,10 +340,14 @@ def facets(c: Cone) -> list[Cone]:
 def multiplicity(c: Cone) -> int:
     """mult(c; N): index of the generator sublattice in the induced lattice.
 
-    Defined for simplicial cones only; equals 1 exactly for basic cones.
+    Defined for simplicial cones only; equals 1 exactly for basic cones.  A
+    full-dimensional cone induces N itself, so the index is |det| of the
+    generators; a lower-dimensional one goes through the Smith form.
     """
     if not c.is_simplicial:
         raise ConeError("multiplicity undefined: cone is not simplicial")
+    if c.is_full_dimensional:
+        return abs(IntMatrix.from_vectors(c.generators).det())
     return lattice_determinant(list(c.generators))
 
 
@@ -352,16 +356,8 @@ def is_simplicial(c: Cone) -> bool:
 
 
 def is_basic(c: Cone) -> bool:
-    """Smoothness test for the associated affine chart.
-
-    A full-dimensional simplicial cone is basic exactly when its generator
-    determinant is +-1; lower-dimensional ones go through ``multiplicity``.
-    """
-    if not c.is_simplicial:
-        return False
-    if c.is_full_dimensional:
-        return abs(IntMatrix.from_vectors(c.generators).det()) == 1
-    return multiplicity(c) == 1
+    """Smoothness test for the associated affine chart."""
+    return c.is_simplicial and multiplicity(c) == 1
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:

@@ -36,23 +36,23 @@ class HilbertBasis:
 
 
 def _triangulate(c: Cone) -> list[tuple[LatticeVector, ...]]:
-    """Pulling triangulation of a pointed full-dimensional cone into simplices.
+    """Pulling triangulation of a pointed cone into simplicial cones.
 
-    The first ray is joined to each facet that misses it; every facet of a
-    pointed 3-dimensional cone has exactly two rays.
+    The first ray is joined to a triangulation of each facet that misses it:
+    a facet on dim - 1 rays is a simplex already, any other is triangulated
+    in turn as the cone on its rays.  In dimension 3 every facet is a simplex.
     """
     gens = c.generators
-    d = c.dim
-    if len(gens) == d:
+    if len(gens) == c.dim:
         return [gens]
-    if d != 3:
-        raise ConeError(f"triangulation of a {d}-dimensional cone with {len(gens)} rays is unsupported")
     apex = gens[0]
-    return [
-        (apex, *(g for g in gens if m.pair(g) == 0))
-        for m in c.inequalities
-        if m.pair(apex) != 0
-    ]
+    simplices = []
+    for m in c.inequalities:
+        if m.pair(apex) != 0:
+            facet = tuple(g for g in gens if m.pair(g) == 0)
+            parts = [facet] if len(facet) == c.dim - 1 else _triangulate(make_cone(list(facet)))
+            simplices += [(apex, *p) for p in parts]
+    return simplices
 
 
 def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:

@@ -259,18 +259,17 @@ class IntMatrix:
         return LatticeVector(tuple(sum(a * x for a, x in zip(r, v.coords)) for r in self.rows))
 
 
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with H = U*A, |det U| = 1.
+def _hermite_rows(h: list[list[int]], u: list[list[int]]) -> None:
+    """Reduce the rows of ``h`` in place to row-style Hermite normal form,
+    applying every row operation to the rows of ``u`` as well.
 
     Pivots are positive, entries below a pivot vanish and entries above are
     reduced into [0, pivot).  Classical gcd-based row reduction; fine at
     desk scale.
     """
-    h = [list(r) for r in a.rows]
-    m = a.nrows
-    u = [list(r) for r in IntMatrix.identity(m).rows]
+    m = len(h)
     row = 0
-    for col in range(a.ncols):
+    for col in range(len(h[0]) if h else 0):
         while True:
             nz = [i for i in range(row, m) if h[i][col] != 0]
             if not nz:
@@ -299,87 +298,52 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     h[i] = [x - q * y for x, y in zip(h[i], h[row])]
                     u[i] = [x - q * y for x, y in zip(u[i], u[row])]
             row += 1
-    return IntMatrix(tuple(tuple(r) for r in h)), IntMatrix(tuple(tuple(r) for r in u))
+
+
+def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form: returns (H, U) with H = U*A, |det U| = 1
+    (see ``_hermite_rows``)."""
+    h = [list(r) for r in a.rows]
+    u = [list(r) for r in IntMatrix.identity(a.nrows).rows]
+    _hermite_rows(h, u)
+    return IntMatrix(h), IntMatrix(u)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (S, U, V) with S = U*A*V diagonal, d1 | d2 | ...
 
-    U and V are unimodular.
+    U and V are unimodular.  Hermite passes alternate until S is diagonal:
+    one on the columns (the rows of S^T, its operations kept in V^T), then
+    one on the rows (kept in U).  When some d_i does not divide a later d_j,
+    row j is added to row i and the passes run again.
+
+    The loop ends.  After the first pair of passes the leading pivot sits
+    in the corner: a row pass leaves there the gcd of the first column, a
+    column pass the gcd of the first row, each a divisor of the pivot
+    before it.  Once the pivot stops shrinking it divides its row and
+    column, the passes clear both, and they go on with the rest of the
+    matrix alone.  The merge is made for the least such i, when every
+    earlier d divides all later ones, so the passes keep d_1 ... d_(i-1)
+    and bring d_i down to at most gcd(d_i, d_j): the diagonal, with as many
+    nonzero entries as the rank, decreases lexicographically.
     """
     s = [list(r) for r in a.rows]
-    m, n = a.nrows, a.ncols
-    u = [list(r) for r in IntMatrix.identity(m).rows]
-    v = [list(r) for r in IntMatrix.identity(n).rows]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in s:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    t = 0
-    while t < min(m, n):
-        pivots = [
-            (abs(s[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if s[i][j] != 0
-        ]
-        if not pivots:
+    u, vt = ([list(r) for r in IntMatrix.identity(k).rows] for k in (a.nrows, a.ncols))
+    while s and s[0]:
+        st = [list(c) for c in zip(*s)]
+        _hermite_rows(st, vt)
+        s = [list(r) for r in zip(*st)]
+        _hermite_rows(s, u)
+        if any(x for i, r in enumerate(s) for j, x in enumerate(r) if i != j):
+            continue
+        d = [s[i][i] for i in range(min(len(s), len(s[0])))]
+        pair = next(((i, j) for i, j in itertools.combinations(range(len(d)), 2) if d[i] and d[j] % d[i]), None)
+        if pair is None:
             break
-        _, pi, pj = min(pivots)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t] != 0:
-                q = s[i][t] // s[t][t]
-                row_op(i, t, q)
-                dirty = dirty or s[i][t] != 0
-        for j in range(t + 1, n):
-            if s[t][j] != 0:
-                q = s[t][j] // s[t][t]
-                col_op(j, t, q)
-                dirty = dirty or s[t][j] != 0
-        if dirty:
-            continue
-        # enforce divisibility: fold any non-multiple entry into the pivot block
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            s[t] = [x + y for x, y in zip(s[t], s[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return (
-        IntMatrix(tuple(tuple(r) for r in s)),
-        IntMatrix(tuple(tuple(r) for r in u)),
-        IntMatrix(tuple(tuple(r) for r in v)),
-    )
+        i, j = pair
+        s[i] = [x + y for x, y in zip(s[i], s[j])]
+        u[i] = [x + y for x, y in zip(u[i], u[j])]
+    return IntMatrix(s), IntMatrix(u), IntMatrix(zip(*vt))
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:

@@ -299,6 +299,8 @@ def test_render_index_two_cone(tmp_path):
     assert open(outfile).read().startswith("<svg")
 
 
+CUBE = [[x, y, z, 1] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+
 # SHA-256 of the CLI output for fixed jobs; any change to these bytes is a
 # change of the program's output and must be deliberate.
 GOLDEN = {
@@ -334,6 +336,12 @@ GOLDEN = {
                       "b13bdf04fa41b17aa4591814aa50a558a680188402b3c7c11fe137718da76e0c"),
     "hilbert-square": ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], ["hilbert", "--degree-bound", "2"],
                        "1cce62ef0f9ae3658e225bc25b4ded08e0491b0fb99de9aead95e03fc640a72b"),
+    # the rank-4 cone over the cube [-1, 1]^3 at height 1: square facets in
+    # the pulling triangulation; its Hilbert bases are the box oracle's
+    "classify-cube": (CUBE, ["classify"],
+                      "3dcea18097dd5c1a945bc95b3810795f2c58e63978eeedfd4b0d21b0eaafa067"),
+    "hilbert-cube": (CUBE, ["hilbert", "--degree-bound", "2"],
+                     "cbdf27ae53c5cfa523c9209eee7037195dd579b83498e6b38a6a5f8f710fb730"),
     "resolve2d-45": ([[1, 0], [4, 5]], ["resolve2d"],
                      "bf785058fb966a79f2be642b57385011e388caf47baddaf73dcb06df85728c08"),
     "resolve2d-76": ([[0, 1], [7, -6]], ["resolve2d"],

@@ -22,7 +22,7 @@ from toresolve.cones import (
     star_subdivision,
 )
 from toresolve.hilbert import _parallelepiped_points
-from toresolve.lattice import IntMatrix, LatticeVector, primitive
+from toresolve.lattice import IntMatrix, LatticeVector, lattice_determinant, primitive
 
 from conftest import (
     brute_force_facets, fraction_rank, gauss_jordan_solve, random_independent_generators,
@@ -168,8 +168,8 @@ def test_is_basic():
 
 def test_simplicial_cone_matches_make_cone():
     """The adjugate construction gives the whole double-description cone,
-    facet inequalities included, and the integer is_basic agrees with the
-    Smith-form multiplicity."""
+    facet inequalities included, and is_basic agrees with the Smith-form
+    lattice determinant."""
     rng = random.Random(20261018)
     dets = set()
     for _ in range(150):
@@ -178,7 +178,7 @@ def test_simplicial_cone_matches_make_cone():
         got = simplicial_cone(gens)
         assert got == expected, gens
         assert got.inequalities == expected.inequalities and got.equations == ()
-        assert is_basic(got) == (multiplicity(expected) == 1)
+        assert is_basic(got) == (lattice_determinant(list(expected.generators)) == 1)
         dets.add(IntMatrix.from_vectors(gens).det())
     assert {1, -1} <= dets
     assert any(d > 1 for d in dets) and any(d < -1 for d in dets)
@@ -314,13 +314,23 @@ def test_star_subdivision_preserves_support(rng):
             assert fs.supports(p) == f.supports(p) == True
 
 
+def _accepted_draws(rng, accept, wanted: int, draws: int) -> list:
+    """The first ``wanted`` rank-2 or rank-3 cones of ``random_pointed_cone``
+    that ``accept`` passes, from at most ``draws`` draws; fails otherwise,
+    naming how many were accepted."""
+    cones = []
+    for _ in range(draws):
+        c = random_pointed_cone(rng, rng.choice([2, 3]))
+        if c is not None and accept(c):
+            cones.append(c)
+            if len(cones) == wanted:
+                return cones
+    pytest.fail(f"only {len(cones)} of {wanted} cones accepted in {draws} draws")
+
+
 def test_membership_oracle_consistency(rng):
     """Nonnegative-combination membership agrees with inequality evaluation."""
-    cones = []
-    while len(cones) < 5:
-        c = random_pointed_cone(rng, rng.choice([2, 3]))
-        if c is not None and c.is_full_dimensional:
-            cones.append(c)
+    cones = _accepted_draws(rng, lambda c: c.is_full_dimensional, 5, 50)
     checked = 0
     for c in cones:
         simplices = _triangulate_for_test(c)
@@ -354,12 +364,8 @@ def _in_simplex_combination(simplex, p):
 def test_subdividing_point_reduces_multiplicity(rng):
     """Every singular simplicial cone has an interior-ish lattice point whose
     star subdivision strictly lowers the maximal multiplicity."""
-    tried = 0
-    while tried < 15:
-        c = random_pointed_cone(rng, rng.choice([2, 3]))
-        if c is None or not c.is_full_dimensional or not c.is_simplicial or is_basic(c):
-            continue
-        tried += 1
+    singular = lambda c: c.is_full_dimensional and c.is_simplicial and not is_basic(c)
+    for c in _accepted_draws(rng, singular, 15, 200):
         candidates = [
             LatticeVector(p)
             for p in _parallelepiped_points(tuple(c.generators))

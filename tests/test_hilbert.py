@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toresolve.classify import classify
 from toresolve.cones import ConeError, dual_cone, make_cone
 from toresolve.hilbert import (
     embedding_dimension,
@@ -60,6 +63,33 @@ def test_dual_cone_basis_tridiagonal_family():
         assert tuple(
             a + b for a, b in zip(chain[i - 1], chain[i + 1])
         ) == tuple(2 * x for x in chain[i])
+
+
+def test_rank4_cube_cones_match_box_oracle():
+    """The pulling triangulation in rank 4, where facets need not be
+    simplices: the cones over the cube [-1, 1]^3 at height h, the corner
+    (1, 1, 1) raised to h * corner or not, have 8 rays and square facets,
+    their duals 6 or 9 rays.  Both Hilbert bases are the box oracle's, and
+    classify reports the flags the grading gives."""
+    flags = {}
+    for h, corner in itertools.product((1, 2), repeat=2):
+        c = make_cone([V(*p, h * corner if p == (1, 1, 1) else h) for p in itertools.product((-1, 1), repeat=3)])
+        d = dual_cone(c)
+        assert (len(c.generators), len(d.generators)) == (8, 6 if corner == 1 else 9)
+        assert list(hilbert_basis(c).members) == box_hilbert_oracle(c)
+        assert list(hilbert_basis(d).members) == box_hilbert_oracle(d)
+        r = classify(c)
+        assert not (r.smooth or r.q_factorial) and r.embedding_dim == len(box_hilbert_oracle(d))
+        flags[h, corner] = (r.q_gorenstein and r.q_gorenstein[1], r.gorenstein, r.canonical, r.terminal)
+    # at height 1 the interior point (0, 0, 0, 1) makes the cone canonical but
+    # not terminal; at height 2 that point has grading 1/2; with a raised
+    # corner the generators lie on no common hyperplane, so there is no grading
+    assert flags == {
+        (1, 1): (1, True, True, False),
+        (2, 1): (2, False, False, False),
+        (1, 2): (None, False, False, False),
+        (2, 2): (None, False, False, False),
+    }
 
 
 def test_non_pointed_rejected():

@@ -167,6 +167,41 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
         assert diagonal == tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(a.rows))), a
 
 
+def random_matrices_up_to_6x6(seed: int = 20261021, count: int = 400) -> list[IntMatrix]:
+    """``count`` seeded matrices of 0 to 6 rows and 0 to 6 columns (a matrix
+    without rows has no columns either): zero matrices, ones whose last row
+    repeats the first, and entries up to 10**30."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        bound = rng.choice((0, 3, 10**6, 10**30))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        out.append(IntMatrix(tuple(map(tuple, rows))))
+    return out
+
+
+def test_snf_of_every_shape_up_to_6x6_matches_sympy():
+    """S = U*A*V is diagonal, U and V are unimodular, and the diagonal is
+    sympy's invariant factors, on tall, wide, empty, zero and rank-deficient
+    matrices with entries up to 10**30."""
+    shapes, deficient, huge = set(), 0, 0
+    for a in random_matrices_up_to_6x6():
+        s, u, v = smith_normal_form(a)
+        assert (u * a * v).rows == s.rows, a
+        assert abs(u.det()) == 1 and abs(v.det()) == 1, a
+        assert all(x == 0 for i, r in enumerate(s.rows) for j, x in enumerate(r) if i != j), a
+        diagonal = tuple(s.rows[i][i] for i in range(min(a.nrows, a.ncols)))
+        assert diagonal == tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(a.rows))), a
+        shapes.add((a.nrows, a.ncols))
+        deficient += any(x == 0 for x in diagonal)
+        huge += any(abs(x) > 10**20 for r in a.rows for x in r)
+    assert shapes == {(0, 0)} | {(m, n) for m in range(1, 7) for n in range(7)}
+    assert deficient >= 50 and huge >= 50, (deficient, huge)
+
+
 def _row_lattice(rows) -> sympy.Matrix:
     """Sympy's Hermite form of the transpose: a canonical basis, as columns,
     of the lattice the rows span."""
