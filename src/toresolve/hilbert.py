@@ -55,12 +55,13 @@ def _triangulate(c: Cone) -> list[tuple[LatticeVector, ...]]:
     return simplices
 
 
-def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
-    """Lattice points of the half-open parallelepiped sum t_i g_i, t_i in [0,1).
+def _cosets(gens: tuple[LatticeVector, ...]):
+    """Smith-form set-up shared by the parallelepiped walks over Z^d modulo
+    the sublattice G Z^d, G the matrix with the generators as columns.
 
-    Enumerated via the Smith normal form: representatives of Z^d modulo the
-    generator sublattice, shifted into the fundamental domain.  Exactly
-    det-many points, including the origin.
+    Returns det G, the rows of adj(G) and the coset representatives U^-1 a,
+    0 <= a_i < |s_i| for the Smith diagonal s of U G V, one per coset,
+    det-many in all.  Refuses a group of more than ``sys.maxsize`` elements.
     """
     d = len(gens)
     g_cols = IntMatrix(tuple(zip(*(g.coords for g in gens))))
@@ -74,15 +75,28 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
             f"the parallelepiped of the cone on {[g.coords for g in gens]} has {count} lattice points, "
             f"more than the {sys.maxsize} that can be enumerated"
         )
-    u_inv = u.inverse_unimodular()
-    # exact inverse of the generator matrix, once
+    u_inv = u.inverse_unimodular().rows
     det, adj_cols = adjugate(g_cols.rows)
-    inv_rows = [tuple(Fraction(x, det) for x in row) for row in zip(*adj_cols)]
+    reps = (
+        tuple(sum(x * y for x, y in zip(row, a)) for row in u_inv)
+        for a in itertools.product(*(range(abs(x)) for x in diag))
+    )
+    return det, list(zip(*adj_cols)), reps
+
+
+def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
+    """Lattice points of the half-open parallelepiped sum t_i g_i, t_i in [0,1).
+
+    Enumerated via the Smith normal form: representatives of Z^d modulo the
+    generator sublattice, shifted into the fundamental domain.  Exactly
+    det-many points, including the origin.
+    """
+    d = len(gens)
+    det, adj_rows, reps = _cosets(gens)
+    # exact inverse of the generator matrix, once
+    inv_rows = [tuple(Fraction(x, det) for x in row) for row in adj_rows]
     points = []
-    for a in itertools.product(*(range(abs(x)) for x in diag)):
-        x0 = tuple(
-            sum(u_inv.rows[i][j] * a[j] for j in range(d)) for i in range(d)
-        )
+    for x0 in reps:
         t = [sum(inv_rows[i][j] * x0[j] for j in range(d)) for i in range(d)]
         frac = [ti - math.floor(ti) for ti in t]
         x = tuple(
@@ -90,6 +104,30 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
             for i in range(d)
         )
         points.append(x)
+    return points
+
+
+def _lower_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
+    """Primitive lattice points sum t_i g_i with every t_i in [0,1) and
+    0 < sum t_i <= 1: the parallelepiped points on or under the plane
+    through the generators, walked in integers.
+
+    For a coset representative x0, t = G^-1 x0 = sign(det) adj(G) x0 / D
+    with D = |det G|, so r = (sign(det) adj(G) x0) mod D is D times the
+    fractional parts of t, and the point is x = G r / D.
+    """
+    det, adj_rows, reps = _cosets(gens)
+    size = abs(det)
+    if det < 0:
+        adj_rows = [tuple(-a for a in row) for row in adj_rows]
+    g_rows = list(zip(*(g.coords for g in gens)))
+    points = []
+    for x0 in reps:
+        r = [sum(a * x for a, x in zip(row, x0)) % size for row in adj_rows]
+        if 0 < sum(r) <= size:
+            x = tuple(sum(a * b for a, b in zip(row, r)) // size for row in g_rows)
+            if math.gcd(*x) == 1:
+                points.append(x)
     return points
 
 
@@ -163,21 +201,25 @@ def embedding_dimension(c: Cone) -> int:
 
 
 def floor_facets(c: Cone) -> list[list[LatticeVector]]:
-    """Hilbert points on each compact facet of conv((c ∩ N) - {0}) facing the origin.
+    """Lattice points on each compact facet of conv((c ∩ N) - {0}) facing the origin.
 
-    The hull equals conv(Hilbert basis) + c, and its compact facets, the
-    "floor" through which every ray of the cone exits, are found in integers
-    from the basis alone.  In rank 2 the floor is the basis in angular order,
-    split into maximal collinear runs.  In rank 3 it is gift-wrapped: the
-    first facet is pivoted about a floor edge on a wall of the cone, then
-    every polygon edge off the walls is pivoted about in turn (see
-    ``_floor_3d``).  Each facet is listed as its sorted Hilbert points, the
-    facets in increasing order of (-k, n) for the primitive normal n and
-    level k = <n, h> on the facet.
+    These compact facets, the "floor" through which every ray of the cone
+    exits, are found in integers from a finite candidate set whose hull plus
+    c is the whole hull.  In rank 2 the candidates are the Hilbert basis and
+    the floor is the basis in angular order, split into maximal collinear
+    runs.  In rank 3 the candidates are the generators and the lower points
+    of each simplex of the pulling triangulation (``_lower_points``: the
+    primitive points sum t_i g_i with t_i in [0,1) and 0 < sum t_i <= 1), and
+    the floor is gift-wrapped over them: the first facet is pivoted about a
+    floor edge on a wall of the cone, then every polygon edge off the walls
+    is pivoted about in turn (see ``_floor_3d``).  Each facet is listed as
+    its sorted lattice points, which are all Hilbert points, the facets in
+    increasing order of (-k, n) for the primitive normal n and level
+    k = <n, h> on the facet.
 
-    The result is certified: every facet has <n, h> >= k > 0 on the whole
-    basis and <n, g> > 0 on every generator, and every floor edge off the
-    walls lies in exactly two of the facets found; a failure raises
+    The result is certified: every facet has <n, h> >= k > 0 on every
+    candidate and <n, g> > 0 on every generator, and every floor edge off
+    the walls lies in exactly two of the facets found; a failure raises
     ``ConeError``.
     """
     if not (c.is_pointed and c.is_full_dimensional):
@@ -185,14 +227,20 @@ def floor_facets(c: Cone) -> list[list[LatticeVector]]:
     rank = c.lattice_rank
     if rank > 3:
         raise ConeError(f"hull floor implemented for rank <= 3, got rank {rank}")
-    members = [h.coords for h in hilbert_basis(c).members]
-    if rank == 1:
-        return [[LatticeVector(members[0])]]
     gens = [g.coords for g in c.generators]
-    if rank == 2:
-        facets = {(n, k): _certified_tight(n, k, members, gens) for n, k in _floor_2d_normals(members)}
+    if rank == 3:
+        candidates = set(gens)
+        for simplex in _triangulate(c):
+            candidates.update(_lower_points(simplex))
+        facets = _floor_3d(c, list(candidates), gens)
     else:
-        facets = _floor_3d(c, members, gens)
+        # the angular chain joins consecutive points, so it needs exactly the
+        # Hilbert points: a candidate above the floor makes an edge the
+        # certificate refuses
+        members = [h.coords for h in hilbert_basis(c).members]
+        if rank == 1:
+            return [[LatticeVector(members[0])]]
+        facets = {(n, k): _certified_tight(n, k, members, gens) for n, k in _floor_2d_normals(members)}
     return [
         [LatticeVector(p) for p in sorted(tight)]
         for (n, _k), tight in sorted(facets.items(), key=lambda item: (-item[0][1], item[0][0]))
@@ -261,11 +309,24 @@ def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, lis
 
 def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]]:
     """Tight members of each compact hull facet (n, k) of a pointed
-    full-dimensional rank-3 cone, by gift wrapping over its Hilbert basis.
+    full-dimensional rank-3 cone, by gift wrapping over its candidate points:
+    the generators and the lower points of every simplex of ``_triangulate``.
+
+    Why these candidates give the same floor, tight sets and order as the
+    Hilbert basis:
+    - every generator g has <n, g> >= k, so a floor point lies in some
+      simplex with sum t_i <= 1;
+    - a floor point is irreducible, as h1 + h2 has <n, .> >= 2k, so it is
+      primitive, and it is a candidate;
+    - every candidate lies in c ∩ N, so the hull, the tight sets and the
+      (-k, n) order are unchanged;
+    - the certificate on the candidates covers every lattice point of c: a
+      point with sum t_i > 1 exceeds k by linearity, and a non-primitive
+      point is a multiple of a primitive one.
 
     The first edge lies on the first wall of the cone: its least generator a
-    and the wall's Hilbert point b next to a in angle, which are neighbours
-    on the wall's planar floor.  Pivoting about an edge ab of a face already
+    and the wall's candidate b next to a in angle, which are neighbours on
+    the wall's planar floor.  Pivoting about an edge ab of a face already
     found, away from that face, the planes through a and b are ordered by
     angle; a single pass keeps the first plane and replaces it by the plane
     through any member it leaves on the wrong side, and ends at the facet

@@ -1,11 +1,17 @@
 import itertools
+import math
+import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toresolve.classify import classify
+from toresolve.cli import main
 from toresolve.cones import ConeError, dual_cone, make_cone
 from toresolve.hilbert import (
+    _lower_points,
+    _triangulate,
     embedding_dimension,
     floor_facets,
     hilbert_basis,
@@ -13,7 +19,15 @@ from toresolve.hilbert import (
 )
 from toresolve.lattice import IntMatrix, LatticeVector
 
-from conftest import box_hilbert_oracle, random_pointed_cone, unimodular_from_ops
+from conftest import (
+    box_hilbert_oracle,
+    dd_floor_facets,
+    gauss_jordan_solve,
+    random_pointed_cone,
+    random_rank3_cones,
+    unimodular_from_ops,
+)
+from test_cli import HOSTILE_JOBS, write_job
 
 
 def V(*coords):
@@ -250,3 +264,61 @@ def test_floor_facet_of_canonical_cone_is_single():
     fls = floor_facets(fig)
     assert len(fls) == 1
     assert {p.coords for p in fls[0]} >= {(-3, 3, 1), (3, 1, 1), (0, -3, 1)}
+
+
+def box_lower_points(simplex) -> list[tuple[int, ...]]:
+    """The primitive points sum t_i g_i with t_i in [0, 1) and 0 < sum t_i <= 1,
+    by a scan of the bounding box of conv(0, g_1, g_2, g_3) with each
+    point's barycentric coordinates solved by Gauss-Jordan elimination."""
+    gens = [g.coords for g in simplex]
+    rows = [LatticeVector(tuple(g[k] for g in gens)) for k in range(3)]
+    box = [range(min(0, *(g[k] for g in gens)), max(0, *(g[k] for g in gens)) + 1) for k in range(3)]
+    out = []
+    for p in itertools.product(*box):
+        if math.gcd(*p) != 1:
+            continue
+        t = gauss_jordan_solve(rows, p).coords
+        if all(0 <= ti < 1 for ti in t) and 0 < sum(t) <= 1:
+            out.append(p)
+    return out
+
+
+def test_lower_points_match_box_scan():
+    """The integer walk over the Smith-form group gives exactly the primitive
+    parallelepiped points on or under the generator plane, each once, on
+    seeded simplices with determinants up to 500 and on every simplex of
+    the pulling triangulations of the benchmark's random cones."""
+    rng = random.Random(20261019)
+    simplices = []
+    while len(simplices) < 30:
+        gens = tuple(V(*(rng.randint(-6, 6) for _ in range(3))) for _ in range(3))
+        det = IntMatrix(tuple(g.coords for g in gens)).det()
+        if 0 < abs(det) <= 500:
+            simplices.append(gens)
+    assert max(abs(IntMatrix(tuple(g.coords for g in s)).det()) for s in simplices) > 300
+    for c in random_rank3_cones(27182818, 4, 40):
+        simplices += _triangulate(c)
+    for simplex in simplices:
+        walked = _lower_points(simplex)
+        assert len(walked) == len(set(walked)), simplex
+        assert sorted(walked) == box_lower_points(simplex), simplex
+
+
+def test_floor_facets_on_lower_points_match_oracles(tmp_path, capsys):
+    """On the conftest draw, the floor gift-wrapped over the lower points
+    equals the 4-D double description of the Hilbert basis, and every tight
+    point of every facet is a Hilbert point.  A simplex too large to walk is
+    refused at once on the floor path, with a message naming the cone."""
+    for c in random_rank3_cones(27182818, 4, 300):
+        facets = floor_facets(c)
+        assert facets == dd_floor_facets(c), c
+        basis = set(hilbert_basis(c).members)
+        assert all(p in basis for facet in facets for p in facet), c
+    job = HOSTILE_JOBS[0]
+    infile = write_job(tmp_path, "huge.json", job)
+    start = time.perf_counter()
+    assert main(["resolve3d", "--in", infile, "--out", str(tmp_path / "out.json")]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "that can be enumerated" in err
+    assert all(str(tuple(g)) in err for g in job["cones"][0]["generators"])
