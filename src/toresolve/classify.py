@@ -49,8 +49,9 @@ class LatticePolytope:
     them sorted.  Canonical vertices are affinely independent, except that a
     planar hull can have more than three, so the dimension is the vertex
     count less one, capped by the ambient rank.  The lattice, interior and
-    edge-interior points are found on first request and kept; the methods
-    listing them return fresh lists.
+    edge-interior points are found on first request, or set by the code that
+    made the polytope, and kept, each in (x, y) order; the methods listing
+    them return fresh lists.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -141,7 +142,7 @@ class LatticePolytope:
 
     @cached_property
     def _edge_interior(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p for a, b in self.edges() for p in _segment_points(a, b)[1:-1])
+        return tuple(sorted(p for a, b in self.edges() for p in _segment_points(a, b)[1:-1]))
 
     def lattice_points(self) -> list[tuple[int, ...]]:
         return list(self._points)

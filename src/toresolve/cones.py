@@ -230,9 +230,8 @@ def simplicial_cone(gens: list[LatticeVector]) -> Cone:
     return _simplicial_cone(gens)[0]
 
 
-def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int, list[tuple[int, ...]]]:
-    """``simplicial_cone`` together with the det and adjugate columns of the
-    primitive generator rows, in the order given."""
+def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int]:
+    """``simplicial_cone`` and the det of its primitive generator rows, in the order given."""
     rank = len(gens)
     if not gens or any(g.rank != rank for g in gens):
         raise ConeError(f"simplicial cone needs n vectors of rank n, got {rank}")
@@ -242,7 +241,7 @@ def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int, list[tuple[i
         raise ConeError(f"linearly dependent generators {sorted(rows)}")
     sign = 1 if det > 0 else -1
     normals = [_gcd_normalize(tuple(sign * x for x in col)) for col in cols]
-    return _build_cone(rows, (), normals, (), rank), det, cols
+    return _build_cone(rows, (), normals, (), rank), det
 
 
 def _mapped_cones(cones: list[Cone], b: IntMatrix) -> list[Cone]:

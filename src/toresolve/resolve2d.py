@@ -75,7 +75,7 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     chain = angular_order(hilbert_basis(c).members)
     cones = []
     for u, v in zip(chain, chain[1:]):
-        cone, det, _cols = _simplicial_cone([u, v])
+        cone, det = _simplicial_cone([u, v])
         if det not in (1, -1):
             raise Resolve2dError(
                 f"hull boundary pair {u.coords}, {v.coords} is not basic; "

@@ -14,11 +14,12 @@ an exact integral height function certifying projectivity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import attrgetter, countOf
 
 from .classify import (
     CoverCertificate,
@@ -29,7 +30,7 @@ from .classify import (
     index_one_cover,
 )
 from .cones import (
-    Cone, ConeError, Fan, _mapped_cones, _simplicial_cone, cone_over_polygon, is_basic, make_fan, simplicial_cone
+    Cone, ConeError, Fan, _build_cone, _cross, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
 )
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets, floor_polygon
@@ -53,20 +54,26 @@ Wall = tuple[Point, Point, Point, Point]
 
 
 def _cell_tag(cell: LatticePolytope) -> dict:
-    interior = cell.interior_points()
-    edge_interior = cell.edge_interior_points()
+    # Pick: with normalized area A and B boundary points, (A - B + 2) / 2 points are interior
+    v = cell.vertices
     area2 = cell.area2()
+    boundary = sum(math.gcd(q[0] - p[0], q[1] - p[1]) for p, q in zip(v, v[1:] + v[:1]))
+    interior = (area2 - boundary + 2) // 2
+    edge_interior = boundary - len(v)
     is_parallelogram = (
         len(cell.vertices) == 4
         and tuple(a + c for a, c in zip(cell.vertices[0], cell.vertices[2]))
         == tuple(b + d for b, d in zip(cell.vertices[1], cell.vertices[3]))
     )
     return {
-        "interior_points": len(interior),
-        "edge_interior_points": len(edge_interior),
+        "interior_points": interior,
+        "edge_interior_points": edge_interior,
         "basic": area2 == 1,
         "unit_parallelogram": is_parallelogram and area2 == 2 and not interior and not edge_interior,
     }
+
+
+_vertices = attrgetter("vertices")
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,10 @@ class PolygonComplex:
     heights whose regular subdivisions produced the rounds; they assemble
     into the projectivity certificates of the completions.  ``parallelograms``
     lists the unit parallelograms that the completions fill, once found;
-    ``triangle_cones`` and ``round_folds`` keep, for all completions, the
+    ``triangle_cones`` and ``wall_folds`` keep, for all completions, the
     cones over the triangles and the round folds across the walls they have
-    used.
+    used.  ``replace_cells`` carries the census's edge-point counts over,
+    changing only those of the cells it replaces.
     """
 
     polygon: LatticePolytope
@@ -90,15 +98,27 @@ class PolygonComplex:
     def initial(cls, polygon: LatticePolytope) -> "PolygonComplex":
         return cls(polygon=polygon, cells=(polygon,))
 
-    def replace_cells(self, cells, new_round: dict[Point, int] | None = None) -> "PolygonComplex":
+    def replace_cells(self, old, new, new_round: dict[Point, int] | None = None) -> "PolygonComplex":
+        """The complex with the cells ``old`` replaced by ``new``, and
+        ``new_round``, when it lifts any point, as its latest round."""
         rounds = self.round_heights
         if new_round:
             rounds = rounds + (tuple(sorted(new_round.items())),)
-        return PolygonComplex(
+        gone = set(old)
+        out = PolygonComplex(
             polygon=self.polygon,
-            cells=tuple(sorted(cells, key=lambda c: c.vertices)),
+            cells=tuple(sorted([c for c in self.cells if c not in gone] + list(new), key=_vertices)),
             round_heights=rounds,
         )
+        counts = vars(out)["_edge_point_counts"] = self._edge_point_counts.copy()
+        counts.subtract(p for c in old for p in c._edge_interior)
+        counts.update(p for c in new for p in c._edge_interior)
+        return out
+
+    @cached_property
+    def _edge_point_counts(self) -> Counter:
+        """How many cells list each point inside one of their edges (or 0)."""
+        return Counter(p for c in self.cells for p in c._edge_interior)
 
     def tags(self) -> list[dict]:
         # cells are immutable: each keeps its tag beside its other cached facts
@@ -121,18 +141,38 @@ class PolygonComplex:
 
     @cached_property
     def triangle_cones(self) -> dict[Triangle, tuple[Cone, Dual]]:
-        """Per triangle that a completion has used, keyed by its vertices in
-        the order ``_triangulation_cells`` lists them, its cone and the dual
-        basis of its lifted vertices; filled by ``_completion_for_bits``, so
-        each is built once and read by every completion of the piece."""
+        """Per triangle that a completion has used, keyed by its sorted
+        vertices, its cone and the dual basis of its lifted vertices; filled by
+        ``_completion_for_bits``, so each is built once and read by every
+        completion of the piece."""
         return {}
 
     @cached_property
-    def round_folds(self) -> dict[Wall, tuple[int, ...]]:
-        """Per wall (a, b, c, d) that a completion has met, the folds of the
-        round heights across it, in round order; filled by
+    def wall_folds(self) -> dict[Wall, tuple[tuple[tuple[int, int], ...], tuple[tuple[Point, int], ...]]]:
+        """Per wall (a, b, c, d) that a completion has met, its nonzero round
+        folds as (round, fold) pairs and its ``_wall_terms``; filled by
         ``_composite_heights``, since completions share most of their walls."""
         return {}
+
+    @cached_property
+    def triangle_cells(self) -> tuple[dict[Triangle, None], list[Wall], dict[tuple[Point, Point], Point]]:
+        """The basic cells as sorted vertex triples, in order, the walls between
+        two of them, and each of their edges that no other basic cell shares,
+        with its far vertex: what every completion keeps of the triangulation."""
+        tris = dict.fromkeys(sorted(tuple(sorted(c.vertices)) for c in self.cells if len(c.vertices) == 3))
+        open_edges: dict[tuple[Point, Point], Point] = {}
+        walls = _walls(tris, open_edges)
+        return tris, walls, open_edges
+
+    @cached_property
+    def point_rounds(self) -> dict[Point, list[tuple[int, int]]]:
+        """Per lifted point, its (round, height) pairs in round order: a point
+        is lifted again by each later round while it is still a centre."""
+        out: dict[Point, list[tuple[int, int]]] = {}
+        for r, layer in enumerate(self.round_heights):
+            for p, h in layer:
+                out.setdefault(p, []).append((r, h))
+        return out
 
     def census(self) -> dict:
         tags = self.tags()
@@ -140,7 +180,7 @@ class PolygonComplex:
             "cells": len(self.cells),
             "cells_with_interior_points": sum(1 for t in tags if t["interior_points"]),
             "interior_points": sum(t["interior_points"] for t in tags),
-            "edge_interior_points": len({p for c in self.cells for p in c._edge_interior}),
+            "edge_interior_points": len(self._edge_point_counts) - countOf(self._edge_point_counts.values(), 0),
             "basic_cells": sum(1 for t in tags if t["basic"]),
             "unit_parallelograms": sum(1 for t in tags if t["unit_parallelogram"]),
         }
@@ -253,11 +293,19 @@ def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope
     picture of a two-level lifting, which needs only planar hulls and dot
     products.  A lifting whose pieces leave out a lattice point of the cell,
     or do not cover it, does not tile the cell and is refused.
+
+    A piece's tight set lies in conv(tight) ∩ Z², so the two are equal, and
+    the piece keeps the tight set as its lattice points, exactly when the
+    piece's Pick count (its tag) is |tight|.  All points of a ring piece
+    conv(argmin_a A1 ∪ argmin_a A0) lie where a is least or greatest on it
+    (De Loera–Rambau–Santos, *Triangulations*, §2.3 and §9.2), so it has no
+    interior point, and its edge-interior points are its tight points less
+    its vertices; so are a central piece's when its Pick count finds no
+    interior point, and otherwise it finds both from its edges.
     """
     lifted = set(lifted)
-    points = [tuple(p) for p in cell.lattice_points()]
-    a1 = [p for p in points if p in lifted]
-    a0 = [p for p in points if p not in lifted]
+    a1 = [p for p in cell._points if p in lifted]
+    a0 = [p for p in cell._points if p not in lifted]
     top = convex_hull_2d(a1)
     pieces = [a1] if len(top) >= 3 else []
     for a in set(_inward_edge_normals(top) + _inward_edge_normals(convex_hull_2d(a0))):
@@ -270,9 +318,16 @@ def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope
             )
     cells = []
     for tight in pieces:
-        poly = LatticePolytope.from_points(tight)
-        if set(tight) != set(poly.lattice_points()):
+        poly = LatticePolytope.from_points(top if tight is a1 else tight)
+        facts = vars(poly)
+        tag = facts["_tag"] = _cell_tag(poly)
+        if len(tight) != tag["interior_points"] + tag["edge_interior_points"] + len(poly.vertices):
             raise Resolve3dError("envelope subdivision does not tile the cell")
+        points = facts["_points"] = tuple(sorted(tight))
+        if tight is a1 and tag["interior_points"]:
+            poly._interior, poly._edge_interior  # found from the edges, and kept
+        else:  # every point is on the boundary
+            facts.update(_interior=(), _edge_interior=tuple(p for p in points if p not in poly.vertices))
         cells.append(poly)
     if sum(c.area2() for c in cells) != cell.area2():
         raise Resolve3dError("envelope subdivision does not tile the cell")
@@ -294,30 +349,30 @@ def _phase(pc: PolygonComplex, phase: str, centres) -> tuple[PolygonComplex, lis
 
     ``centres`` is ``LatticePolytope.interior_points`` for the fixed-point
     phase and ``LatticePolytope.edge_interior_points`` for the curve phase;
-    each round lifts the centres of all eligible cells at once.
+    each round lifts the centres of all eligible cells at once.  A cell left
+    alone has no centres, so the centres left, the new rays and the next
+    eligible cells are read off the cells the round made.
     """
     rounds: list[PhaseRound] = []
-    remaining = {p for c in pc.cells for p in centres(c)}
-    while remaining:
-        old_points = {p for c in pc.cells for p in c.vertices}
-        eligible: list[LatticePolytope] = []
-        new_cells: list[LatticePolytope] = []
+    eligible = [c for c in pc.cells if centres(c)]
+    remaining = {p for c in eligible for p in centres(c)}
+    vertices = {p for c in pc.cells for p in c.vertices}
+    while eligible:
+        born: list[LatticePolytope] = []
         heights: dict[Point, int] = {}
-        for cell in pc.cells:
+        for cell in eligible:
             lifted = centres(cell)
-            if not lifted:
-                new_cells.append(cell)
-                continue
-            eligible.append(cell)
-            new_cells.extend(_envelope_subdivision(cell, lifted))
+            born.extend(_envelope_subdivision(cell, lifted))
             heights.update(dict.fromkeys(lifted, 1))
-        pc = pc.replace_cells(new_cells, new_round=heights)
-        left = {p for c in pc.cells for p in centres(c)}
+        pc = pc.replace_cells(eligible, born, new_round=heights)
+        left = {p for c in born for p in centres(c)}
         if len(left) >= len(remaining):
             raise Resolve3dError(f"{phase} failed to reduce its centres")
         remaining = left
-        new_rays = tuple(sorted({p for c in pc.cells for p in c.vertices} - old_points))
-        rounds.append(PhaseRound(phase, tuple(eligible), new_rays, pc.census()))
+        new_rays = {p for c in born for p in c.vertices} - vertices
+        vertices |= new_rays
+        rounds.append(PhaseRound(phase, tuple(eligible), tuple(sorted(new_rays)), pc.census()))
+        eligible = sorted((c for c in born if centres(c)), key=_vertices)
     return pc, rounds
 
 
@@ -332,9 +387,7 @@ def blowup_fixed_point(pc: PolygonComplex, cell_index: int) -> PolygonComplex:
     interior = cell.interior_points()
     if not interior:
         raise Resolve3dError("cell is already cDV: no interior lattice points")
-    cells = [c for i, c in enumerate(pc.cells) if i != cell_index]
-    cells += _envelope_subdivision(cell, interior)
-    return pc.replace_cells(cells, new_round=dict.fromkeys(interior, 1))
+    return pc.replace_cells([cell], _envelope_subdivision(cell, interior), new_round=dict.fromkeys(interior, 1))
 
 
 def crepant_fixed_point_phase(pc: PolygonComplex) -> PolygonComplex:
@@ -439,74 +492,55 @@ def _parallelogram_diagonals(cell: LatticePolytope):
     return tuple(sorted((d1, d2)))
 
 
-def _triangulation_cells(pc: PolygonComplex, choice: dict[LatticePolytope, tuple[Point, Point]]):
-    tris = []
-    for cell in pc.cells:
-        if len(cell.vertices) == 3:
-            tris.append(tuple(cell.vertices))
-            continue
-        diag = choice[cell]
-        v = list(cell.vertices)
-        i = v.index(diag[0])
-        if v[(i + 2) % 4] != diag[1]:
-            raise Resolve3dError("chosen diagonal does not join opposite vertices")
-        tris.append((v[i], v[(i + 1) % 4], v[(i + 2) % 4]))
-        tris.append((v[(i + 2) % 4], v[(i + 3) % 4], v[i]))
-    return tris
-
-
 def _basic_triangle_cone(t: Triangle) -> tuple[Cone, Dual]:
     """The cone over a unimodular triangle lifted to height one, and the dual
     basis of its lifted vertices in their order.
 
     With rows rᵢ = (xᵢ, yᵢ, 1) and det = r₀ · (r₁ × r₂) = ±1, the adjugate
     columns are the cross products rᵢ₊₁ × rᵢ₊₂, and nᵢ = det · (rᵢ₊₁ × rᵢ₊₂)
-    pairs to 1 with rᵢ and to 0 with the other rows; these are the cone's
-    inward facet normals, as ``simplicial_cone`` finds them.  A height
-    function h on the triangle has the linear representative Σ h(pᵢ) nᵢ.
+    pairs to 1 with rᵢ and to 0 with the other rows: the nᵢ are primitive,
+    and they are the cone's inward facet normals, as ``simplicial_cone`` finds
+    them.  A height function h on the triangle has the linear representative
+    Σ h(pᵢ) nᵢ.
     """
-    cone, det, cols = _simplicial_cone([LatticeVector((x, y, 1)) for x, y in t])
+    r0, r1, r2 = rows = [(x, y, 1) for x, y in t]
+    dual = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
+    det = sum(x * y for x, y in zip(r0, dual[0]))
     if det not in (1, -1):
         raise Resolve3dError(f"completion triangle {t} is not basic")
-    return cone, tuple(tuple(det * x for x in col) for col in cols)
+    if det == -1:
+        dual = tuple((-x, -y, -z) for x, y, z in dual)
+    return _build_cone(rows, (), dual, (), 3), dual
 
 
-def _walls(tris) -> list[Wall]:
-    """(a, b, c, d) for each interior wall ab of triangles abc and abd."""
-    opposite: dict[tuple[Point, Point], Point] = {}
+def _walls(tris, opposite: dict[tuple[Point, Point], Point]) -> list[Wall]:
+    """(a, b, c, d) for each wall ab of a triangle abd of ``tris`` and a
+    triangle abc met before, whose open edges ``opposite`` maps to their far
+    vertices; it takes the edges of ``tris`` that stay open."""
     walls = []
     for tri in tris:
         for k in range(3):
             a, b = sorted((tri[k], tri[(k + 1) % 3]))
-            c = tri[(k + 2) % 3]
-            if (a, b) in opposite:
-                walls.append((a, b, opposite[(a, b)], c))
+            d = tri[(k + 2) % 3]
+            c = opposite.pop((a, b), None)
+            if c is None:
+                opposite[(a, b)] = d
             else:
-                opposite[(a, b)] = c
+                walls.append((a, b, c, d))
     return walls
 
 
-def _fold(wall, h: dict[Point, int]) -> int:
-    """Fold of h across the wall (a, b, c, d): the affine interpolant of h on
-    abc at d, minus h(d).
-
-    On a unimodular abc the barycentric coordinates of d are the integers
-    1 - x - y, x, y; absent points have height 0.
-    """
+def _wall_terms(wall) -> tuple[tuple[Point, int], ...]:
+    """The points of the wall (a, b, c, d) with their coefficients in the fold
+    of h, the affine interpolant of h on abc at d minus h(d): on a unimodular
+    abc, d has the integer barycentric coordinates 1 - x - y, x, y."""
     (ax, ay), (bx, by), (cx, cy), (dx, dy) = wall
     det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
     if det not in (1, -1):
         raise Resolve3dError(f"wall triangle {wall[:3]} is not unimodular")
     x = det * ((dx - ax) * (cy - ay) - (cx - ax) * (dy - ay))
     y = det * ((bx - ax) * (dy - ay) - (dx - ax) * (by - ay))
-    a, b, c, d = (h.get(p, 0) for p in wall)
-    return a + x * (b - a) + y * (c - a) - d
-
-
-def _support_fold(wall, h: dict[Point, int]) -> int:
-    """``_fold`` of h across the wall, or 0 at once when h lists none of its
-    four points (absent points have height 0)."""
-    return 0 if h.keys().isdisjoint(wall) else _fold(wall, h)
+    return tuple(zip(wall, (1 - x - y, x, y, -1)))
 
 
 def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[Point, int]:
@@ -516,56 +550,62 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
     with weights 2^(t(L-1-r)) for layer r of L, at the least t that makes
     every fold positive, then divides out the common power of two; this is
     the sum with weights eps^(r+1), eps = 2^-t, with denominators cleared.
-    Folds are linear in the heights, so each layer is folded on its own, and
-    only across the walls with a point that it lists.  The folds of the
-    rounds across a wall do not depend on the diagonals, so the piece keeps
-    them, in ``pc.round_folds``, for all its completions; only chi is folded
-    for each.
+    Folds are linear in the heights, so each wall's coefficients are found
+    once, and its fold in round r adds up the coefficients of its points
+    that round r lifts (``pc.point_rounds``).  A point is lifted by each
+    round while it is still a centre, so a wall's nonzero round folds are in
+    rounds that lift its points, none deeper than its deepest point.
+    The round folds do not depend on the diagonals, so the piece keeps them,
+    in ``pc.wall_folds``, for all its completions, and lists the walls
+    between its basic cells once (``pc.triangle_cells``); only the walls of
+    the diagonals' triangles are found, and chi folded, for each completion.
     """
-    rounds = [dict(r) for r in pc.round_heights]
-    known = pc.round_folds
-    folds = []  # per wall: the folds of the rounds, and the fold of chi
-    for wall in _walls(tris):
+    basic, walls, open_edges = pc.triangle_cells
+    walls = walls + _walls([t for t in tris if t not in basic], dict(open_edges))
+    point_rounds = pc.point_rounds
+    known = pc.wall_folds
+    folds = []  # per wall: its nonzero round folds, and the fold of chi
+    for wall in walls:
         if wall not in known:
-            known[wall] = tuple(_support_fold(wall, layer) for layer in rounds)
-        folds.append((known[wall], _support_fold(wall, chi)))
-    top = len(rounds)
+            terms, by_round = _wall_terms(wall), {}
+            for p, k in terms:
+                for r, h in point_rounds.get(p, ()):
+                    by_round[r] = by_round.get(r, 0) + k * h
+            known[wall] = tuple((r, f) for r, f in by_round.items() if f), terms
+        round_folds, terms = known[wall]
+        folds.append((round_folds, sum(k * chi[p] for p, k in terms if p in chi)))
+    top = len(pc.round_heights)
     for t in range(64):
         # chi, the last layer, has weight 1
-        weights = [1 << (t * (top - r)) for r in range(top)] + [1]
-        if all(sum(map(mul, weights, round_folds)) + chi_fold > 0 for round_folds, chi_fold in folds):
-            heights = dict.fromkeys((p for tri in tris for p in tri), 0)
-            for w, layer in zip(weights, rounds + [chi]):
-                for p, h in layer.items():
-                    if p in heights:
-                        heights[p] += w * h
+        if all(sum(f << (t * (top - r)) for r, f in round_folds) + chi_fold > 0 for round_folds, chi_fold in folds):
+            heights = {}
+            for p in {p for tri in tris for p in tri}:
+                heights[p] = sum(h << (t * (top - r)) for r, h in point_rounds.get(p, ())) + chi.get(p, 0)
             g = math.gcd(1 << (t * (top + 1)), *heights.values())
             return {p: v // g for p, v in heights.items()}
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
 
 def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan, SupportFunction]:
-    choice = {}
-    for cell, bit in zip(pc.parallelograms, bits):
-        choice[cell] = _parallelogram_diagonals(cell)[bit]
-    tris = _triangulation_cells(pc, choice)
-    # the cones first: they refuse a triangle that is not basic
-    known = pc.triangle_cones
-    cones = []
-    for t in tris:
-        if t not in known:
-            known[t] = _basic_triangle_cone(t)
-        cones.append(known[t])
+    tris = list(pc.triangle_cells[0])
     var_index: dict[Point, int] = {}
     ineqs = []
-    for cell in pc.parallelograms:
-        diag = choice[cell]
+    for cell, bit in zip(pc.parallelograms, bits):
+        diag = _parallelogram_diagonals(cell)[bit]
         others = tuple(v for v in cell.vertices if v not in diag)
+        tris += [tuple(sorted(diag + (v,))) for v in others]
         coeffs: dict[int, int] = {}
         for p, sign in [(diag[0], 1), (diag[1], 1), (others[0], -1), (others[1], -1)]:
             i = var_index.setdefault(p, len(var_index))
             coeffs[i] = coeffs.get(i, 0) + sign
         ineqs.append((coeffs, 1))
+    # sorted vertex triples order the cones as their generators do
+    tris.sort()
+    # the cones first: they refuse a triangle that is not basic
+    known = pc.triangle_cones
+    for t in tris:
+        if t not in known:
+            known[t] = _basic_triangle_cone(t)
     chi: dict[Point, int] = {}
     if ineqs:
         sol = _fourier_motzkin(ineqs, list(range(len(var_index))))
@@ -575,16 +615,15 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
         for p, i in var_index.items():
             chi[p] = int(sol[i] * denom)
     heights = _composite_heights(pc, chi, tris)
-    pairs = []
-    for (a, b, c), (cone, dual) in zip(tris, cones):
-        ha, hb, hc = heights[a], heights[b], heights[c]
-        pairs.append((cone, Covector(tuple(ha * x + hb * y + hc * z for x, y, z in zip(*dual)))))
-    pairs.sort(key=lambda cm: tuple(g.coords for g in cm[0].generators))
-    fan = Fan(lattice_rank=3, maximal_cones=tuple(cone for cone, _m in pairs))
+    fan = Fan(lattice_rank=3, maximal_cones=tuple(known[t][0] for t in tris))
+    reps = {}
+    for i, t in enumerate(tris):
+        ha, hb, hc = (heights[p] for p in t)
+        reps[i] = Covector(tuple(ha * x + hb * y + hc * z for x, y, z in zip(*known[t][1])))
     psi = SupportFunction(
         fan=fan,
         ray_values={r.coords: heights[(r.coords[0], r.coords[1])] for r in fan.rays()},
-        linear_reps={i: m for i, (_cone, m) in enumerate(pairs)},
+        linear_reps=reps,
     )
     if not is_strictly_upper_convex(psi):
         raise Resolve3dError("projectivity certificate failed exact verification")

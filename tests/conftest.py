@@ -20,6 +20,7 @@ of full-dimensional rank-3 and rank-4 cones are found by trying every
 hyperplane through rank - 1 generators.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -99,6 +100,40 @@ def box_interior_points(p: LatticePolytope) -> list[tuple[int, ...]]:
         q for q in box_lattice_points(p)
         if edges and all((b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) > 0 for a, b in edges)
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def scanned_facts(vertices) -> tuple[list, list, list, dict]:
+    """Lattice, interior and edge-interior points of the polygon with these
+    canonical vertices, from bounding-box scans of a fresh copy, and its tag
+    built from them (no Pick count)."""
+    cell = LatticePolytope(vertices)
+    points = box_lattice_points(cell)
+    interior = box_interior_points(cell)
+    edge = [q for q in points if q not in interior and q not in vertices]
+    v = vertices
+    parallelogram = len(v) == 4 and all(v[0][i] + v[2][i] == v[1][i] + v[3][i] for i in range(2))
+    tag = {
+        "interior_points": len(interior),
+        "edge_interior_points": len(edge),
+        "basic": cell.area2() == 1,
+        "unit_parallelogram": parallelogram and cell.area2() == 2 and len(points) == 4,
+    }
+    return points, interior, edge, tag
+
+
+def set_census(pc: PolygonComplex) -> dict:
+    """The census of a complex from box scans of its cells, the points inside
+    cell edges counted as one set."""
+    tags = [scanned_facts(c.vertices)[3] for c in pc.cells]
+    return {
+        "cells": len(pc.cells),
+        "cells_with_interior_points": sum(1 for t in tags if t["interior_points"]),
+        "interior_points": sum(t["interior_points"] for t in tags),
+        "edge_interior_points": len({q for c in pc.cells for q in scanned_facts(c.vertices)[2]}),
+        "basic_cells": sum(1 for t in tags if t["basic"]),
+        "unit_parallelograms": sum(1 for t in tags if t["unit_parallelogram"]),
+    }
 
 
 def rebuilt_final_fan(trace) -> tuple[Cone, ...]:

@@ -16,15 +16,15 @@ from toresolve.divisors import (
     SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
 )
 from toresolve.hilbert import floor_facets
-from toresolve.lattice import Covector, IntMatrix, LatticeVector, primitive
+from toresolve.lattice import Covector, IntMatrix, LatticeVector, adjugate, primitive
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
     _cell_tag,
     _completion_for_bits,
     _envelope_subdivision,
-    _fold,
     _fourier_motzkin,
+    _wall_terms,
     blowup_curve_phase,
     blowup_fixed_point,
     canonical_modification,
@@ -54,7 +54,9 @@ from conftest import (
     random_polygon,
     random_rank3_cones,
     rebuilt_final_fan,
+    scanned_facts,
     sequential_fixed_point_phase,
+    set_census,
     three_pass_certificate,
     unimodular_2x2,
     unimodular_from_ops,
@@ -582,9 +584,9 @@ def test_fold_matches_fraction_interpolation(rng):
         h = {x: rng.randint(-9, 9) for x in (a, b, c, d)}
         # both orientations of the triangle abc
         for tri in ((a, b, c), (b, a, c)):
-            assert _fold((*tri, d), h) == _affine_value(tri, h, d) - h[d]
+            assert sum(k * h[p] for p, k in _wall_terms((*tri, d))) == _affine_value(tri, h, d) - h[d]
     with pytest.raises(Resolve3dError, match="not unimodular"):
-        _fold(((0, 0), (2, 0), (0, 1), (1, -1)), {})
+        _wall_terms(((0, 0), (2, 0), (0, 1), (1, -1)))
 
 
 def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
@@ -884,6 +886,88 @@ def test_kept_cell_tags_equal_fresh_tags_after_every_round(monkeypatch):
         resolve(c)
     assert len(rounds) >= 300
     assert len({id(args[0]) for args in tagged}) == len(tagged)
+
+
+def _scaling_triangle(k: int):
+    return make_cone([V(-k, k, 1), V(k, k // 3, 1), V(0, -k, 1)])
+
+
+def test_seeded_cell_facts_and_census_equal_box_scans(monkeypatch):
+    """Every cell the envelope subdivision makes, the central one included,
+    is made with its lattice, interior and edge-interior points and its tag,
+    and each equals the box scan of a fresh copy; after every round the
+    census, whose edge-interior count is carried across rounds, equals the
+    census of box scans with the points inside cell edges taken as one set.
+    Corpus: the C3 hulls, FIG, 300 seeded cones, the k=6 and k=12 triangles."""
+    envelope = resolve3d._envelope_subdivision
+    census = PolygonComplex.census
+    made, censuses = [], []
+
+    def recording(cell, lifted):
+        cells = envelope(cell, lifted)
+        made.extend(cells)
+        return cells
+
+    def checked(pc):
+        censuses.append(census(pc))
+        assert censuses[-1] == set_census(pc)
+        return censuses[-1]
+
+    monkeypatch.setattr(resolve3d, "_envelope_subdivision", recording)
+    monkeypatch.setattr(PolygonComplex, "census", checked)
+    for c in facts_corpus() + (_scaling_triangle(6), _scaling_triangle(12)):
+        resolve(c)
+    for cell in made:
+        assert {"_points", "_interior", "_edge_interior", "_tag"} <= vars(cell).keys(), cell
+        kept = (cell.lattice_points(), cell.interior_points(), cell.edge_interior_points(), vars(cell)["_tag"])
+        assert kept == scanned_facts(cell.vertices), cell
+    assert len(censuses) >= 300
+    assert any(cell.interior_points() for cell in made) and any(cell.edge_interior_points() for cell in made)
+
+
+def _fan_walls(fan: Fan) -> set:
+    """(a, b, {c, d}) for each edge ab shared by triangles abc and abd of a
+    fan of cones over height-one triangles."""
+    far: dict = {}
+    for cone in fan.maximal_cones:
+        tri = sorted(g.coords[:2] for g in cone.generators)
+        for k in range(3):
+            far.setdefault(tuple(tri[:k] + tri[k + 1:]), []).append(tri[k])
+    return {(a, b, frozenset(ds)) for (a, b), ds in far.items() if len(ds) == 2}
+
+
+def test_triangle_cones_and_point_round_folds_equal_oracles():
+    """On the corpus of the seeded-facts test, at most 16 completions per
+    piece, on a copy of the complex that keeps nothing yet: each triangle
+    cone, built from cross products, equals ``simplicial_cone`` of the
+    lifted triangle, and its dual is det times the adjugate columns; the
+    walls folded are those of the completions' triangulations; and each
+    wall's round folds, summed from the point -> rounds map, are the
+    rational folds of each round's heights on its own."""
+    signs, depths, pieces = set(), set(), 0
+    for c in facts_corpus() + (_scaling_triangle(6), _scaling_triangle(12)):
+        for pc, _matrix, _rounds, _cert in resolve(c)[1].pieces:
+            fresh = PolygonComplex(pc.polygon, pc.cells, pc.round_heights)
+            walls = set()
+            for bits in itertools.islice(itertools.product((0, 1), repeat=len(fresh.parallelograms)), 16):
+                walls |= _fan_walls(_completion_for_bits(fresh, bits)[0])
+            assert {(a, b, frozenset((c, d))) for a, b, c, d in fresh.wall_folds} == walls
+            layers = [dict(r) for r in fresh.round_heights]
+            for wall, (round_folds, _terms) in fresh.wall_folds.items():
+                folds = {}
+                for r, layer in enumerate(layers):
+                    h = {p: Fraction(layer.get(p, 0)) for p in wall}
+                    folds[r] = _affine_value(wall[:3], h, wall[3]) - h[wall[3]]
+                assert dict(round_folds) == {r: f for r, f in folds.items() if f}, wall
+                depths.add(len(round_folds))
+            for t, (cone, dual) in fresh.triangle_cones.items():
+                rows = [(x, y, 1) for x, y in t]
+                det, cols = adjugate(rows)
+                assert cone == simplicial_cone([LatticeVector(r) for r in rows]), t
+                assert dual == tuple(tuple(det * x for x in col) for col in cols), t
+                signs.add(det)
+            pieces += 1
+    assert pieces >= 350 and signs == {1, -1} and max(depths) >= 3
 
 
 def test_pick_shortcut_matches_box_interior_scan(monkeypatch):
