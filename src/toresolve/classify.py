@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,11 +24,11 @@ from .lattice import (
     LatticeVector,
     _integer_tuple,
     _turn,
+    adjugate,
     convex_hull_2d,
     extended_gcd_vector,
     hyperplane_basis,
     integer_kernel,
-    rational_solve,
 )
 
 
@@ -273,12 +274,14 @@ def height_one_polytope(c: Cone, m: Covector) -> tuple[LatticePolytope, IntMatri
 
     Returns the polytope in coordinates of a unimodular basis adapted to m
     (so the last coordinate is the grading) together with the basis matrix.
+    The generators are mapped by B^-1 = det(B) adj(B), one adjugate for all.
     """
     basis = hyperplane_basis(m)
-    inv = basis.inverse_unimodular()
+    det, cols = adjugate(basis.rows)
+    inv_rows = [tuple(det * x for x in row) for row in zip(*cols)]
     pts = []
     for g in c.generators:
-        coords = inv.apply(g).coords
+        coords = tuple(sum(map(operator.mul, row, g.coords)) for row in inv_rows)
         if coords[-1] != 1:
             raise ClassifyError("generator not on the grading hyperplane")
         pts.append(coords[:-1])
@@ -446,8 +449,10 @@ def index_one_cover(c: Cone) -> tuple[Cone, CoverCertificate]:
 
     For a Q-Gorenstein cone of index ell > 1 the sublattice
     {n : <m, n> integral} has index ell; over it the same real cone is
-    Gorenstein.  Index-one input is rejected.  The cover's grading is solved,
-    to check that it has index one, and kept on the cover.
+    Gorenstein.  Index-one input is rejected.  A generator g is solved in
+    the sublattice basis B as adj(B) g / det(B), refused unless det(B)
+    divides it.  The cover's grading is solved, to check that it has index
+    one, and kept on the cover.
     """
     gd = gorenstein_data(c)
     if gd is None:
@@ -460,14 +465,15 @@ def index_one_cover(c: Cone) -> tuple[Cone, CoverCertificate]:
     kernel = integer_kernel(IntMatrix(((*cleared, -index),)))
     basis_vecs = [LatticeVector(v.coords[:rank]) for v in kernel]
     b_cols = IntMatrix(tuple(zip(*(v.coords for v in basis_vecs))))
-    if abs(b_cols.det()) != index:
+    det, cols = adjugate(b_cols.rows)
+    if abs(det) != index:
         raise ClassifyError("sublattice index mismatch while building the cover")
     gens = []
     for g in c.generators:
-        sol = rational_solve([LatticeVector(r) for r in b_cols.rows], list(g.coords))
-        if sol is None or not sol.is_integral:
+        num = [sum(map(operator.mul, row, g.coords)) for row in zip(*cols)]
+        if any(x % det for x in num):
             raise ClassifyError("generator not in the grading sublattice")
-        gens.append(sol.integral_vector())
+        gens.append(LatticeVector(tuple(x // det for x in num)))
     cover = make_cone(gens)
     new_gd = gorenstein_data(cover)
     if new_gd is None or new_gd[1] != 1:

@@ -23,6 +23,7 @@ from .lattice import (
     Covector,
     IntMatrix,
     LatticeVector,
+    _identity_rows,
     adjugate,
     lattice_determinant,
     primitive,
@@ -248,15 +249,17 @@ def _mapped_cones(cones: list[Cone], b: IntMatrix) -> list[Cone]:
     """``simplicial_cone`` of each cone's generators mapped by the nonsingular
     b, read off the cone (the cone itself when b is the identity): a primitive
     inward facet normal n maps to sign(det b) * n * adj(b), made primitive.
-    One adjugate serves all cones."""
-    if b == IntMatrix.identity(b.nrows):
+    One adjugate serves all cones; a unimodular b keeps vectors primitive."""
+    rows = b.rows
+    if rows == tuple(map(tuple, _identity_rows(len(rows)))):
         return list(cones)
-    det, cols = adjugate(b.rows)
-    normal_map = IntMatrix(tuple(tuple(x if det > 0 else -x for x in col) for col in cols))
+    det, cols = adjugate(rows)
+    normal_rows = [tuple(x if det > 0 else -x for x in col) for col in cols]
+    made_primitive = (lambda v: v) if abs(det) == 1 else _gcd_normalize
     return [
         _build_cone(
-            [_gcd_normalize(b.apply(g).coords) for g in c.generators], (),
-            [_gcd_normalize(normal_map.apply(n).coords) for n in c.inequalities], (),
+            [made_primitive(tuple(_dot(r, g.coords) for r in rows)) for g in c.generators], (),
+            [made_primitive(tuple(_dot(r, n.coords) for r in normal_rows)) for n in c.inequalities], (),
             c.lattice_rank,
         )
         for c in cones

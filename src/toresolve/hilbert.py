@@ -55,18 +55,16 @@ def _triangulate(c: Cone) -> list[tuple[LatticeVector, ...]]:
     return simplices
 
 
-def _cosets(gens: tuple[LatticeVector, ...]):
+def _cosets(gens: tuple[LatticeVector, ...]) -> tuple[list[int], IntMatrix, IntMatrix]:
     """Smith-form set-up shared by the parallelepiped walks over Z^d modulo
     the sublattice G Z^d, G the matrix with the generators as columns.
 
-    Returns det G, the rows of adj(G) and the coset representatives U^-1 a,
-    0 <= a_i < |s_i| for the Smith diagonal s of U G V, one per coset,
-    det-many in all.  Refuses a group of more than ``sys.maxsize`` elements.
+    Returns the Smith diagonal s of S = U G V, U and V: the cosets are those
+    of U^-1 a, 0 <= a_i < |s_i|, det-many in all.  Refuses a group of more
+    than ``sys.maxsize`` elements.
     """
-    d = len(gens)
-    g_cols = IntMatrix(tuple(zip(*(g.coords for g in gens))))
-    s, u, _v = smith_normal_form(g_cols)
-    diag = [s.rows[i][i] for i in range(d)]
+    s, u, v = smith_normal_form(IntMatrix(tuple(zip(*(g.coords for g in gens)))))
+    diag = [s.rows[i][i] for i in range(len(gens))]
     if any(x == 0 for x in diag):
         raise ConeError("parallelepiped of dependent vectors")
     count = math.prod(abs(x) for x in diag)
@@ -75,13 +73,7 @@ def _cosets(gens: tuple[LatticeVector, ...]):
             f"the parallelepiped of the cone on {[g.coords for g in gens]} has {count} lattice points, "
             f"more than the {sys.maxsize} that can be enumerated"
         )
-    u_inv = u.inverse_unimodular().rows
-    det, adj_cols = adjugate(g_cols.rows)
-    reps = (
-        tuple(sum(x * y for x, y in zip(row, a)) for row in u_inv)
-        for a in itertools.product(*(range(abs(x)) for x in diag))
-    )
-    return det, list(zip(*adj_cols)), reps
+    return diag, u, v
 
 
 def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
@@ -92,11 +84,14 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
     det-many points, including the origin.
     """
     d = len(gens)
-    det, adj_rows, reps = _cosets(gens)
+    diag, u, _v = _cosets(gens)
+    u_inv = u.inverse_unimodular().rows
+    det, adj_cols = adjugate(list(zip(*(g.coords for g in gens))))
     # exact inverse of the generator matrix, once
-    inv_rows = [tuple(Fraction(x, det) for x in row) for row in adj_rows]
+    inv_rows = [tuple(Fraction(x, det) for x in row) for row in zip(*adj_cols)]
     points = []
-    for x0 in reps:
+    for a in itertools.product(*(range(abs(x)) for x in diag)):
+        x0 = [sum(x * y for x, y in zip(row, a)) for row in u_inv]
         t = [sum(inv_rows[i][j] * x0[j] for j in range(d)) for i in range(d)]
         frac = [ti - math.floor(ti) for ti in t]
         x = tuple(
@@ -110,24 +105,27 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
 def _lower_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
     """Primitive lattice points sum t_i g_i with every t_i in [0,1) and
     0 < sum t_i <= 1: the parallelepiped points on or under the plane
-    through the generators, walked in integers.
+    through the generators, walked in integers by stride.
 
-    For a coset representative x0, t = G^-1 x0 = sign(det) adj(G) x0 / D
-    with D = |det G|, so r = (sign(det) adj(G) x0) mod D is D times the
-    fractional parts of t, and the point is x = G r / D.
+    For the coset of U^-1 a (see ``_cosets``), r = D t mod D, D = |det G|,
+    is D times the fractional parts of t = G^-1 U^-1 a = V S^-1 a, and the
+    point is x = G r / D.  So r = sum a_i rho_i mod D with rho_i = (D / s_i)
+    V e_i, that is sign(det) adj(G) U^-1 e_i, and the walk over the product
+    of the ranges of a steps r by rho_last along the last one.
     """
-    det, adj_rows, reps = _cosets(gens)
-    size = abs(det)
-    if det < 0:
-        adj_rows = [tuple(-a for a in row) for row in adj_rows]
+    diag, _u, v = _cosets(gens)
+    size = math.prod(abs(x) for x in diag)
+    *outer, last = [[size // s * x % size for x in col] for s, col in zip(diag, zip(*v.rows))]
     g_rows = list(zip(*(g.coords for g in gens)))
     points = []
-    for x0 in reps:
-        r = [sum(a * x for a, x in zip(row, x0)) % size for row in adj_rows]
-        if 0 < sum(r) <= size:
-            x = tuple(sum(a * b for a, b in zip(row, r)) // size for row in g_rows)
-            if math.gcd(*x) == 1:
-                points.append(x)
+    for a in itertools.product(*(range(abs(x)) for x in diag[:-1])):
+        r = [sum(ai * rho[k] for ai, rho in zip(a, outer)) % size for k in range(len(gens))]
+        for _ in range(abs(diag[-1])):
+            if 0 < sum(r) <= size:
+                x = tuple(_dot(row, r) // size for row in g_rows)
+                if math.gcd(*x) == 1:
+                    points.append(x)
+            r = [(x + y) % size for x, y in zip(r, last)]
     return points
 
 
@@ -340,13 +338,17 @@ def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[
         """Primitive normal of the plane through a and b leaving every member
         on the side of ``beyond``, a point off the line ab of the face already
         found; n starts as that face's normal negated, which leaves exactly
-        the members off the face on the wrong side."""
-        d = _sub(b, a)
-        for q in members:
-            if _dot(n, _sub(q, a)) < 0:
-                n = _cross(d, _sub(q, a))
-                if _dot(n, _sub(beyond, a)) < 0:
+        the members off the face on the wrong side, <n, q> < <n, a>."""
+        d, e = _sub(b, a), _sub(beyond, a)
+        n0, n1, n2 = n
+        level = _dot(n, a)
+        for q0, q1, q2 in members:
+            if n0 * q0 + n1 * q1 + n2 * q2 < level:
+                n = _cross(d, (q0 - a[0], q1 - a[1], q2 - a[2]))
+                if _dot(n, e) < 0:
                     n = tuple(-x for x in n)
+                n0, n1, n2 = n
+                level = _dot(n, a)
         return _gcd_normalize(n)
 
     facets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}

@@ -138,7 +138,8 @@ class Covector:
 
     def primitive(self) -> "Covector":
         """Primitive integral covector on the same ray."""
-        cleared = [int(c * self.denominator) for c in self.coords]
+        den = self.denominator
+        cleared = [c.numerator * (den // c.denominator) for c in self.coords]
         g = math.gcd(*cleared)
         if g == 0:
             raise LatticeError("cannot primitivize the zero covector")
@@ -212,7 +213,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(map(tuple, _identity_rows(n))))
 
     @classmethod
     def from_vectors(cls, vs) -> "IntMatrix":
@@ -243,9 +244,6 @@ class IntMatrix:
             raise LatticeError("determinant of a non-square matrix")
         return _det(self.rows)
 
-    def is_unimodular(self) -> bool:
-        return self.nrows == self.ncols and abs(self.det()) == 1
-
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix (integer entries): det times the adjugate."""
         if self.nrows != self.ncols:
@@ -257,6 +255,10 @@ class IntMatrix:
 
     def apply(self, v: LatticeVector) -> LatticeVector:
         return LatticeVector(tuple(sum(a * x for a, x in zip(r, v.coords)) for r in self.rows))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _hermite_rows(h: list[list[int]], u: list[list[int]]) -> None:
@@ -304,7 +306,7 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (H, U) with H = U*A, |det U| = 1
     (see ``_hermite_rows``)."""
     h = [list(r) for r in a.rows]
-    u = [list(r) for r in IntMatrix.identity(a.nrows).rows]
+    u = _identity_rows(a.nrows)
     _hermite_rows(h, u)
     return IntMatrix(h), IntMatrix(u)
 
@@ -314,8 +316,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     U and V are unimodular.  Hermite passes alternate until S is diagonal:
     one on the columns (the rows of S^T, its operations kept in V^T), then
-    one on the rows (kept in U).  When some d_i does not divide a later d_j,
-    row j is added to row i and the passes run again.
+    one on the rows (kept in U) unless S is diagonal: its pivots are then
+    positive, so the row pass would change nothing.  When some d_i does not
+    divide a later d_j, row j is added to row i and the passes run again.
 
     The loop ends.  After the first pair of passes the leading pivot sits
     in the corner: a row pass leaves there the gcd of the first column, a
@@ -328,14 +331,15 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     nonzero entries as the rank, decreases lexicographically.
     """
     s = [list(r) for r in a.rows]
-    u, vt = ([list(r) for r in IntMatrix.identity(k).rows] for k in (a.nrows, a.ncols))
+    u, vt = _identity_rows(a.nrows), _identity_rows(a.ncols)
     while s and s[0]:
         st = [list(c) for c in zip(*s)]
         _hermite_rows(st, vt)
         s = [list(r) for r in zip(*st)]
-        _hermite_rows(s, u)
-        if any(x for i, r in enumerate(s) for j, x in enumerate(r) if i != j):
-            continue
+        if _off_diagonal(s):
+            _hermite_rows(s, u)
+            if _off_diagonal(s):
+                continue
         d = [s[i][i] for i in range(min(len(s), len(s[0])))]
         pair = next(((i, j) for i, j in itertools.combinations(range(len(d)), 2) if d[i] and d[j] % d[i]), None)
         if pair is None:
@@ -344,6 +348,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         s[i] = [x + y for x, y in zip(s[i], s[j])]
         u[i] = [x + y for x, y in zip(u[i], u[j])]
     return IntMatrix(s), IntMatrix(u), IntMatrix(zip(*vt))
+
+
+def _off_diagonal(s: list[list[int]]) -> bool:
+    return any(x for i, r in enumerate(s) for j, x in enumerate(r) if i != j)
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
@@ -532,18 +540,19 @@ def hyperplane_basis(m: Covector) -> IntMatrix:
 
     The first r-1 columns span ker(m) as a saturated sublattice and the last
     column w satisfies <m, w> = 1, so expressing a vector in this basis puts
-    <m, .> into the final coordinate.
+    <m, .> into the final coordinate.  On integer rows: two Hermite passes
+    give ker(m) in Hermite form (so standard covectors yield the identity),
+    and the extended gcd of m gives w.
     """
-    mi = m.primitive().integral_vector()
-    kernel = integer_kernel(IntMatrix((mi.coords,)))
-    # canonicalize the kernel basis so that standard covectors yield the identity
-    kh, _ = hermite_normal_form(IntMatrix.from_vectors(kernel))
-    kernel = [LatticeVector(r) for r in kh.rows if any(x != 0 for x in r)]
-    g, w = extended_gcd_vector(mi.coords)
+    mi = m.primitive().coords
+    h, u = [[x] for x in mi], _identity_rows(len(mi))
+    _hermite_rows(h, u)
+    kernel = [row for row, (x,) in zip(u, h) if x == 0]
+    _hermite_rows(kernel, [[] for _ in kernel])
+    g, w = extended_gcd_vector(mi)
     if g != 1:
         raise LatticeError("covector is not primitive")
-    cols = [list(k.coords) for k in kernel] + [w]
-    b = IntMatrix(tuple(zip(*cols)))
-    if not b.is_unimodular():
+    rows = tuple(zip(*kernel, w))
+    if abs(_det(rows)) != 1:
         raise LatticeError("failed to complete covector to a unimodular basis")
-    return b
+    return IntMatrix(rows)

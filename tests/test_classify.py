@@ -17,17 +17,19 @@ from toresolve.classify import (
     lri_general_section,
 )
 from toresolve.cones import ConeError, dual_cone, faces, make_cone
-from toresolve.lattice import Covector, IntMatrix, LatticeVector
-from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, crepant_fixed_point_phase
+from toresolve.lattice import Covector, IntMatrix, LatticeVector, rational_solve
+from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, canonical_modification, crepant_fixed_point_phase
 
 from conftest import (
     box_lattice_points,
+    c3_hulls,
     fraction_rank,
     gauss_jordan_solve,
     gorenstein_cone_over,
     nakajima_construction_oracle,
     random_pointed_cone,
     random_polygon,
+    random_rank3_cones,
 )
 
 
@@ -372,6 +374,37 @@ def test_index_one_cover_preserves_real_cone():
     b = cert.sublattice_basis
     mapped = make_cone([b.apply(g) for g in cover.generators])
     assert mapped == c
+
+
+def test_cover_generators_and_polygon_points_match_solve_and_inverse():
+    """``index_one_cover`` solves the generators through one adjugate of the
+    sublattice basis, and ``height_one_polytope`` maps them through one
+    adjugate of the adapted basis; the covers and polygons equal those of
+    ``rational_solve`` and ``inverse_unimodular``, on the C3 hulls, on the
+    canonical pieces of the conftest cones and their covers, and on seeded
+    rank-2 cones."""
+    rng = random.Random(20261020)
+    graded = [make_cone([V(x, y, 1) for x, y in hull]) for hull in c3_hulls()]
+    for c in random_rank3_cones(27182818, 4, 300):
+        graded += canonical_modification(c).maximal_cones
+    rank2 = [random_pointed_cone(rng, 2, 6) for _ in range(200)]
+    graded += [c for c in rank2 if c is not None and c.is_full_dimensional]
+    covers = {2: 0, 3: 0}
+    for c in graded:
+        m, index = gorenstein_data(c)
+        if index > 1:
+            cover, cert = index_one_cover(c)
+            rows = [LatticeVector(r) for r in cert.sublattice_basis.rows]
+            solved = [rational_solve(rows, list(g.coords)).integral_vector() for g in c.generators]
+            assert cover.generators == tuple(sorted(solved)), c
+            covers[c.lattice_rank] += 1
+            c, m = cover, cover.grading[0]
+        polytope, basis = height_one_polytope(c, m)
+        inv = basis.inverse_unimodular()
+        mapped = [inv.apply(g).coords for g in c.generators]
+        assert all(x[-1] == 1 for x in mapped), c
+        assert polytope == LatticePolytope.from_points([x[:-1] for x in mapped]), c
+    assert min(covers.values()) >= 50, covers
 
 
 def test_terminal_gorenstein_iff_elementary_small_sample():

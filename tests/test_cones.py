@@ -23,10 +23,11 @@ from toresolve.cones import (
 )
 from toresolve.hilbert import _parallelepiped_points
 from toresolve.lattice import IntMatrix, LatticeVector, lattice_determinant, primitive
+from toresolve.resolve3d import canonical_modification, completion, resolve_piece
 
 from conftest import (
     brute_force_facets, fraction_rank, gauss_jordan_solve, random_independent_generators,
-    random_pointed_cone, reference_extreme_rays, reference_make_cone,
+    random_pointed_cone, random_rank3_cones, reference_extreme_rays, reference_make_cone,
 )
 
 
@@ -237,6 +238,24 @@ def test_mapped_cones_equal_simplicial_cones_of_the_images():
     assert {1, -1} <= dets and any(d > 1 for d in dets) and any(d < -1 for d in dets)
     c = simplicial_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)])
     assert cones._mapped_cones([c], IntMatrix.identity(3))[0] is c
+
+
+def test_mapped_cones_on_the_frames_of_index_one_covers():
+    """On the real frames B * basis of the covers of the canonical pieces of
+    the conftest cones, of indices 2 to 27, mapping the completion-0 cones
+    equals ``simplicial_cone`` of their mapped generators."""
+    indices = set()
+    for c in random_rank3_cones(27182818, 4, 300):
+        for piece in canonical_modification(c).maximal_cones:
+            if piece.grading[1] == 1:
+                continue
+            pc, frame, _rounds, cert = resolve_piece(piece)
+            assert abs(frame.det()) == cert.index
+            local = completion(pc, 0)[0].maximal_cones
+            expected = [simplicial_cone([frame.apply(g) for g in k.generators]) for k in local]
+            assert cones._mapped_cones(list(local), frame) == expected, piece
+            indices.add(cert.index)
+    assert set(range(2, 14)) | {15} <= indices
 
 
 def test_simplicial_cone_rejects_dependent_input():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -17,7 +18,7 @@ from toresolve.hilbert import (
     hilbert_basis,
     toric_relations,
 )
-from toresolve.lattice import IntMatrix, LatticeVector
+from toresolve.lattice import IntMatrix, LatticeVector, adjugate, smith_normal_form
 
 from conftest import (
     box_hilbert_oracle,
@@ -283,11 +284,8 @@ def box_lower_points(simplex) -> list[tuple[int, ...]]:
     return out
 
 
-def test_lower_points_match_box_scan():
-    """The integer walk over the Smith-form group gives exactly the primitive
-    parallelepiped points on or under the generator plane, each once, on
-    seeded simplices with determinants up to 500 and on every simplex of
-    the pulling triangulations of the benchmark's random cones."""
+def seeded_simplices() -> list[tuple[LatticeVector, ...]]:
+    """30 seeded simplices in [-6, 6]^3 with determinants up to 500."""
     rng = random.Random(20261019)
     simplices = []
     while len(simplices) < 30:
@@ -296,6 +294,53 @@ def test_lower_points_match_box_scan():
         if 0 < abs(det) <= 500:
             simplices.append(gens)
     assert max(abs(IntMatrix(tuple(g.coords for g in s)).det()) for s in simplices) > 300
+    return simplices
+
+
+def coset_walk_lower_points(simplex) -> list[tuple[int, ...]]:
+    """``_lower_points`` by the walk over every coset representative
+    x0 = U^-1 a, a in the product of the ranges of the Smith diagonal, each
+    through the two products r = (sign(det) adj(G) x0) mod D and, when
+    0 < sum r <= D, x = G r / D."""
+    g_cols = IntMatrix(tuple(zip(*(g.coords for g in simplex))))
+    s, u, _v = smith_normal_form(g_cols)
+    u_inv = u.inverse_unimodular().rows
+    det, adj_cols = adjugate(g_cols.rows)
+    size = abs(det)
+    adj_rows = [tuple(x if det > 0 else -x for x in row) for row in zip(*adj_cols)]
+    points = []
+    for a in itertools.product(*(range(abs(s.rows[i][i])) for i in range(len(simplex)))):
+        x0 = [sum(map(operator.mul, row, a)) for row in u_inv]
+        r = [sum(map(operator.mul, row, x0)) % size for row in adj_rows]
+        if 0 < sum(r) <= size:
+            x = tuple(sum(map(operator.mul, row, r)) // size for row in g_cols.rows)
+            if math.gcd(*x) == 1:
+                points.append(x)
+    return points
+
+
+def test_lower_points_by_stride_match_coset_walk():
+    """Stepping r by a fixed increment along the last Smith factor gives the
+    coset walk's list, in the same order, on the seeded simplices and on
+    every simplex of the pulling triangulations of the conftest cones, which
+    include groups with more than one nontrivial factor."""
+    simplices = seeded_simplices()
+    for c in random_rank3_cones(27182818, 4, 300):
+        simplices += _triangulate(c)
+    factors = 0
+    for simplex in simplices:
+        assert _lower_points(simplex) == coset_walk_lower_points(simplex), simplex
+        s = smith_normal_form(IntMatrix(tuple(zip(*(g.coords for g in simplex)))))[0]
+        factors += sum(s.rows[i][i] > 1 for i in range(3)) > 1
+    assert factors >= 5
+
+
+def test_lower_points_match_box_scan():
+    """The integer walk over the Smith-form group gives exactly the primitive
+    parallelepiped points on or under the generator plane, each once, on
+    seeded simplices with determinants up to 500 and on every simplex of
+    the pulling triangulations of the benchmark's random cones."""
+    simplices = seeded_simplices()
     for c in random_rank3_cones(27182818, 4, 40):
         simplices += _triangulate(c)
     for simplex in simplices:

@@ -325,6 +325,37 @@ def test_hyperplane_basis_standard_and_general():
         assert inv.apply(v).coords[-1] == m.pair(v)
 
 
+def reference_hyperplane_basis(m: Covector) -> IntMatrix:
+    """The adapted basis through the matrix routes: ``integer_kernel`` of m,
+    its ``hermite_normal_form``, and the extended gcd of m as last column."""
+    mi = m.primitive().integral_vector()
+    kernel = integer_kernel(IntMatrix((mi.coords,)))
+    kh, _ = hermite_normal_form(IntMatrix.from_vectors(kernel))
+    _g, w = extended_gcd_vector(mi.coords)
+    return IntMatrix(tuple(zip(*([list(r) for r in kh.rows if any(r)] + [w]))))
+
+
+def test_hyperplane_basis_on_rows_matches_matrix_route():
+    """The basis built on integer rows equals, matrix for matrix, the one of
+    the kernel and Hermite matrix routines, on seeded covectors of ranks 1
+    to 5 with integer and ``Fraction`` entries; the zero covector is
+    refused."""
+    rng = random.Random(20261020)
+    seen = set()
+    for rank in range(1, 6):
+        for _ in range(600):
+            den = rng.choice((1, 1, 2, 3, 7))
+            m = Covector(tuple(Fraction(rng.randint(-9, 9), den) for _ in range(rank)))
+            if m.is_zero:
+                continue
+            b = hyperplane_basis(m)
+            assert b == reference_hyperplane_basis(m), m
+            seen.add((rank, m.is_integral))
+    assert seen == {(rank, integral) for rank in range(1, 6) for integral in (True, False)}
+    with pytest.raises(LatticeError):
+        hyperplane_basis(Covector((0, 0, 0)))
+
+
 def test_covector_denominator_and_pairing():
     m = Covector((Fraction(1), Fraction(-3, 5)))
     assert m.denominator == 5
