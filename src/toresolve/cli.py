@@ -286,7 +286,7 @@ def _only_piece(pieces):
 def _completions_json(piece, which: str, first) -> list[dict]:
     """The selected completions of a resolved piece, in the input lattice;
     ``first`` is its completion 0 when already built, else ``None``."""
-    pc, to_ambient, _rounds, _cert = piece
+    pc, _frame, _rounds, _cert = piece
     count = 2 ** len(pc.parallelograms)
     if which == "all":
         if count > MAX_LISTED_COMPLETIONS:
@@ -307,17 +307,15 @@ def _completions_json(piece, which: str, first) -> list[dict]:
             )
         indices = [index]
 
-    # every completion has the cell vertices as its rays: map each into the
-    # input lattice once, with its certificate key, by integer row sums
-    ambient = {
-        (x, y, 1): [a * x + b * y + c for a, b, c in to_ambient.rows]
-        for x, y in {p for cell in pc.cells for p in cell.vertices}
-    }
+    # every completion has the cell vertices as its rays, which the piece
+    # keeps mapped into the input lattice: list each, with its certificate key, once
+    ambient = {lift.coords: list(image.coords) for lift, image in pc.rays.values()}
     keys = {r: str(v) for r, v in ambient.items()}
+    rays = sorted(ambient.values())
 
     def entry(fan, psi) -> dict:
         return {
-            "rays": sorted(ambient[r.coords] for r in fan.rays()),
+            "rays": rays,
             "maximal_cones": sorted(
                 sorted(ambient[g.coords] for g in mc.generators) for mc in fan.maximal_cones
             ),

@@ -24,6 +24,7 @@ from .lattice import (
     IntMatrix,
     LatticeVector,
     _identity_rows,
+    _made,
     adjugate,
     lattice_determinant,
     primitive,
@@ -42,6 +43,9 @@ def _gcd_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _dot(a, x) -> int:
     return sum(map(operator.mul, a, x))
+
+
+_coords = operator.attrgetter("coords")
 
 
 def extreme_rays(
@@ -245,25 +249,30 @@ def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int]:
     return _build_cone(rows, (), normals, (), rank), det
 
 
-def _mapped_cones(cones: list[Cone], b: IntMatrix) -> list[Cone]:
+def _mapped_cones(cones: list[Cone], b: IntMatrix, images: dict) -> list[Cone]:
     """``simplicial_cone`` of each cone's generators mapped by the nonsingular
-    b, read off the cone (the cone itself when b is the identity): a primitive
-    inward facet normal n maps to sign(det b) * n * adj(b), made primitive.
-    One adjugate serves all cones; a unimodular b keeps vectors primitive."""
+    b, read off the cone (the cone itself when b is the identity): ``images``
+    maps each generator's coordinates to its image b * g, and a primitive
+    inward facet normal n maps to sign(det b) * n * adj(b); both are made
+    primitive.  One adjugate serves all cones; a unimodular b keeps vectors
+    primitive."""
     rows = b.rows
     if rows == tuple(map(tuple, _identity_rows(len(rows)))):
         return list(cones)
     det, cols = adjugate(rows)
     normal_rows = [tuple(x if det > 0 else -x for x in col) for col in cols]
     made_primitive = (lambda v: v) if abs(det) == 1 else _gcd_normalize
-    return [
-        _build_cone(
-            [made_primitive(tuple(_dot(r, g.coords) for r in rows)) for g in c.generators], (),
-            [made_primitive(tuple(_dot(r, n.coords) for r in normal_rows)) for n in c.inequalities], (),
-            c.lattice_rank,
-        )
-        for c in cones
-    ]
+    if abs(det) != 1:
+        images = {k: _made(LatticeVector, _gcd_normalize(v.coords)) for k, v in images.items()}
+    out = []
+    for c in cones:
+        normals = sorted(made_primitive(tuple(_dot(r, n.coords) for r in normal_rows)) for n in c.inequalities)
+        out.append(Cone(
+            lattice_rank=c.lattice_rank,
+            generators=tuple(sorted((images[g.coords] for g in c.generators), key=_coords)),
+            inequalities=tuple(_made(Covector, n) for n in normals),
+        ))
+    return out
 
 
 def _cross(u, v) -> tuple[int, int, int]:

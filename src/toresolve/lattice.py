@@ -150,6 +150,15 @@ class Covector:
         return f"Covector({entries})"
 
 
+def _made(cls, coords: tuple[int, ...]):
+    """A ``LatticeVector`` or ``Covector`` on a tuple of ``int`` that its
+    caller computed: nothing is checked or converted, unlike the public
+    constructors."""
+    v = object.__new__(cls)
+    object.__setattr__(v, "coords", coords)
+    return v
+
+
 def primitive(v: LatticeVector) -> LatticeVector:
     """Divide v by the gcd of its coordinates.
 

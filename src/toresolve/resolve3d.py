@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, countOf
+from itertools import groupby
+from operator import attrgetter, countOf, itemgetter
 
 from .classify import (
     CoverCertificate,
@@ -30,11 +31,11 @@ from .classify import (
     index_one_cover,
 )
 from .cones import (
-    Cone, ConeError, Fan, _build_cone, _cross, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
+    Cone, ConeError, Fan, _cross, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
 )
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets, floor_polygon
-from .lattice import Covector, IntMatrix, LatticeVector
+from .lattice import Covector, IntMatrix, LatticeVector, _made
 
 
 class Resolve3dError(ValueError):
@@ -73,7 +74,28 @@ def _cell_tag(cell: LatticePolytope) -> dict:
     }
 
 
+def _tag(cell: LatticePolytope) -> dict:
+    """The cell's tag, kept beside its other facts: cells are immutable."""
+    facts = vars(cell)
+    if "_tag" not in facts:
+        facts["_tag"] = _cell_tag(cell)
+    return facts["_tag"]
+
+
+def _tag_sums(tags) -> tuple[int, int, int, int]:
+    """Over the tags: the cells with interior points, the interior points,
+    the basic cells and the unit parallelograms."""
+    tags = list(tags)
+    return (
+        sum(1 for t in tags if t["interior_points"]),
+        sum(t["interior_points"] for t in tags),
+        sum(1 for t in tags if t["basic"]),
+        sum(1 for t in tags if t["unit_parallelogram"]),
+    )
+
+
 _vertices = attrgetter("vertices")
+_coords = attrgetter("coords")
 
 
 @dataclass(frozen=True)
@@ -82,38 +104,55 @@ class PolygonComplex:
 
     ``round_heights`` accumulates, per subdivision round, the 0/1 lattice
     heights whose regular subdivisions produced the rounds; they assemble
-    into the projectivity certificates of the completions.  ``parallelograms``
+    into the projectivity certificates of the completions.  ``frame``, when
+    set, carries the polygon frame's (x, y, 1) into the input lattice, and
+    ``rays`` keeps each cell vertex's vectors in both.  ``parallelograms``
     lists the unit parallelograms that the completions fill, once found;
     ``triangle_cones`` and ``wall_folds`` keep, for all completions, the
     cones over the triangles and the round folds across the walls they have
-    used.  ``replace_cells`` carries the census's edge-point counts over,
-    changing only those of the cells it replaces.
+    used.  ``replace_cells`` carries the census's sums and edge-point counts
+    over, changing only those of the cells it replaces.
     """
 
     polygon: LatticePolytope
     cells: tuple[LatticePolytope, ...]
     round_heights: tuple[HeightMap, ...] = ()
+    frame: IntMatrix | None = field(default=None, repr=False)
 
     @classmethod
-    def initial(cls, polygon: LatticePolytope) -> "PolygonComplex":
-        return cls(polygon=polygon, cells=(polygon,))
+    def initial(cls, polygon: LatticePolytope, frame: IntMatrix | None = None) -> "PolygonComplex":
+        return cls(polygon=polygon, cells=(polygon,), frame=frame)
 
     def replace_cells(self, old, new, new_round: dict[Point, int] | None = None) -> "PolygonComplex":
-        """The complex with the cells ``old`` replaced by ``new``, and
+        """The complex with its cells ``old`` replaced by ``new``, and
         ``new_round``, when it lifts any point, as its latest round."""
         rounds = self.round_heights
         if new_round:
             rounds = rounds + (tuple(sorted(new_round.items())),)
-        gone = set(old)
+        gone = set(map(id, old))
+        kept = [c for c in self.cells if id(c) not in gone]
+        if len(kept) + len(gone) != len(self.cells):
+            raise Resolve3dError("the replaced cells are not cells of the complex")
         out = PolygonComplex(
             polygon=self.polygon,
-            cells=tuple(sorted([c for c in self.cells if c not in gone] + list(new), key=_vertices)),
+            # two sorted runs, which the sort merges
+            cells=tuple(sorted(kept + sorted(new, key=_vertices), key=_vertices)),
             round_heights=rounds,
+            frame=self.frame,
         )
-        counts = vars(out)["_edge_point_counts"] = self._edge_point_counts.copy()
+        facts = vars(out)
+        facts["_sums"] = tuple(
+            s - a + b for s, a, b in zip(self._sums, _tag_sums(map(_tag, old)), _tag_sums(map(_tag, new)))
+        )
+        counts = facts["_edge_point_counts"] = self._edge_point_counts.copy()
         counts.subtract(p for c in old for p in c._edge_interior)
         counts.update(p for c in new for p in c._edge_interior)
         return out
+
+    @cached_property
+    def _sums(self) -> tuple[int, int, int, int]:
+        """The census's sums over the cells' tags (``_tag_sums``)."""
+        return _tag_sums(map(_tag, self.cells))
 
     @cached_property
     def _edge_point_counts(self) -> Counter:
@@ -121,11 +160,21 @@ class PolygonComplex:
         return Counter(p for c in self.cells for p in c._edge_interior)
 
     def tags(self) -> list[dict]:
-        # cells are immutable: each keeps its tag beside its other cached facts
-        for c in self.cells:
-            if "_tag" not in vars(c):
-                vars(c)["_tag"] = _cell_tag(c)
-        return [vars(c)["_tag"] for c in self.cells]
+        return [_tag(c) for c in self.cells]
+
+    @cached_property
+    def rays(self) -> dict[Point, tuple[LatticeVector, LatticeVector]]:
+        """Per cell vertex, in (x, y) order, its lift (x, y, 1) in the polygon
+        frame and the image of the lift in the input lattice under ``frame``
+        (the lift itself without one): the rays of every completion, each
+        mapped once for the completion cones, the trace and the CLI."""
+        rows = self.frame.rows if self.frame is not None else None
+        out = {}
+        for x, y in sorted({p for c in self.cells for p in c.vertices}):
+            lift = _made(LatticeVector, (x, y, 1))
+            image = lift if rows is None else _made(LatticeVector, tuple(a * x + b * y + c for a, b, c in rows))
+            out[(x, y)] = lift, image
+        return out
 
     @cached_property
     def parallelograms(self) -> tuple[LatticePolytope, ...]:
@@ -175,14 +224,14 @@ class PolygonComplex:
         return out
 
     def census(self) -> dict:
-        tags = self.tags()
+        with_interior, interior, basic, units = self._sums
         return {
             "cells": len(self.cells),
-            "cells_with_interior_points": sum(1 for t in tags if t["interior_points"]),
-            "interior_points": sum(t["interior_points"] for t in tags),
+            "cells_with_interior_points": with_interior,
+            "interior_points": interior,
             "edge_interior_points": len(self._edge_point_counts) - countOf(self._edge_point_counts.values(), 0),
-            "basic_cells": sum(1 for t in tags if t["basic"]),
-            "unit_parallelograms": sum(1 for t in tags if t["unit_parallelogram"]),
+            "basic_cells": basic,
+            "unit_parallelograms": units,
         }
 
     def __eq__(self, other):
@@ -258,10 +307,6 @@ def polygon_form(c: Cone) -> tuple[LatticePolytope, IntMatrix]:
     return polytope, basis
 
 
-def _lift(p: Point) -> LatticeVector:
-    return LatticeVector((p[0], p[1], 1))
-
-
 # ---------------------------------------------------------------------------
 # the blow-up phases: regular subdivisions induced by 0/1 liftings
 # ---------------------------------------------------------------------------
@@ -292,13 +337,16 @@ def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope
     min_a A1 > min_a A0, conv(argmin_a A1 ∪ argmin_a A0): the Cayley-trick
     picture of a two-level lifting, which needs only planar hulls and dot
     products.  A lifting whose pieces leave out a lattice point of the cell,
-    or do not cover it, does not tile the cell and is refused.
+    or do not cover it, does not tile the cell and is refused.  A lifted
+    point is never a vertex of the cell, so conv(A0) is the cell itself, and
+    only conv(A1) is hulled.
 
     A piece's tight set lies in conv(tight) ∩ Z², so the two are equal, and
     the piece keeps the tight set as its lattice points, exactly when the
     piece's Pick count (its tag) is |tight|.  All points of a ring piece
     conv(argmin_a A1 ∪ argmin_a A0) lie where a is least or greatest on it
-    (De Loera–Rambau–Santos, *Triangulations*, §2.3 and §9.2), so it has no
+    (De Loera–Rambau–Santos, *Triangulations*, §2.3 and §9.2), on two
+    parallel lines, so its vertices are the ends of the two lines: it has no
     interior point, and its edge-interior points are its tight points less
     its vertices; so are a central piece's when its Pick count finds no
     interior point, and otherwise it finds both from its edges.
@@ -306,19 +354,30 @@ def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope
     lifted = set(lifted)
     a1 = [p for p in cell._points if p in lifted]
     a0 = [p for p in cell._points if p not in lifted]
-    top = convex_hull_2d(a1)
-    pieces = [a1] if len(top) >= 3 else []
-    for a in set(_inward_edge_normals(top) + _inward_edge_normals(convex_hull_2d(a0))):
+    # conv(A1) is the hull of the least and greatest point of each of its columns
+    ends = []
+    for _x, column in groupby(a1, itemgetter(0)):
+        column = list(column)
+        ends += column[0], column[-1]
+    top = convex_hull_2d(ends)
+    # the monotone chain starts from the least point, as canonical vertices do
+    pieces = [(LatticePolytope(tuple(top)), a1)] if len(top) >= 3 else []
+    for a in set(_inward_edge_normals(top) + _inward_edge_normals(list(cell.vertices))):
         v1 = [a[0] * p[0] + a[1] * p[1] for p in a1]
         v0 = [a[0] * p[0] + a[1] * p[1] for p in a0]
         m1, m0 = min(v1), min(v0)
         if m1 > m0:
-            pieces.append(
-                [p for p, v in zip(a1, v1) if v == m1] + [p for p, v in zip(a0, v0) if v == m0]
-            )
+            t1 = [p for p, v in zip(a1, v1) if v == m1]
+            t0 = [p for p, v in zip(a0, v0) if v == m0]
+            # counterclockwise, the boundary runs along (a[1], -a[0]) on the line of
+            # t0 and back on the line of t1; each line's points are in (x, y) order
+            if a[1] < 0 or (a[1] == 0 and a[0] > 0):
+                t0, t1 = t0[::-1], t1[::-1]
+            ring = list(dict.fromkeys((t0[0], t0[-1], t1[-1], t1[0])))  # a one-point line is one vertex
+            start = ring.index(min(ring))
+            pieces.append((LatticePolytope(tuple(ring[start:] + ring[:start])), t1 + t0))
     cells = []
-    for tight in pieces:
-        poly = LatticePolytope.from_points(top if tight is a1 else tight)
+    for poly, tight in pieces:
         facts = vars(poly)
         tag = facts["_tag"] = _cell_tag(poly)
         if len(tight) != tag["interior_points"] + tag["edge_interior_points"] + len(poly.vertices):
@@ -492,9 +551,10 @@ def _parallelogram_diagonals(cell: LatticePolytope):
     return tuple(sorted((d1, d2)))
 
 
-def _basic_triangle_cone(t: Triangle) -> tuple[Cone, Dual]:
+def _basic_triangle_cone(t: Triangle, rays) -> tuple[Cone, Dual]:
     """The cone over a unimodular triangle lifted to height one, and the dual
-    basis of its lifted vertices in their order.
+    basis of its lifted vertices in their order; the generators are the
+    lifts in ``rays`` (``PolygonComplex.rays``), in the triangle's order.
 
     With rows rᵢ = (xᵢ, yᵢ, 1) and det = r₀ · (r₁ × r₂) = ±1, the adjugate
     columns are the cross products rᵢ₊₁ × rᵢ₊₂, and nᵢ = det · (rᵢ₊₁ × rᵢ₊₂)
@@ -503,14 +563,20 @@ def _basic_triangle_cone(t: Triangle) -> tuple[Cone, Dual]:
     them.  A height function h on the triangle has the linear representative
     Σ h(pᵢ) nᵢ.
     """
-    r0, r1, r2 = rows = [(x, y, 1) for x, y in t]
+    r0, r1, r2 = [(x, y, 1) for x, y in t]
     dual = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
     det = sum(x * y for x, y in zip(r0, dual[0]))
     if det not in (1, -1):
         raise Resolve3dError(f"completion triangle {t} is not basic")
     if det == -1:
         dual = tuple((-x, -y, -z) for x, y, z in dual)
-    return _build_cone(rows, (), dual, (), 3), dual
+    # sorted vertices lift to sorted generators
+    cone = Cone(
+        lattice_rank=3,
+        generators=tuple(rays[p][0] for p in t),
+        inequalities=tuple(_made(Covector, n) for n in sorted(dual)),
+    )
+    return cone, dual
 
 
 def _walls(tris, opposite: dict[tuple[Point, Point], Point]) -> list[Wall]:
@@ -579,7 +645,7 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
         # chi, the last layer, has weight 1
         if all(sum(f << (t * (top - r)) for r, f in round_folds) + chi_fold > 0 for round_folds, chi_fold in folds):
             heights = {}
-            for p in {p for tri in tris for p in tri}:
+            for p in pc.rays:  # the vertices of the triangles
                 heights[p] = sum(h << (t * (top - r)) for r, h in point_rounds.get(p, ())) + chi.get(p, 0)
             g = math.gcd(1 << (t * (top + 1)), *heights.values())
             return {p: v // g for p, v in heights.items()}
@@ -603,9 +669,10 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
     tris.sort()
     # the cones first: they refuse a triangle that is not basic
     known = pc.triangle_cones
+    rays = pc.rays
     for t in tris:
         if t not in known:
-            known[t] = _basic_triangle_cone(t)
+            known[t] = _basic_triangle_cone(t, rays)
     chi: dict[Point, int] = {}
     if ineqs:
         sol = _fourier_motzkin(ineqs, list(range(len(var_index))))
@@ -616,13 +683,14 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
             chi[p] = int(sol[i] * denom)
     heights = _composite_heights(pc, chi, tris)
     fan = Fan(lattice_rank=3, maximal_cones=tuple(known[t][0] for t in tris))
+    vars(fan)["_rays"] = tuple(lift for lift, _image in rays.values())
     reps = {}
     for i, t in enumerate(tris):
         ha, hb, hc = (heights[p] for p in t)
-        reps[i] = Covector(tuple(ha * x + hb * y + hc * z for x, y, z in zip(*known[t][1])))
+        reps[i] = _made(Covector, tuple(ha * x + hb * y + hc * z for x, y, z in zip(*known[t][1])))
     psi = SupportFunction(
         fan=fan,
-        ray_values={r.coords: heights[(r.coords[0], r.coords[1])] for r in fan.rays()},
+        ray_values={rays[p][0].coords: h for p, h in heights.items()},
         linear_reps=reps,
     )
     if not is_strictly_upper_convex(psi):
@@ -707,8 +775,9 @@ def resolve_piece(piece: Cone) -> Piece:
     """Both crepant blow-up phases on one canonical piece.
 
     Returns the final polygon complex, the matrix carrying its polygon
-    coordinates (x, y, 1) back to the piece's lattice, the phase rounds, and
-    the index-one cover certificate (``None`` when the piece is Gorenstein).
+    coordinates (x, y, 1) back to the piece's lattice (the complex keeps it
+    as its ``frame``), the phase rounds, and the index-one cover certificate
+    (``None`` when the piece is Gorenstein).
     """
     gd = gorenstein_data(piece)
     if gd is None:
@@ -718,11 +787,11 @@ def resolve_piece(piece: Cone) -> Piece:
     else:
         work, cert = index_one_cover(piece)
     polygon, basis = polygon_form(work)
+    to_ambient = basis if cert is None else cert.sublattice_basis * basis
     pc, fixed_point_rounds = _phase(
-        PolygonComplex.initial(polygon), "fixed-point-blow-up", LatticePolytope.interior_points
+        PolygonComplex.initial(polygon, to_ambient), "fixed-point-blow-up", LatticePolytope.interior_points
     )
     pc, curve_rounds = _phase(pc, "curve-blow-up", LatticePolytope.edge_interior_points)
-    to_ambient = basis if cert is None else cert.sublattice_basis * basis
     return pc, to_ambient, fixed_point_rounds + curve_rounds, cert
 
 
@@ -762,8 +831,9 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         pieces.append(resolve_piece(piece))
         pc, to_ambient, rounds, _cert = pieces[-1]
         m_piece = piece.grading[0]
+        rays = pc.rays
         for rnd in rounds:
-            mapped = tuple(sorted(to_ambient.apply(_lift(p)) for p in rnd.new_rays))
+            mapped = tuple(sorted((rays[p][1] for p in rnd.new_rays), key=_coords))
             steps.append(
                 ResolutionStep(
                     phase=rnd.phase,
@@ -779,7 +849,8 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
         # a completion joins existing vertices only, so it adds no ray
         first_completions.append(completion(pc, 0))
         fan_local = first_completions[-1][0]
-        final_cones.extend(_mapped_cones(fan_local.maximal_cones, to_ambient))
+        images = {lift.coords: image for lift, image in rays.values()}
+        final_cones.extend(_mapped_cones(fan_local.maximal_cones, to_ambient, images))
         steps.append(
             ResolutionStep(
                 phase="completion",

@@ -189,6 +189,11 @@ def _span_rank(c) -> int:
     return fraction_rank([g.coords for g in c.generators] + [l.coords for l in c.lineality])
 
 
+def _images(cs, b: IntMatrix) -> dict:
+    """Each generator's coordinates and its image under b, for ``_mapped_cones``."""
+    return {g.coords: b.apply(g) for c in cs for g in c.generators}
+
+
 def test_constructors_that_know_the_dimension_run_no_rank():
     """Every constructor keeps ``equations`` a basis of the annihilator of
     the span, so ``dim``, the lattice rank less their number, is the
@@ -203,7 +208,7 @@ def test_constructors_that_know_the_dimension_run_no_rank():
     ]
     assert [c.dim for c in built] == [3, 3, 2]
     b = IntMatrix(((1, 2, 0), (0, 1, 0), (3, 0, 2)))
-    built += cones._mapped_cones(built[:1], b)
+    built += cones._mapped_cones(built[:1], b, _images(built[:1], b))
     duals = []
     for rank in (2, 3, 4):
         for _ in range(40):
@@ -234,10 +239,10 @@ def test_mapped_cones_equal_simplicial_cones_of_the_images():
         b = IntMatrix.from_vectors(random_independent_generators(rng, 3))
         dets.add(b.det())
         c = simplicial_cone(random_independent_generators(rng, 3))
-        assert cones._mapped_cones([c], b) == [simplicial_cone([b.apply(g) for g in c.generators])], (c, b)
+        assert cones._mapped_cones([c], b, _images([c], b)) == [simplicial_cone([b.apply(g) for g in c.generators])], (c, b)
     assert {1, -1} <= dets and any(d > 1 for d in dets) and any(d < -1 for d in dets)
     c = simplicial_cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)])
-    assert cones._mapped_cones([c], IntMatrix.identity(3))[0] is c
+    assert cones._mapped_cones([c], IntMatrix.identity(3), _images([c], IntMatrix.identity(3)))[0] is c
 
 
 def test_mapped_cones_on_the_frames_of_index_one_covers():
@@ -253,7 +258,7 @@ def test_mapped_cones_on_the_frames_of_index_one_covers():
             assert abs(frame.det()) == cert.index
             local = completion(pc, 0)[0].maximal_cones
             expected = [simplicial_cone([frame.apply(g) for g in k.generators]) for k in local]
-            assert cones._mapped_cones(list(local), frame) == expected, piece
+            assert cones._mapped_cones(list(local), frame, _images(local, frame)) == expected, piece
             indices.add(cert.index)
     assert set(range(2, 14)) | {15} <= indices
 

@@ -33,6 +33,7 @@ from toresolve.resolve3d import (
     crepant_fixed_point_phase,
     polygon_form,
     resolve,
+    resolve_piece,
 )
 
 from conftest import (
@@ -291,6 +292,14 @@ def test_blowup_rejects_cdv_cell():
         blowup_fixed_point(pc, 0)
 
 
+def test_replace_cells_refuses_cells_it_does_not_hold():
+    """Replaced cells are found by identity, so an equal copy of a cell is
+    refused, not dropped silently."""
+    pc = PolygonComplex.initial(FIG_TRIANGLE)
+    with pytest.raises(Resolve3dError, match="not cells of the complex"):
+        pc.replace_cells([LatticePolytope(FIG_TRIANGLE.vertices)], [])
+
+
 def test_envelope_subdivision_matches_order_function_oracle(rng):
     """Lifting the interior points to one gives the order function's domains,
     with the hull of the interior points as the central domain."""
@@ -312,9 +321,10 @@ def test_envelope_subdivision_matches_order_function_oracle(rng):
 def test_planar_envelope_matches_double_description():
     """The planar rule gives the 4-D double description's cells, and both
     refuse the same liftings (a curve-phase lift on a cell that still has
-    interior points) as not tiling.  Cells: random polygons in [-6,6]^2 with
-    both liftings, and the cells their fixed-point phase leaves, which the
-    curve phase lifts."""
+    interior points) as not tiling; each cell also equals ``from_points`` of
+    the points it keeps.  Cells: random polygons in [-6,6]^2 with both
+    liftings, and the cells their fixed-point phase leaves, which the curve
+    phase lifts."""
     rng = random.Random(6061)
     polygons = [p for p in (random_polygon(rng, bound=6) for _ in range(50)) if p is not None]
     cases = [(cell, kind) for cell in polygons for kind in ("interior", "edge")]
@@ -335,8 +345,46 @@ def test_planar_envelope_matches_double_description():
             continue
         got = sorted(_envelope_subdivision(cell, lifted), key=lambda c: c.vertices)
         assert got == expected, (cell.vertices, kind)
+        _assert_cells_equal_hulls_of_their_points(got)
         outcomes[kind] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def _assert_cells_equal_hulls_of_their_points(cells):
+    """Each cell, built from the ends of its lines or from the central hull,
+    equals ``from_points`` of its tight set (the points it keeps): the same
+    vertices, and kept points, interior and edge-interior points and tag
+    equal to those the fresh hull finds from its columns and edges."""
+    for cell in cells:
+        kept = vars(cell)
+        hull = LatticePolytope.from_points(kept["_points"])
+        assert cell.vertices == hull.vertices, cell
+        fresh = (hull._points, hull._interior, hull._edge_interior, _cell_tag(hull))
+        assert (kept["_points"], kept["_interior"], kept["_edge_interior"], kept["_tag"]) == fresh, cell
+
+
+def test_envelope_cells_equal_hulls_of_their_tight_sets(monkeypatch):
+    """The cells that the phases make while resolving the C3 hulls, the cones
+    of both conftest corpora and the triangles (-k,k,1), (k,k//3,1), (0,-k,1)
+    for k up to 30, whose ring cells lie on lines up to 30 points long, equal
+    ``from_points`` of their tight sets."""
+    envelope = resolve3d._envelope_subdivision
+    made = []
+
+    def made_cells(cell, lifted):
+        cells = envelope(cell, lifted)
+        made.extend(cells)
+        return cells
+
+    monkeypatch.setattr(resolve3d, "_envelope_subdivision", made_cells)
+    corpora = random_rank3_cones(27182818, 4, 300) + random_rank3_cones(20261019, 4, 300)
+    for c in [make_cone([V(x, y, 1) for x, y in hull]) for hull in c3_hulls()] + corpora:
+        resolve(c)
+    for k in range(1, 31):
+        resolve_piece(_scaling_triangle(k))
+    _assert_cells_equal_hulls_of_their_points(made)
+    longest = max(math.gcd(b[0] - a[0], b[1] - a[1]) for c in made for a, b in c.edges())
+    assert len(made) >= 20000 and longest >= 30, (len(made), longest)
 
 
 def test_fixed_point_phase_worked_example():
@@ -486,7 +534,8 @@ def test_completion_precondition_scanned_once_per_piece(monkeypatch):
     assert len(calls) == 0
     calls.clear()
     resolve(make_cone(FIG_CONE))
-    assert len(calls) == 5
+    # the census keeps running sums, so only the completion precondition scans the tags
+    assert len(calls) == 1
 
 
 def test_integer_certificate_matches_fraction_oracle(monkeypatch):
@@ -838,6 +887,57 @@ def test_final_fan_mapped_from_completion_zero_equals_rebuilt_fan():
             assert fan.maximal_cones == rebuilt_final_fan(trace), c
         covers += len(trace.covers)
     assert covers >= 50
+
+
+def test_point_table_maps_each_piece_point_once_into_the_input_lattice():
+    """On both conftest cone corpora each piece's table holds every cell
+    vertex, its lift (x, y, 1) and the lift's image under the piece's frame;
+    the trace's new rays are images read from it, and the final cones,
+    mapped with the table's images, equal ``simplicial_cone`` of their
+    mapped generators, ``==`` and ``hash``."""
+    frames = set()
+    for c in random_rank3_cones(27182818, 4, 300) + random_rank3_cones(20261019, 4, 300):
+        fan, trace = resolve(c)
+        if not trace.first_completions:
+            continue
+        mapped_rounds = []
+        for pc, matrix, rounds, _cert in trace.pieces:
+            assert list(pc.rays) == sorted({p for cell in pc.cells for p in cell.vertices}), c
+            for (x, y), (lift, image) in pc.rays.items():
+                assert lift == LatticeVector((x, y, 1)) and image == matrix.apply(lift), c
+            frames.add(abs(matrix.det()))
+            mapped_rounds += [tuple(sorted(matrix.apply(V(x, y, 1)) for x, y in r.new_rays)) for r in rounds]
+        assert [s.new_rays for s in trace.steps if s.phase.endswith("blow-up")] == mapped_rounds, c
+        rebuilt = rebuilt_final_fan(trace)
+        assert fan.maximal_cones == rebuilt, c
+        assert [hash(k) for k in fan.maximal_cones] == [hash(k) for k in rebuilt], c
+    assert {1, 2, 3} <= frames
+
+
+def test_completions_from_the_point_table_equal_rebuilt_completions():
+    """On every completion of the C3 hulls that have at most 64 completions,
+    each cone over a triangle, built on the table's lifts, equals
+    ``simplicial_cone`` of its lifted vertices, ``==`` and ``hash``; the
+    fan's kept rays are the rays of its cones; and the certificate's ray
+    values, read off the heights, and its representatives, built from the
+    dual bases, are exact ``int`` tuples equal to those that
+    ``with_linear_representatives`` solves for."""
+    checked = 0
+    for hull in c3_hulls():
+        pc = resolve(make_cone([V(x, y, 1) for x, y in hull]))[1].pieces[0][0]
+        if 2 ** len(pc.parallelograms) > 64:
+            continue
+        for fan, psi in completions(pc):
+            for cone in fan.maximal_cones:
+                fresh = simplicial_cone(list(cone.generators))
+                assert cone == fresh and hash(cone) == hash(fresh), cone
+            assert fan.rays() == Fan(3, fan.maximal_cones).rays()
+            assert list(psi.ray_values) == [r.coords for r in fan.rays()]
+            solved = with_linear_representatives(SupportFunction(fan, dict(psi.ray_values)))
+            assert psi.ray_values == solved.ray_values and psi.linear_reps == solved.linear_reps
+            assert all(type(x) is int for m in psi.linear_reps.values() for x in m.coords)
+            checked += 1
+    assert checked >= 300, checked
 
 
 def test_cone_dimension_equals_rank_of_its_rays(monkeypatch):
