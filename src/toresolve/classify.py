@@ -1,23 +1,21 @@
 """Singularity classification: the recapitulation-table flags plus polytope predicates.
 
 A cone is graded by the rational functional equal to one on its generators
-(when it exists); terminal/canonical are decided by enumerating the finite
-slab of lattice points at grading at most one, Gorenstein by integrality
-of the functional, and local-complete-intersection via the stacked-polytope
-normal form of the height-one cross-section.
+(when it exists); terminal/canonical are decided on its primitive lattice
+points at grading at most one (``_grading_slab_points``), Gorenstein by
+integrality of the functional, and local-complete-intersection via the
+stacked-polytope normal form of the height-one cross-section.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cones import Cone, is_basic, make_cone
-from .hilbert import _to_sublattice, embedding_dimension
+from .cones import Cone, ConeError, is_basic, make_cone
+from .hilbert import _cone_lower_points, _to_sublattice, embedding_dimension
 from .lattice import (
     Covector,
     IntMatrix,
@@ -244,29 +242,19 @@ def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
     return gd
 
 
-def _grading_slab_points(c: Cone, m: Covector) -> list[LatticeVector]:
-    """Nonzero lattice points of the cone with grading value at most one.
+def _grading_slab_points(c: Cone) -> set[tuple[int, ...]]:
+    """Primitive lattice points of a Q-Gorenstein cone with grading at most one.
 
-    The slab is contained in the convex hull of the origin and the
-    generators, so a bounding-box scan is exact and finite.
+    The grading m is one on each generator g_i, so a point sum t_i g_i of a
+    simplex has <m, x> = sum t_i: the walk ``hilbert._cone_lower_points``
+    lists exactly the primitive slab points.  A non-primitive slab point
+    x = k y, k >= 2, has <m, y> <= 1/2, so it exists only in a cone that is
+    not canonical, where the primitive point on its ray is listed, below
+    grading one too.  So the flags read the same off either set: canonical
+    when every point has grading one, terminal when they are also just the
+    generators.
     """
-    rank = c.lattice_rank
-    los = [min(0, min(g.coords[i] for g in c.generators)) for i in range(rank)]
-    his = [max(0, max(g.coords[i] for g in c.generators)) for i in range(rank)]
-    count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
-    if count > sys.maxsize:
-        raise ClassifyError(
-            f"the grading slab box of {c} has {count} lattice points, "
-            f"more than the {sys.maxsize} that can be enumerated"
-        )
-    out = []
-    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        v = LatticeVector(p)
-        if v.is_zero or not c.contains(v):
-            continue
-        if m.pair(v) <= 1:
-            out.append(v)
-    return out
+    return _cone_lower_points(c)
 
 
 def height_one_polytope(c: Cone, m: Covector) -> tuple[LatticePolytope, IntMatrix]:
@@ -304,12 +292,12 @@ def classify(c: Cone) -> SingularityReport:
     gorenstein = gd is not None and gd[1] == 1
     canonical = terminal = False
     if gd is not None:
-        m, _index = gd
-        slab = _grading_slab_points(c, m)
-        below = [v for v in slab if m.pair(v) < 1]
-        at_one = {v.coords for v in slab if m.pair(v) == 1}
-        canonical = not below
-        terminal = canonical and at_one == {g.coords for g in c.generators}
+        try:
+            slab = _grading_slab_points(c)
+        except ConeError as e:
+            raise ClassifyError(f"classification of {c}: {e}") from e
+        canonical = all(sum(map(operator.mul, gd[0].coords, x)) == 1 for x in slab)
+        terminal = canonical and slab == {g.coords for g in c.generators}
     lci: bool | None = None
     if gorenstein and c.lattice_rank <= 3:
         polytope, _basis = height_one_polytope(c, gd[0])

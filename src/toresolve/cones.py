@@ -185,13 +185,13 @@ def _solve_grading(c: Cone) -> tuple[Covector, int] | None:
 
 
 def _build_cone(ray_tuples, lin_tuples, ineq_tuples, eq_tuples, rank) -> Cone:
-    """The cone on integer tuples, each list sorted."""
+    """The cone on computed tuples of ``int``, each list sorted, unchecked."""
     return Cone(
         lattice_rank=rank,
-        generators=tuple(map(LatticeVector, sorted(ray_tuples))),
-        inequalities=tuple(map(Covector, sorted(ineq_tuples))),
-        equations=tuple(map(Covector, sorted(eq_tuples))),
-        lineality=tuple(map(LatticeVector, sorted(lin_tuples))),
+        generators=tuple(_made(LatticeVector, v) for v in sorted(ray_tuples)),
+        inequalities=tuple(_made(Covector, m) for m in sorted(ineq_tuples)),
+        equations=tuple(_made(Covector, m) for m in sorted(eq_tuples)),
+        lineality=tuple(_made(LatticeVector, v) for v in sorted(lin_tuples)),
     )
 
 

@@ -129,6 +129,18 @@ def _lower_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
     return points
 
 
+def _cone_lower_points(c: Cone) -> set[tuple[int, ...]]:
+    """The primitive points sum t_i g_i with 0 < sum t_i <= 1 in some simplex
+    of the pulling triangulation of a pointed full-dimensional cone: its
+    generators (one t_i is 1) and each simplex's ``_lower_points``.  The hull
+    floor is gift-wrapped over them and classify reads its grading slab off
+    them; a simplex too large to walk raises ``ConeError``."""
+    points = {g.coords for g in c.generators}
+    for simplex in _triangulate(c):
+        points.update(_lower_points(simplex))
+    return points
+
+
 def _to_sublattice(c: Cone):
     """Coordinates of a low-dimensional pointed cone inside its span lattice.
 
@@ -205,15 +217,14 @@ def floor_facets(c: Cone) -> list[list[LatticeVector]]:
     exits, are found in integers from a finite candidate set whose hull plus
     c is the whole hull.  In rank 2 the candidates are the Hilbert basis and
     the floor is the basis in angular order, split into maximal collinear
-    runs.  In rank 3 the candidates are the generators and the lower points
-    of each simplex of the pulling triangulation (``_lower_points``: the
-    primitive points sum t_i g_i with t_i in [0,1) and 0 < sum t_i <= 1), and
-    the floor is gift-wrapped over them: the first facet is pivoted about a
-    floor edge on a wall of the cone, then every polygon edge off the walls
-    is pivoted about in turn (see ``_floor_3d``).  Each facet is listed as
-    its sorted lattice points, which are all Hilbert points, the facets in
-    increasing order of (-k, n) for the primitive normal n and level
-    k = <n, h> on the facet.
+    runs.  In rank 3 the candidates are ``_cone_lower_points``, the primitive
+    points sum t_i g_i with 0 < sum t_i <= 1 in some simplex of the pulling
+    triangulation, and the floor is gift-wrapped over them: the first facet
+    is pivoted about a floor edge on a wall of the cone, then every polygon
+    edge off the walls is pivoted about in turn (see ``_floor_3d``).  Each
+    facet is listed as its sorted lattice points, which are all Hilbert
+    points, the facets in increasing order of (-k, n) for the primitive
+    normal n and level k = <n, h> on the facet.
 
     The result is certified: every facet has <n, h> >= k > 0 on every
     candidate and <n, g> > 0 on every generator, and every floor edge off
@@ -227,10 +238,7 @@ def floor_facets(c: Cone) -> list[list[LatticeVector]]:
         raise ConeError(f"hull floor implemented for rank <= 3, got rank {rank}")
     gens = [g.coords for g in c.generators]
     if rank == 3:
-        candidates = set(gens)
-        for simplex in _triangulate(c):
-            candidates.update(_lower_points(simplex))
-        facets = _floor_3d(c, list(candidates), gens)
+        facets = _floor_3d(c, list(_cone_lower_points(c)), gens)
     else:
         # the angular chain joins consecutive points, so it needs exactly the
         # Hilbert points: a candidate above the floor makes an edge the
@@ -307,8 +315,8 @@ def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, lis
 
 def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]]:
     """Tight members of each compact hull facet (n, k) of a pointed
-    full-dimensional rank-3 cone, by gift wrapping over its candidate points:
-    the generators and the lower points of every simplex of ``_triangulate``.
+    full-dimensional rank-3 cone, by gift wrapping over its candidate points,
+    ``_cone_lower_points``.
 
     Why these candidates give the same floor, tight sets and order as the
     Hilbert basis:

@@ -2,7 +2,7 @@
 
 The oracles are deliberately independent of the library's own algorithms:
 ranks are computed by elimination over the rationals, lattice points are
-enumerated over bounding boxes and filtered, the
+enumerated over bounding boxes and filtered (also a grading slab), the
 stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function, envelope
@@ -90,6 +90,22 @@ def box_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     los = [min(v[i] for v in p.vertices) for i in range(rank)]
     his = [max(v[i] for v in p.vertices) for i in range(rank)]
     return [q for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))) if p.contains(q)]
+
+
+def box_slab_points(c: Cone) -> list[LatticeVector]:
+    """Nonzero lattice points of a Q-Gorenstein cone with grading at most
+    one, primitive or not, by scanning with ``contains`` the bounding box of
+    the origin and the generators, whose convex hull holds the slab."""
+    m = c.grading[0]
+    rank = c.lattice_rank
+    los = [min(0, *(g.coords[i] for g in c.generators)) for i in range(rank)]
+    his = [max(0, *(g.coords[i] for g in c.generators)) for i in range(rank)]
+    out = []
+    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+        v = LatticeVector(p)
+        if not v.is_zero and c.contains(v) and m.pair(v) <= 1:
+            out.append(v)
+    return out
 
 
 def box_interior_points(p: LatticePolytope) -> list[tuple[int, ...]]:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from toresolve.classify import (
     ClassifyError,
     LatticePolytope,
+    _grading_slab_points,
     classify,
     convex_hull_2d,
     gorenstein_data,
@@ -17,11 +20,13 @@ from toresolve.classify import (
     lri_general_section,
 )
 from toresolve.cones import ConeError, dual_cone, faces, make_cone
+from toresolve.hilbert import _to_sublattice
 from toresolve.lattice import Covector, IntMatrix, LatticeVector, rational_solve
 from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, canonical_modification, crepant_fixed_point_phase
 
 from conftest import (
     box_lattice_points,
+    box_slab_points,
     c3_hulls,
     fraction_rank,
     gauss_jordan_solve,
@@ -423,3 +428,63 @@ def test_height_one_polytope_fig_cone_identity():
     p, basis = height_one_polytope(c, m)
     assert basis == IntMatrix.identity(3)
     assert set(p.vertices) == {(-3, 3), (3, 1), (0, -3)}
+
+
+# the cones of the CI's multi-cone classify jobs in ranks 3, 4 and 5
+DD_CONES = [
+    [[1, 0, 0], [0, 1, 0], [1, 1, 3], [1, 1, 1], [2, 0, 0]],
+    [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1], [0, 0, 1]],
+    [[1, 2, 0], [2, -1, 0], [3, 1, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 2], [1, 1, 1, 1]],
+    [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 1], [2, 2, 0, 2]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 1, 1, 1, 2], [1, 1, 0, 0, 0]],
+    [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [1, 1, 1, 0, 1]],
+]
+
+
+def test_slab_walk_matches_box_oracle(monkeypatch):
+    """On a Q-Gorenstein cone the lower-point walk lists exactly the
+    primitive points of the box scan's grading slab, and classify's flags
+    are the box scan's: canonical when no slab point lies below grading one,
+    terminal when moreover the slab is the generators.  Non-primitive slab
+    points are met, only in cones that are not canonical.  On the criterion-5
+    shapes, the C3 hulls, both conftest corpora, seeded rank-2, 4 and 5
+    draws, the rank-4 cube cone and the CI's multi-cone classify cones
+    (low-dimensional ones in their span lattice).  The embedding dimension,
+    which the slab does not decide, is stubbed: the dual Hilbert bases of
+    these cones would take most of a minute."""
+    monkeypatch.setattr(sys.modules["toresolve.classify"], "embedding_dimension", lambda c: None)
+    pts = list(itertools.product(range(4), repeat=2))
+    shapes = [comb for n in (3, 4) for comb in itertools.combinations(pts, n) if len(convex_hull_2d(list(comb))) == n]
+    assert len(shapes) == 1554
+    cones = [make_cone([V(x, y, 1) for x, y in shape]) for shape in shapes]
+    cones += [make_cone([V(x, y, 1) for x, y in hull]) for hull in c3_hulls()]
+    cones += random_rank3_cones(27182818, 4, 300) + random_rank3_cones(20261019, 4, 300)
+    rng = random.Random(20261021)
+    for rank, bound, count in ((2, 6, 200), (4, 2, 120), (5, 1, 120)):
+        drawn = (random_pointed_cone(rng, rank, bound, max_gens=rank + 1) for _ in range(count))
+        cones += [c for c in drawn if c is not None]
+    cones.append(make_cone([V(*p, 1) for p in itertools.product((-1, 1), repeat=3)]))
+    cones += [make_cone([V(*g) for g in gens]) for gens in DD_CONES]
+    seen = {"graded": 0, "canonical": 0, "terminal": 0, "non-primitive": 0}
+    for c in cones:
+        r = classify(c)
+        if not c.is_full_dimensional:
+            c = _to_sublattice(c)[0]
+        if c.grading is None:
+            assert not (r.canonical or r.terminal), c
+            continue
+        m = c.grading[0]
+        box = box_slab_points(c)
+        assert _grading_slab_points(c) == {v.coords for v in box if math.gcd(*v.coords) == 1}, c
+        canonical = all(m.pair(v) == 1 for v in box)
+        assert r.canonical == canonical, c
+        assert r.terminal == (canonical and {v.coords for v in box} == {g.coords for g in c.generators}), c
+        nonprimitive = any(math.gcd(*v.coords) > 1 for v in box)
+        assert not (nonprimitive and canonical), c
+        seen["graded"] += 1
+        seen["canonical"] += canonical
+        seen["terminal"] += r.terminal
+        seen["non-primitive"] += nonprimitive
+    assert seen["graded"] >= 2000 and seen["graded"] - seen["canonical"] >= 200, seen
+    assert seen["terminal"] >= 200 and seen["non-primitive"] >= 100, seen

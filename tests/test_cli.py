@@ -502,8 +502,9 @@ HOSTILE_JOBS = [
 def test_huge_basic_cone_finishes_at_once(tmp_path, capsys):
     """A basic cone with a 10^30 coordinate: its unimodular height-one
     triangle has no interior point by Pick's theorem, so nothing scans it;
-    classify refuses its grading-slab box, and render and --svg refuse to
-    draw a triangle 10^30 lattice units across."""
+    classify walks the one coset of its unimodular simplex and reports it
+    smooth, terminal and canonical, and render and --svg refuse to draw a
+    triangle 10^30 lattice units across."""
     job = {"lattice_rank": 3, "cones": [{"generators": [[-HUGE, 7, 1], [1, 0, 0], [0, 1, 0]]}]}
     infile = write_job(tmp_path, "in.json", job)
     expected = {
@@ -511,21 +512,43 @@ def test_huge_basic_cone_finishes_at_once(tmp_path, capsys):
         ("resolve3d", "--completion", "all"): 0,
         ("resolve3d", "--completion", "0"): 0,
         ("hilbert",): 0,
-        ("classify",): 1,
+        ("classify",): 0,
         ("render",): 1,
         ("resolve3d", "--svg", str(tmp_path / "out.svg")): 1,
     }
     for command, rc in expected.items():
+        outfile = tmp_path / f"out-{command[0]}"
         start = time.perf_counter()
-        assert main([command[0], "--in", infile, "--out", str(tmp_path / "out"), *command[1:]]) == rc
+        assert main([command[0], "--in", infile, "--out", str(outfile), *command[1:]]) == rc
         assert time.perf_counter() - start < 1, command
+    report = json.loads((tmp_path / "out-classify").read_text())["reports"][0]
+    assert report["smooth"] and report["terminal"] and report["canonical"], report
+    assert report["embedding_dimension"] == 3, report
     err = capsys.readouterr().err
-    assert "grading slab box" in err
     refusals = [line for line in err.splitlines() if f"more than the {MAX_DRAWN_EXTENT} that are drawn" in line]
     assert len(refusals) == 2
     # each drawing refusal names the input cone, not the polygon in its own frame
     assert all(str(tuple(g)) in line for line in refusals for g in job["cones"][0]["generators"])
     assert not (tmp_path / "out.svg").exists()
+
+
+def test_classify_refuses_huge_simplices_at_once(tmp_path, capsys):
+    """Hostile jobs 0 to 3, and a non-simplicial Gorenstein cone whose
+    pulling triangulation has simplices of determinant 10^30 and 10^30 + 1:
+    classify refuses each with exit 1 in under a second, before any point
+    is walked, and the message names the input cone."""
+    quad = [[0, 0, 1], [1, 0, 1], [HUGE, HUGE + 1, 1], [0, 1, 1]]
+    jobs = HOSTILE_JOBS[:4] + [{"lattice_rank": 3, "cones": [{"generators": quad}]}]
+    outfile = tmp_path / "out.json"
+    for j, job in enumerate(jobs):
+        infile = write_job(tmp_path, f"job{j}.json", job)
+        start = time.perf_counter()
+        assert main(["classify", "--in", infile, "--out", str(outfile)]) == 1, job
+        assert time.perf_counter() - start < 1, job
+        err = capsys.readouterr().err
+        assert "that can be enumerated" in err, err
+        assert all(str(tuple(g)) in err for g in job["cones"][0]["generators"]), err
+    assert not outfile.exists()
 
 
 FUZZ_COMMANDS = [

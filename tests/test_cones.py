@@ -199,7 +199,8 @@ def test_constructors_that_know_the_dimension_run_no_rank():
     the span, so ``dim``, the lattice rank less their number, is the
     rational rank of the rays and lineality: for ``make_cone``,
     ``simplicial_cone``, ``cone_over_polygon``, ``_mapped_cones``,
-    ``dual_cone``, ``faces`` and every branch of ``intersect_cones``."""
+    ``dual_cone``, ``faces`` and every branch of ``intersect_cones``.  Each
+    builds on tuples of exact ``int``, which ``_build_cone`` takes unchecked."""
     rng = random.Random(20261020)
     built = [
         simplicial_cone([V(1, 0, 0), V(1, 2, 0), V(0, 1, 3)]),
@@ -224,6 +225,8 @@ def test_constructors_that_know_the_dimension_run_no_rank():
     every = built + duals + meets
     for c in every:
         assert c.dim == c.lattice_rank - len(c.equations) == _span_rank(c), c
+        vectors = (*c.generators, *c.inequalities, *c.equations, *c.lineality)
+        assert all(type(v.coords) is tuple and all(type(x) is int for x in v.coords) for v in vectors), c
     assert sum(0 < c.dim < c.lattice_rank for c in every) >= 5
     assert sum(c.dim == 0 for c in every) >= 5
     assert sum(not c.is_pointed for c in duals) >= 5 and sum(not k.is_pointed for k in meets) >= 5

@@ -41,6 +41,7 @@ from conftest import (
     _order_function_subdivision,
     box_interior_points,
     box_lattice_points,
+    box_slab_points,
     c3_hulls,
     count_calls,
     dd_envelope_subdivision,
@@ -107,9 +108,7 @@ def test_canonical_modification_rank3_noncanonical():
         assert gd is not None
         m = gd[0]
         # canonical criterion: no nonzero lattice point strictly below level one
-        from toresolve.classify import _grading_slab_points
-
-        below = [v for v in _grading_slab_points(piece, m) if m.pair(v) < 1]
+        below = [v for v in box_slab_points(piece) if m.pair(v) < 1]
         assert below == []
 
 
