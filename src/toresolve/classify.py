@@ -280,14 +280,14 @@ def classify(c: Cone) -> SingularityReport:
     """Full singularity report for a pointed cone.
 
     Low-dimensional cones are classified through their span lattice (the
-    chart splits off a torus factor there).  ``rational`` is constitutively
-    true for this class of singularities.
+    chart splits off a torus factor there); a refusal names the input cone.
+    ``rational`` is constitutively true for this class of singularities.
     """
     if not c.is_pointed:
         raise ClassifyError("classification requires a pointed cone")
+    named = c
     if not c.is_full_dimensional:
-        small, _ = _to_sublattice(c)
-        return classify(small)
+        c, _ = _to_sublattice(c)
     gd = gorenstein_data(c)
     gorenstein = gd is not None and gd[1] == 1
     canonical = terminal = False
@@ -295,7 +295,7 @@ def classify(c: Cone) -> SingularityReport:
         try:
             slab = _grading_slab_points(c)
         except ConeError as e:
-            raise ClassifyError(f"classification of {c}: {e}") from e
+            raise ClassifyError(f"classification of {named}: {e}") from e
         canonical = all(sum(map(operator.mul, gd[0].coords, x)) == 1 for x in slab)
         terminal = canonical and slab == {g.coords for g in c.generators}
     lci: bool | None = None

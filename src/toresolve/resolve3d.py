@@ -14,13 +14,12 @@ an exact integral height function certifying projectivity.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter, countOf, itemgetter
+from operator import attrgetter, itemgetter
 
 from .classify import (
     CoverCertificate,
@@ -43,7 +42,6 @@ class Resolve3dError(ValueError):
 
 
 Point = tuple[int, int]
-HeightMap = tuple[tuple[Point, int], ...]
 Triangle = tuple[Point, Point, Point]
 Dual = tuple[tuple[int, int, int], ...]
 Wall = tuple[Point, Point, Point, Point]
@@ -94,6 +92,23 @@ def _tag_sums(tags) -> tuple[int, int, int, int]:
     )
 
 
+def _census(polygon: LatticePolytope, cells, sums: tuple[int, int, int, int], vertices: int) -> dict:
+    """The census of the cells, with ``sums`` their ``_tag_sums`` and
+    ``vertices`` the number of their distinct vertices.  Cells that tile the
+    polygon face to face, as a regular subdivision does, put each of its
+    lattice points at a vertex, inside one edge or inside one cell, so the
+    points inside edges are those left over."""
+    with_interior, interior, basic, units = sums
+    return {
+        "cells": len(cells),
+        "cells_with_interior_points": with_interior,
+        "interior_points": interior,
+        "edge_interior_points": len(polygon._points) - vertices - interior,
+        "basic_cells": basic,
+        "unit_parallelograms": units,
+    }
+
+
 _vertices = attrgetter("vertices")
 _coords = attrgetter("coords")
 
@@ -102,62 +117,26 @@ _coords = attrgetter("coords")
 class PolygonComplex:
     """A lattice polygon at height one with its current polygonal subdivision.
 
-    ``round_heights`` accumulates, per subdivision round, the 0/1 lattice
-    heights whose regular subdivisions produced the rounds; they assemble
-    into the projectivity certificates of the completions.  ``frame``, when
-    set, carries the polygon frame's (x, y, 1) into the input lattice, and
-    ``rays`` keeps each cell vertex's vectors in both.  ``parallelograms``
-    lists the unit parallelograms that the completions fill, once found;
-    ``triangle_cones`` and ``wall_folds`` keep, for all completions, the
-    cones over the triangles and the round folds across the walls they have
-    used.  ``replace_cells`` carries the census's sums and edge-point counts
-    over, changing only those of the cells it replaces.
+    ``lifted`` lists, per subdivision round, the points the round lifted to
+    height one (sorted, each once), the rest staying at height zero; these
+    0/1 heights assemble into the projectivity certificates of the
+    completions.  ``frame``, when set, carries the polygon frame's (x, y, 1)
+    into the input lattice, and ``rays`` keeps each cell vertex's vectors in
+    both.  ``parallelograms`` lists the unit parallelograms that the
+    completions fill, once found; ``triangle_cones`` and ``wall_folds``
+    keep, for all completions, the cones over the triangles and the round
+    folds across the walls they have used.  A blow-up phase builds its
+    complex once, after its last round.
     """
 
     polygon: LatticePolytope
     cells: tuple[LatticePolytope, ...]
-    round_heights: tuple[HeightMap, ...] = ()
+    lifted: tuple[tuple[Point, ...], ...] = ()
     frame: IntMatrix | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, polygon: LatticePolytope, frame: IntMatrix | None = None) -> "PolygonComplex":
         return cls(polygon=polygon, cells=(polygon,), frame=frame)
-
-    def replace_cells(self, old, new, new_round: dict[Point, int] | None = None) -> "PolygonComplex":
-        """The complex with its cells ``old`` replaced by ``new``, and
-        ``new_round``, when it lifts any point, as its latest round."""
-        rounds = self.round_heights
-        if new_round:
-            rounds = rounds + (tuple(sorted(new_round.items())),)
-        gone = set(map(id, old))
-        kept = [c for c in self.cells if id(c) not in gone]
-        if len(kept) + len(gone) != len(self.cells):
-            raise Resolve3dError("the replaced cells are not cells of the complex")
-        out = PolygonComplex(
-            polygon=self.polygon,
-            # two sorted runs, which the sort merges
-            cells=tuple(sorted(kept + sorted(new, key=_vertices), key=_vertices)),
-            round_heights=rounds,
-            frame=self.frame,
-        )
-        facts = vars(out)
-        facts["_sums"] = tuple(
-            s - a + b for s, a, b in zip(self._sums, _tag_sums(map(_tag, old)), _tag_sums(map(_tag, new)))
-        )
-        counts = facts["_edge_point_counts"] = self._edge_point_counts.copy()
-        counts.subtract(p for c in old for p in c._edge_interior)
-        counts.update(p for c in new for p in c._edge_interior)
-        return out
-
-    @cached_property
-    def _sums(self) -> tuple[int, int, int, int]:
-        """The census's sums over the cells' tags (``_tag_sums``)."""
-        return _tag_sums(map(_tag, self.cells))
-
-    @cached_property
-    def _edge_point_counts(self) -> Counter:
-        """How many cells list each point inside one of their edges (or 0)."""
-        return Counter(p for c in self.cells for p in c._edge_interior)
 
     def tags(self) -> list[dict]:
         return [_tag(c) for c in self.cells]
@@ -214,25 +193,18 @@ class PolygonComplex:
         return tris, walls, open_edges
 
     @cached_property
-    def point_rounds(self) -> dict[Point, list[tuple[int, int]]]:
-        """Per lifted point, its (round, height) pairs in round order: a point
-        is lifted again by each later round while it is still a centre."""
-        out: dict[Point, list[tuple[int, int]]] = {}
-        for r, layer in enumerate(self.round_heights):
-            for p, h in layer:
-                out.setdefault(p, []).append((r, h))
+    def point_rounds(self) -> dict[Point, list[int]]:
+        """Per lifted point, the rounds that lift it, in order: a point is
+        lifted again by each later round while it is still a centre."""
+        out: dict[Point, list[int]] = {}
+        for r, points in enumerate(self.lifted):
+            for p in points:
+                out.setdefault(p, []).append(r)
         return out
 
     def census(self) -> dict:
-        with_interior, interior, basic, units = self._sums
-        return {
-            "cells": len(self.cells),
-            "cells_with_interior_points": with_interior,
-            "interior_points": interior,
-            "edge_interior_points": len(self._edge_point_counts) - countOf(self._edge_point_counts.values(), 0),
-            "basic_cells": basic,
-            "unit_parallelograms": units,
-        }
+        vertices = len({p for c in self.cells for p in c.vertices})
+        return _census(self.polygon, self.cells, _tag_sums(map(_tag, self.cells)), vertices)
 
     def __eq__(self, other):
         return (
@@ -408,30 +380,38 @@ def _phase(pc: PolygonComplex, phase: str, centres) -> tuple[PolygonComplex, lis
 
     ``centres`` is ``LatticePolytope.interior_points`` for the fixed-point
     phase and ``LatticePolytope.edge_interior_points`` for the curve phase;
-    each round lifts the centres of all eligible cells at once.  A cell left
-    alone has no centres, so the centres left, the new rays and the next
-    eligible cells are read off the cells the round made.
+    each round lifts the centres of all eligible cells at once (a point on
+    an edge of two of them once).  A cell left alone has no centres, so the
+    centres left, the new rays, the census's changes and the next eligible
+    cells are read off the cells the round replaced and made; the live cells
+    are kept by identity, and the complex is built once, after the last round.
     """
     rounds: list[PhaseRound] = []
+    live = {id(c): c for c in pc.cells}
+    sums = _tag_sums(map(_tag, pc.cells))
+    lifted = list(pc.lifted)
     eligible = [c for c in pc.cells if centres(c)]
     remaining = {p for c in eligible for p in centres(c)}
     vertices = {p for c in pc.cells for p in c.vertices}
     while eligible:
         born: list[LatticePolytope] = []
-        heights: dict[Point, int] = {}
         for cell in eligible:
-            lifted = centres(cell)
-            born.extend(_envelope_subdivision(cell, lifted))
-            heights.update(dict.fromkeys(lifted, 1))
-        pc = pc.replace_cells(eligible, born, new_round=heights)
+            born.extend(_envelope_subdivision(cell, centres(cell)))
+            del live[id(cell)]
+        live.update((id(c), c) for c in born)
+        sums = tuple(s - a + b for s, a, b in zip(sums, _tag_sums(map(_tag, eligible)), _tag_sums(map(_tag, born))))
+        lifted.append(tuple(sorted(remaining)))
         left = {p for c in born for p in centres(c)}
         if len(left) >= len(remaining):
             raise Resolve3dError(f"{phase} failed to reduce its centres")
         remaining = left
         new_rays = {p for c in born for p in c.vertices} - vertices
         vertices |= new_rays
-        rounds.append(PhaseRound(phase, tuple(eligible), tuple(sorted(new_rays)), pc.census()))
+        census = _census(pc.polygon, live, sums, len(vertices))
+        rounds.append(PhaseRound(phase, tuple(eligible), tuple(sorted(new_rays)), census))
         eligible = sorted((c for c in born if centres(c)), key=_vertices)
+    if rounds:
+        pc = PolygonComplex(pc.polygon, tuple(sorted(live.values(), key=_vertices)), tuple(lifted), pc.frame)
     return pc, rounds
 
 
@@ -442,11 +422,15 @@ def blowup_fixed_point(pc: PolygonComplex, cell_index: int) -> PolygonComplex:
     its maximal ideal, the regular subdivision lifting its interior lattice
     points; all new rays stay at height one.
     """
+    if not 0 <= cell_index < len(pc.cells):
+        raise Resolve3dError(f"cell index {cell_index} is out of range ({len(pc.cells)} cells)")
     cell = pc.cells[cell_index]
     interior = cell.interior_points()
     if not interior:
         raise Resolve3dError("cell is already cDV: no interior lattice points")
-    return pc.replace_cells([cell], _envelope_subdivision(cell, interior), new_round=dict.fromkeys(interior, 1))
+    cells = pc.cells[:cell_index] + pc.cells[cell_index + 1:] + tuple(_envelope_subdivision(cell, interior))
+    lifted = pc.lifted + (tuple(sorted(interior)),)
+    return PolygonComplex(pc.polygon, tuple(sorted(cells, key=_vertices)), lifted, pc.frame)
 
 
 def crepant_fixed_point_phase(pc: PolygonComplex) -> PolygonComplex:
@@ -612,9 +596,10 @@ def _wall_terms(wall) -> tuple[tuple[Point, int], ...]:
 def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[Point, int]:
     """Exact integral heights whose folds are strictly positive on every wall.
 
-    Sums the per-round 0/1 height maps and the diagonal-choice correction chi
-    with weights 2^(t(L-1-r)) for layer r of L, at the least t that makes
-    every fold positive, then divides out the common power of two; this is
+    Sums the per-round 0/1 heights (1 on the points that ``pc.lifted`` lists
+    for the round) and the diagonal-choice correction chi with weights
+    2^(t(L-1-r)) for layer r of L, at the least t that makes every fold
+    positive, then divides out the common power of two; this is
     the sum with weights eps^(r+1), eps = 2^-t, with denominators cleared.
     Folds are linear in the heights, so each wall's coefficients are found
     once, and its fold in round r adds up the coefficients of its points
@@ -635,18 +620,18 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
         if wall not in known:
             terms, by_round = _wall_terms(wall), {}
             for p, k in terms:
-                for r, h in point_rounds.get(p, ()):
-                    by_round[r] = by_round.get(r, 0) + k * h
+                for r in point_rounds.get(p, ()):
+                    by_round[r] = by_round.get(r, 0) + k
             known[wall] = tuple((r, f) for r, f in by_round.items() if f), terms
         round_folds, terms = known[wall]
         folds.append((round_folds, sum(k * chi[p] for p, k in terms if p in chi)))
-    top = len(pc.round_heights)
+    top = len(pc.lifted)
     for t in range(64):
         # chi, the last layer, has weight 1
         if all(sum(f << (t * (top - r)) for r, f in round_folds) + chi_fold > 0 for round_folds, chi_fold in folds):
             heights = {}
             for p in pc.rays:  # the vertices of the triangles
-                heights[p] = sum(h << (t * (top - r)) for r, h in point_rounds.get(p, ())) + chi.get(p, 0)
+                heights[p] = sum(1 << (t * (top - r)) for r in point_rounds.get(p, ())) + chi.get(p, 0)
             g = math.gcd(1 << (t * (top + 1)), *heights.values())
             return {p: v // g for p, v in heights.items()}
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")

@@ -138,15 +138,15 @@ def scanned_facts(vertices) -> tuple[list, list, list, dict]:
     return points, interior, edge, tag
 
 
-def set_census(pc: PolygonComplex) -> dict:
-    """The census of a complex from box scans of its cells, the points inside
-    cell edges counted as one set."""
-    tags = [scanned_facts(c.vertices)[3] for c in pc.cells]
+def set_census(cells) -> dict:
+    """The census of a complex's cells from box scans of each, the points
+    inside cell edges counted as one set."""
+    tags = [scanned_facts(c.vertices)[3] for c in cells]
     return {
-        "cells": len(pc.cells),
+        "cells": len(cells),
         "cells_with_interior_points": sum(1 for t in tags if t["interior_points"]),
         "interior_points": sum(t["interior_points"] for t in tags),
-        "edge_interior_points": len({q for c in pc.cells for q in scanned_facts(c.vertices)[2]}),
+        "edge_interior_points": len({q for c in cells for q in scanned_facts(c.vertices)[2]}),
         "basic_cells": sum(1 for t in tags if t["basic"]),
         "unit_parallelograms": sum(1 for t in tags if t["unit_parallelogram"]),
     }
@@ -503,12 +503,13 @@ def _affine_value(tri, h: dict[Point, Fraction], q: Point) -> Fraction:
 def fraction_composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris):
     """Completion heights and the exponent t found by halving eps = 2^-t.
 
-    Sums the per-round 0/1 height maps and chi over every lattice point of
+    Sums the per-round 0/1 height maps (1 on the points that ``pc.lifted``
+    lists for the round) and chi over every lattice point of
     the polygon with weights eps^(r+1), checks every wall by interpolating on
     one triangle at the far vertex of the other, and clears denominators.
     """
     points = [tuple(p) for p in pc.polygon.lattice_points()]
-    layers = [dict(r) for r in pc.round_heights] + [chi]
+    layers = [dict.fromkeys(r, 1) for r in pc.lifted] + [chi]
     tris_of_edge: dict[tuple[Point, Point], list] = {}
     for t in tris:
         for k in range(3):

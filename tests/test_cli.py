@@ -7,8 +7,10 @@ import time
 import pytest
 
 from toresolve import cli, cones, hilbert, resolve3d
-from toresolve.classify import LatticePolytope
+from toresolve.classify import ClassifyError, LatticePolytope, classify
 from toresolve.cli import MAX_DRAWN_EXTENT, ParseError, main, parse_job, serialize
+from toresolve.cones import make_cone
+from toresolve.lattice import LatticeVector
 
 from conftest import c3_hulls, count_calls
 
@@ -548,6 +550,22 @@ def test_classify_refuses_huge_simplices_at_once(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "that can be enumerated" in err, err
         assert all(str(tuple(g)) in err for g in job["cones"][0]["generators"]), err
+    assert not outfile.exists()
+
+
+def test_low_dimensional_refusal_names_the_input_cone(tmp_path, capsys):
+    """A plane cone in rank 3 is classified through its span lattice, but
+    the refusal of its 10^30-point parallelepiped names the input cone, in
+    input coordinates, through ``classify`` and through the CLI (exit 1)."""
+    gens = [[HUGE, 1, 0], [0, 1, 0]]
+    cone = make_cone([LatticeVector(tuple(g)) for g in gens])
+    with pytest.raises(ClassifyError) as refusal:
+        classify(cone)
+    assert str(refusal.value).startswith(f"classification of {cone}: "), refusal.value
+    infile = write_job(tmp_path, "in.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
+    outfile = tmp_path / "out.json"
+    assert main(["classify", "--in", infile, "--out", str(outfile)]) == 1
+    assert capsys.readouterr().err == f"toresolve: {refusal.value}\n"
     assert not outfile.exists()
 
 

@@ -36,6 +36,7 @@ from toresolve.resolve3d import (
     resolve_piece,
 )
 
+import conftest
 from conftest import (
     _affine_value,
     _order_function_subdivision,
@@ -291,12 +292,22 @@ def test_blowup_rejects_cdv_cell():
         blowup_fixed_point(pc, 0)
 
 
-def test_replace_cells_refuses_cells_it_does_not_hold():
-    """Replaced cells are found by identity, so an equal copy of a cell is
-    refused, not dropped silently."""
-    pc = PolygonComplex.initial(FIG_TRIANGLE)
-    with pytest.raises(Resolve3dError, match="not cells of the complex"):
-        pc.replace_cells([LatticePolytope(FIG_TRIANGLE.vertices)], [])
+def test_blowup_fixed_point_refuses_cell_index_out_of_range():
+    """A cell index outside range(len(pc.cells)), -1 included, is refused
+    with its index named; a valid one blows up that cell and keeps the
+    others."""
+    square = LatticePolytope.from_points([(0, 0), (4, 0), (4, 4), (0, 4)])
+    halves = [LatticePolytope.from_points(t) for t in ([(0, 0), (4, 0), (4, 4)], [(0, 0), (4, 4), (0, 4)])]
+    pc = PolygonComplex(square, tuple(sorted(halves, key=lambda c: c.vertices)))
+    for index in (-1, len(pc.cells)):
+        with pytest.raises(Resolve3dError, match=f"cell index {index} is out of range"):
+            blowup_fixed_point(pc, index)
+    last = pc.cells[-1]
+    pc1 = blowup_fixed_point(pc, len(pc.cells) - 1)
+    assert any(c is pc.cells[0] for c in pc1.cells) and last not in pc1.cells
+    assert pc1.lifted == (tuple(sorted(last.interior_points())),)
+    assert sum(c.area2() for c in pc1.cells) == square.area2()
+    assert pc1.census() == set_census(pc1.cells)
 
 
 def test_envelope_subdivision_matches_order_function_oracle(rng):
@@ -674,7 +685,7 @@ def test_one_adjugate_certificate_matches_three_pass_oracle(monkeypatch):
                 assert all(type(x) is int for m in f.linear_reps.values() for x in m.coords)
             forward.append((fan, psi))
             compared += 1
-        fresh = PolygonComplex(pc.polygon, pc.cells, pc.round_heights)
+        fresh = PolygonComplex(pc.polygon, pc.cells, pc.lifted)
         assert [_completion_for_bits(fresh, bits) for bits in reversed(listed)] == forward[::-1]
         assert fresh.triangle_cones.keys() == pc.triangle_cones.keys()
         for t, (cone, dual) in pc.triangle_cones.items():
@@ -967,23 +978,44 @@ def test_cone_dimension_equals_rank_of_its_rays(monkeypatch):
         assert c.dim == fraction_rank([g.coords for g in c.generators] + [l.coords for l in c.lineality]), c
 
 
+def _replayed_rounds(monkeypatch, cones) -> tuple[list, list]:
+    """``resolve`` on each cone: per blow-up round, the round and the cells
+    live after it, replayed from the round's centres and the cells that
+    ``_envelope_subdivision`` made of each; and every cell it made.  The
+    cells live after a phase's last round are the cells of its complex."""
+    envelope = resolve3d._envelope_subdivision
+    made: dict[int, list] = {}
+
+    def recording(cell, lifted):
+        made[id(cell)] = envelope(cell, lifted)
+        return made[id(cell)]
+
+    monkeypatch.setattr(resolve3d, "_envelope_subdivision", recording)
+    replayed, cells = [], []
+    for c in cones:
+        made.clear()  # ids are unique only while the cells they name are alive
+        for pc, _matrix, rounds, _cert in resolve(c)[1].pieces:
+            live = {id(pc.polygon): pc.polygon}
+            for rnd in rounds:
+                for cell in rnd.centers:
+                    del live[id(cell)]
+                    live.update((id(n), n) for n in made[id(cell)])
+                replayed.append((rnd, tuple(live.values())))
+            assert [id(n) for n in sorted(live.values(), key=lambda n: n.vertices)] == list(map(id, pc.cells)), c
+        cells += [n for new in made.values() for n in new]
+    return replayed, cells
+
+
 def test_kept_cell_tags_equal_fresh_tags_after_every_round(monkeypatch):
-    """After every round of both phases the kept tags equal ``_cell_tag`` of
-    fresh copies of the cells, and each cell is tagged once."""
-    census = PolygonComplex.census
+    """After every round of both phases the tags kept on the live cells
+    equal ``_cell_tag`` of fresh copies of the cells, and each cell is
+    tagged once."""
     fresh_tag = _cell_tag
-    rounds = []
-
-    def checked(pc):
-        assert pc.tags() == [fresh_tag(LatticePolytope(c.vertices)) for c in pc.cells]
-        rounds.append(pc)
-        return census(pc)
-
-    monkeypatch.setattr(PolygonComplex, "census", checked)
     tagged = count_calls(monkeypatch, _cell_tag)
-    for c in facts_corpus():
-        resolve(c)
-    assert len(rounds) >= 300
+    replayed, _made = _replayed_rounds(monkeypatch, facts_corpus())
+    for _rnd, live in replayed:
+        assert [vars(c)["_tag"] for c in live] == [fresh_tag(LatticePolytope(c.vertices)) for c in live]
+    assert len(replayed) >= 300
     assert len({id(args[0]) for args in tagged}) == len(tagged)
 
 
@@ -991,36 +1023,88 @@ def _scaling_triangle(k: int):
     return make_cone([V(-k, k, 1), V(k, k // 3, 1), V(0, -k, 1)])
 
 
+def test_resolve_builds_one_complex_per_phase(monkeypatch):
+    """``resolve`` of the k=12 triangle, one piece whose both phases run
+    several rounds, builds three polygon complexes: the initial one and one
+    after each phase's last round."""
+    init = PolygonComplex.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolygonComplex, "__init__", counted)
+    trace = resolve(_scaling_triangle(12))[1]
+    phases = [r.phase for r in trace.pieces[0][2]]
+    assert len(trace.pieces) == 1 and phases.count("fixed-point-blow-up") > 1 and phases.count("curve-blow-up") > 1
+    assert len(built) == 3 and built[-1] is trace.pieces[0][0]
+
+
+def test_lifted_rounds_list_a_shared_edge_point_once():
+    """A curve round lifts each point inside an edge of two of its cells
+    once: every round of ``pc.lifted`` is sorted with no repeat and is the
+    set of the round's centres, and ``pc.point_rounds`` lists each round at
+    most once per point.  FIG and the k=6 triangle each have such a point."""
+    for c in (make_cone(FIG_CONE), _scaling_triangle(6)):
+        pc, _matrix, rounds, _cert = resolve(c)[1].pieces[0]
+        assert len(pc.lifted) == len(rounds)
+        shared = 0
+        for rnd, points in zip(rounds, pc.lifted):
+            centres = [
+                p for cell in rnd.centers
+                for p in (cell.interior_points() if rnd.phase == "fixed-point-blow-up" else cell.edge_interior_points())
+            ]
+            assert list(points) == sorted(set(centres)), c
+            shared += len(centres) - len(points)
+        assert shared > 0, c
+        for p, rs in pc.point_rounds.items():
+            assert rs == sorted(set(rs)), p
+        assert sum(map(len, pc.point_rounds.values())) == sum(map(len, pc.lifted))
+
+
+def test_census_off_the_phase_equals_box_scans(monkeypatch):
+    """On the complexes that single-cell blow-ups make (``blowup_fixed_point``
+    in a seeded order, each step recorded), on the curve phase after them,
+    and on fresh ``PolygonComplex(polygon, cells)`` copies of each, the
+    census equals the box-scan census with the points inside cell edges taken
+    as one set: every lattice point of a face-to-face tiling is a vertex or
+    inside one edge or one cell."""
+    steps = []
+
+    def recording(pc, index):
+        steps.append(blowup_fixed_point(pc, index))
+        return steps[-1]
+
+    monkeypatch.setattr(conftest, "blowup_fixed_point", recording)
+    curves = []
+    for hull in c3_hulls():
+        polygon = LatticePolytope.from_points(hull)
+        for seed in range(4):
+            curves.append(blowup_curve_phase(sequential_fixed_point_phase(polygon, random.Random(seed))))
+    for pc in steps + curves:
+        cells = tuple(LatticePolytope(c.vertices) for c in pc.cells)
+        fresh = PolygonComplex(LatticePolytope(pc.polygon.vertices), cells)
+        assert pc.census() == fresh.census() == set_census(pc.cells), pc
+    assert len(steps) >= 300
+
+
 def test_seeded_cell_facts_and_census_equal_box_scans(monkeypatch):
     """Every cell the envelope subdivision makes, the central one included,
     is made with its lattice, interior and edge-interior points and its tag,
-    and each equals the box scan of a fresh copy; after every round the
-    census, whose edge-interior count is carried across rounds, equals the
-    census of box scans with the points inside cell edges taken as one set.
+    and each equals the box scan of a fresh copy; each round's census, whose
+    edge-interior count is the polygon's points less the vertices and the
+    interior points, equals the census of box scans of the cells live after
+    the round, the points inside cell edges taken as one set.
     Corpus: the C3 hulls, FIG, 300 seeded cones, the k=6 and k=12 triangles."""
-    envelope = resolve3d._envelope_subdivision
-    census = PolygonComplex.census
-    made, censuses = [], []
-
-    def recording(cell, lifted):
-        cells = envelope(cell, lifted)
-        made.extend(cells)
-        return cells
-
-    def checked(pc):
-        censuses.append(census(pc))
-        assert censuses[-1] == set_census(pc)
-        return censuses[-1]
-
-    monkeypatch.setattr(resolve3d, "_envelope_subdivision", recording)
-    monkeypatch.setattr(PolygonComplex, "census", checked)
-    for c in facts_corpus() + (_scaling_triangle(6), _scaling_triangle(12)):
-        resolve(c)
+    replayed, made = _replayed_rounds(monkeypatch, facts_corpus() + (_scaling_triangle(6), _scaling_triangle(12)))
+    for rnd, live in replayed:
+        assert rnd.census_after == set_census(live), rnd
     for cell in made:
         assert {"_points", "_interior", "_edge_interior", "_tag"} <= vars(cell).keys(), cell
         kept = (cell.lattice_points(), cell.interior_points(), cell.edge_interior_points(), vars(cell)["_tag"])
         assert kept == scanned_facts(cell.vertices), cell
-    assert len(censuses) >= 300
+    assert len(replayed) >= 300
     assert any(cell.interior_points() for cell in made) and any(cell.edge_interior_points() for cell in made)
 
 
@@ -1046,12 +1130,12 @@ def test_triangle_cones_and_point_round_folds_equal_oracles():
     signs, depths, pieces = set(), set(), 0
     for c in facts_corpus() + (_scaling_triangle(6), _scaling_triangle(12)):
         for pc, _matrix, _rounds, _cert in resolve(c)[1].pieces:
-            fresh = PolygonComplex(pc.polygon, pc.cells, pc.round_heights)
+            fresh = PolygonComplex(pc.polygon, pc.cells, pc.lifted)
             walls = set()
             for bits in itertools.islice(itertools.product((0, 1), repeat=len(fresh.parallelograms)), 16):
                 walls |= _fan_walls(_completion_for_bits(fresh, bits)[0])
             assert {(a, b, frozenset((c, d))) for a, b, c, d in fresh.wall_folds} == walls
-            layers = [dict(r) for r in fresh.round_heights]
+            layers = [dict.fromkeys(r, 1) for r in fresh.lifted]
             for wall, (round_folds, _terms) in fresh.wall_folds.items():
                 folds = {}
                 for r, layer in enumerate(layers):
