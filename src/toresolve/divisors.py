@@ -6,6 +6,11 @@ cone.  Cartier-ness and the projectivity certificate are exact-rational
 decisions; no tolerances anywhere.  Representatives built by hand, such as
 the completion certificates' (one adjugate per triangle), are verified by
 ``is_strictly_upper_convex``: each must interpolate its cone's ray values.
+That check pairs every cone's representative with every fan ray, on rows
+(ray, coordinates, value) read once per call; in rank 3 with integral
+representatives the pairing is written out on the unpacked entries, and
+cone membership is tested only for the few rays at or below a
+representative that are not its cone's generators.
 """
 
 from __future__ import annotations
@@ -106,25 +111,38 @@ def is_strictly_upper_convex(psi: SupportFunction) -> bool:
 
     For every maximal cone sigma with representative m and every fan ray v
     outside sigma, <m, v> must strictly exceed psi(v); on sigma's own rays
-    equality is required.  All comparisons are exact rationals; membership
-    in sigma is tested only for rays where <m, v> does not exceed psi(v) and
-    that are not among its generators, which the interpolation check covers.
+    equality is required.  All comparisons are exact.  Each ray is read once,
+    into a row (v, its coordinates, psi(v)); per cone, one pass over the rows
+    lists the rays whose margin <m, v> - psi(v) is at most zero, and
+    membership in sigma is tested only when more of them come back than
+    sigma has generators, which the interpolation check puts among them.
+    In rank 3 with an integral m the pairings are written out on unpacked
+    entries; other ranks and ``Fraction`` representatives pair by sums.
     """
-    if psi.linear_reps is None:
+    reps = psi.linear_reps
+    if reps is None:
         raise DivisorError("missing linear representatives; compute them first")
-    # each ray's coordinates and value are read once; pairings are plain sums
-    rays = [(v, v.coords, psi.value(v)) for v in psi.fan.rays()]
+    rows = [(v, *v.coords, psi.value(v)) for v in psi.fan.rays()]
     for i, cone in enumerate(psi.fan.maximal_cones):
-        m = psi.linear_reps[i].coords
-        own = []
-        for r in cone.generators:
-            if sum(map(mul, m, r.coords)) != psi.value(r):
-                raise DivisorError(
-                    f"representative of cone {i} does not interpolate ray {r.coords}"
-                )
-            own.append(r.coords)
-        for v, x, h in rays:
-            if sum(map(mul, m, x)) <= h and x not in own and not cone.contains(v):
+        if i not in reps:
+            raise DivisorError(f"no linear representative for cone {i}")
+        m = reps[i].coords
+        gens = cone.generators
+        if len(m) == 3 and all(type(a) is int for a in m):
+            m0, m1, m2 = m
+            for r in gens:
+                x, y, z = r.coords
+                if m0 * x + m1 * y + m2 * z != psi.value(r):
+                    raise DivisorError(f"representative of cone {i} does not interpolate ray {r.coords}")
+            low = [v for v, x, y, z, h in rows if m0 * x + m1 * y + m2 * z <= h]
+        else:
+            for r in gens:
+                if sum(map(mul, m, r.coords)) != psi.value(r):
+                    raise DivisorError(f"representative of cone {i} does not interpolate ray {r.coords}")
+            low = [row[0] for row in rows if sum(map(mul, m, row[1:-1])) <= row[-1]]
+        if len(low) > len(gens):
+            own = {r.coords for r in gens}
+            if not all(v.coords in own or cone.contains(v) for v in low):
                 return False
     return True
 

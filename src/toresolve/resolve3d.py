@@ -30,7 +30,7 @@ from .classify import (
     index_one_cover,
 )
 from .cones import (
-    Cone, ConeError, Fan, _cross, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
+    Cone, ConeError, Fan, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
 )
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
 from .hilbert import floor_facets, floor_polygon
@@ -540,20 +540,24 @@ def _basic_triangle_cone(t: Triangle, rays) -> tuple[Cone, Dual]:
     basis of its lifted vertices in their order; the generators are the
     lifts in ``rays`` (``PolygonComplex.rays``), in the triangle's order.
 
-    With rows rᵢ = (xᵢ, yᵢ, 1) and det = r₀ · (r₁ × r₂) = ±1, the adjugate
-    columns are the cross products rᵢ₊₁ × rᵢ₊₂, and nᵢ = det · (rᵢ₊₁ × rᵢ₊₂)
+    With rows rᵢ = (xᵢ, yᵢ, 1), det = r₀ · (r₁ × r₂) is the triangle's doubled
+    signed area, and the adjugate columns are the cross products
+    rⱼ × rₖ = (yⱼ − yₖ, xₖ − xⱼ, xⱼyₖ − xₖyⱼ) for (i, j, k) a cyclic order;
+    both are read off the plane vertices.  When det = ±1, nᵢ = det · (rⱼ × rₖ)
     pairs to 1 with rᵢ and to 0 with the other rows: the nᵢ are primitive,
-    and they are the cone's inward facet normals, as ``simplicial_cone`` finds
-    them.  A height function h on the triangle has the linear representative
-    Σ h(pᵢ) nᵢ.
+    and they are the cone's inward facet normals, as ``simplicial_cone``
+    finds them.  A height function h on the triangle has the linear
+    representative Σ h(pᵢ) nᵢ.
     """
-    r0, r1, r2 = [(x, y, 1) for x, y in t]
-    dual = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
-    det = sum(x * y for x, y in zip(r0, dual[0]))
+    (x0, y0), (x1, y1), (x2, y2) = t
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     if det not in (1, -1):
         raise Resolve3dError(f"completion triangle {t} is not basic")
-    if det == -1:
-        dual = tuple((-x, -y, -z) for x, y, z in dual)
+    dual = (
+        (det * (y1 - y2), det * (x2 - x1), det * (x1 * y2 - x2 * y1)),
+        (det * (y2 - y0), det * (x0 - x2), det * (x2 * y0 - x0 * y2)),
+        (det * (y0 - y1), det * (x1 - x0), det * (x0 * y1 - x1 * y0)),
+    )
     # sorted vertices lift to sorted generators
     cone = Cone(
         lattice_rank=3,
@@ -601,6 +605,8 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
     2^(t(L-1-r)) for layer r of L, at the least t that makes every fold
     positive, then divides out the common power of two; this is
     the sum with weights eps^(r+1), eps = 2^-t, with denominators cleared.
+    t = 0 is tried first on the plain fold sums; there the heights are the
+    round counts plus chi, with no shift and no gcd.
     Folds are linear in the heights, so each wall's coefficients are found
     once, and its fold in round r adds up the coefficients of its points
     that round r lifts (``pc.point_rounds``).  A point is lifted by each
@@ -615,7 +621,7 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
     walls = walls + _walls([t for t in tris if t not in basic], dict(open_edges))
     point_rounds = pc.point_rounds
     known = pc.wall_folds
-    folds = []  # per wall: its nonzero round folds, and the fold of chi
+    entries = []  # per wall: its nonzero round folds and its terms
     for wall in walls:
         if wall not in known:
             terms, by_round = _wall_terms(wall), {}
@@ -623,10 +629,20 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
                 for r in point_rounds.get(p, ()):
                     by_round[r] = by_round.get(r, 0) + k
             known[wall] = tuple((r, f) for r, f in by_round.items() if f), terms
-        round_folds, terms = known[wall]
-        folds.append((round_folds, sum(k * chi[p] for p, k in terms if p in chi)))
+        entries.append(known[wall])
+    # t = 0: every layer has weight 1, so a height is its point's round count
+    # plus chi, a wall's fold is the plain sum of its round folds and its chi
+    # fold, and 2^0 leaves no common power of two to divide out
+    plain = {p: len(point_rounds.get(p, ())) + chi.get(p, 0) for p in pc.rays}
+    # the terms of a wall (a, b, c, d) carry the coefficient -1 on d
+    if all(
+        ka * plain[a] + kb * plain[b] + kc * plain[c] > plain[d]
+        for _f, ((a, ka), (b, kb), (c, kc), (d, _)) in entries
+    ):
+        return plain
+    folds = [(round_folds, sum(k * chi[p] for p, k in terms if p in chi)) for round_folds, terms in entries]
     top = len(pc.lifted)
-    for t in range(64):
+    for t in range(1, 64):
         # chi, the last layer, has weight 1
         if all(sum(f << (t * (top - r)) for r, f in round_folds) + chi_fold > 0 for round_folds, chi_fold in folds):
             heights = {}
@@ -671,8 +687,12 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
     vars(fan)["_rays"] = tuple(lift for lift, _image in rays.values())
     reps = {}
     for i, t in enumerate(tris):
-        ha, hb, hc = (heights[p] for p in t)
-        reps[i] = _made(Covector, tuple(ha * x + hb * y + hc * z for x, y, z in zip(*known[t][1])))
+        a, b, c = t
+        ha, hb, hc = heights[a], heights[b], heights[c]
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = known[t][1]
+        reps[i] = _made(
+            Covector, (ha * a0 + hb * b0 + hc * c0, ha * a1 + hb * b1 + hc * c1, ha * a2 + hb * b2 + hc * c2)
+        )
     psi = SupportFunction(
         fan=fan,
         ray_values={rays[p][0].coords: h for p, h in heights.items()},

@@ -36,7 +36,7 @@ from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.divisors import SupportFunction, with_linear_representatives
 from toresolve.hilbert import hilbert_basis
 from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector
-from toresolve.resolve3d import PolygonComplex, Resolve3dError, blowup_fixed_point
+from toresolve.resolve3d import PolygonComplex, Resolve3dError, _wall_terms, _walls, blowup_fixed_point
 
 Point = tuple[int, int]
 
@@ -529,6 +529,34 @@ def fraction_composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris):
             denom = math.lcm(*(v.denominator for v in h.values())) if h else 1
             return {p: int(v * denom) for p, v in h.items()}, t
         eps /= 2
+    raise Resolve3dError("could not certify projectivity: fold margins kept failing")
+
+
+def shifted_composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris):
+    """Completion heights and the exponent t of the integer weight search
+    with no short cut: every wall of ``tris`` folded afresh, round by round,
+    and each t from 0 tried with weights 2^(t(L-r)) for round r of L and 1
+    for chi, the heights divided by their common power of two."""
+    point_rounds: dict[Point, list[int]] = {}
+    for r, points in enumerate(pc.lifted):
+        for p in points:
+            point_rounds.setdefault(p, []).append(r)
+    folds = []
+    for wall in _walls(tris, {}):
+        terms, by_round = _wall_terms(wall), {}
+        for p, k in terms:
+            for r in point_rounds.get(p, ()):
+                by_round[r] = by_round.get(r, 0) + k
+        folds.append((by_round, sum(k * chi.get(p, 0) for p, k in terms)))
+    top = len(pc.lifted)
+    for t in range(64):
+        if all(sum(f << (t * (top - r)) for r, f in by_round.items()) + chi_fold > 0 for by_round, chi_fold in folds):
+            heights = {
+                p: sum(1 << (t * (top - r)) for r in point_rounds.get(p, ())) + chi.get(p, 0)
+                for p in sorted({p for tri in tris for p in tri})
+            }
+            g = math.gcd(1 << (t * (top + 1)), *heights.values())
+            return {p: v // g for p, v in heights.items()}, t
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")
 
 

@@ -120,6 +120,27 @@ def test_representative_that_does_not_interpolate_is_refused():
             is_strictly_upper_convex(psi)
 
 
+def test_representative_missing_for_one_cone_names_it():
+    """A representative map without an entry for some maximal cone is
+    refused with a DivisorError naming that cone's index, in rank 3 and
+    rank 2."""
+    f = fan_of([(1, 0, 1), (0, 1, 1), (0, 0, 1)], [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    values = {(1, 0, 1): 0, (0, 1, 1): 0, (0, 0, 1): 0, (1, 1, 1): -1}
+    psi = with_linear_representatives(SupportFunction(fan=f, ray_values=values))
+    assert is_strictly_upper_convex(psi)
+    for missing in (0, 1):
+        reps = {i: m for i, m in psi.linear_reps.items() if i != missing}
+        with pytest.raises(DivisorError, match=f"no linear representative for cone {missing}$"):
+            is_strictly_upper_convex(SupportFunction(fan=f, ray_values=psi.ray_values, linear_reps=reps))
+    plane = with_linear_representatives(
+        SupportFunction(fan=fan_of([(1, 0), (1, 1)], [(1, 1), (4, 5)]), ray_values={(1, 0): 0, (1, 1): 1, (4, 5): 0})
+    )
+    assert is_strictly_upper_convex(plane)
+    with pytest.raises(DivisorError, match="no linear representative for cone 1$"):
+        reps = {0: plane.linear_reps[0]}
+        is_strictly_upper_convex(SupportFunction(fan=plane.fan, ray_values=plane.ray_values, linear_reps=reps))
+
+
 def test_missing_representatives_rejected():
     f = fan_of([(1, 0), (0, 1)])
     with pytest.raises(DivisorError, match="representatives"):

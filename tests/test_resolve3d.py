@@ -13,13 +13,14 @@ from toresolve.cones import (
     Fan, dual_cone, intersect_cones, is_basic, make_cone, make_fan, simplicial_cone, star_subdivision
 )
 from toresolve.divisors import (
-    SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
+    DivisorError, SupportFunction, discrepancies, is_strictly_upper_convex, with_linear_representatives
 )
 from toresolve.hilbert import floor_facets
 from toresolve.lattice import Covector, IntMatrix, LatticeVector, adjugate, primitive
 from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
+    _basic_triangle_cone,
     _cell_tag,
     _completion_for_bits,
     _envelope_subdivision,
@@ -60,6 +61,7 @@ from conftest import (
     scanned_facts,
     sequential_fixed_point_phase,
     set_census,
+    shifted_composite_heights,
     three_pass_certificate,
     unimodular_2x2,
     unimodular_from_ops,
@@ -710,17 +712,17 @@ def test_completion_refuses_non_unimodular_triangle():
         three_pass_certificate([((0, 0), (2, 0), (0, 1))], {(0, 0): 0, (2, 0): 0, (0, 1): 0})
 
 
-def _star_subdivided(rng):
+def _star_subdivided(rng, rank: int = 3):
     """A fan made from one simplicial cone by star subdivisions, with heights
     raising each new ray above the current function by a shrinking margin,
     and the new rays in order."""
-    fan = make_fan([make_cone(random_independent_generators(rng, 3))])
+    fan = make_fan([make_cone(random_independent_generators(rng, rank))])
     values = {g.coords: Fraction(rng.randint(-3, 3)) for g in fan.rays()}
     new = []
     for k in range(rng.randint(1, 4)):
         cone = rng.choice(fan.maximal_cones)
         coeffs = [rng.randint(1, 3) for _ in cone.generators]
-        v = primitive(V(*(sum(a * g.coords[i] for a, g in zip(coeffs, cone.generators)) for i in range(3))))
+        v = primitive(V(*(sum(a * g.coords[i] for a, g in zip(coeffs, cone.generators)) for i in range(rank))))
         if v.coords in values:
             continue
         psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
@@ -748,6 +750,170 @@ def test_value_first_convexity_matches_membership_first_oracle(rng):
             assert verdict == membership_first_convexity(psi), (kind, fan, values)
             outcomes.add((kind, verdict))
     assert outcomes == {("convex", True), ("flat", False), ("lowered", False)}
+
+
+@functools.lru_cache(maxsize=None)
+def _certified_pieces() -> tuple[PolygonComplex, ...]:
+    """The complexes whose every completion the certificate tests list: the
+    C3 hulls and the one-piece cones of random_rank3_cones(27182818, 4, 300),
+    each with at most 64 completions (the random corpus has one piece with
+    2,048, whose listing alone would take longer than the rest)."""
+    out = []
+    for hull in c3_hulls():
+        out.append(blowup_curve_phase(
+            crepant_fixed_point_phase(PolygonComplex.initial(LatticePolytope.from_points(hull)))
+        ))
+    for c in random_rank3_cones(27182818, 4, 300):
+        pieces = resolve(c)[1].pieces
+        if len(pieces) == 1:
+            out.append(pieces[0][0])
+    return tuple(pc for pc in out if len(pc.parallelograms) <= 6)
+
+
+def test_row_convexity_check_matches_membership_first_oracle_on_completions():
+    """The global check on unpacked rows gives the membership-first verdict
+    on every completion certificate of the C3 hulls and the one-piece random
+    cones (each with at most 64 completions), and on each of them with one
+    seeded ray's value moved by -2, -1, +1 and +2 and its representatives
+    solved again, which makes both verdicts occur."""
+    rng = random.Random(20261020)
+    verdicts, certificates = set(), 0
+    for pc in _certified_pieces():
+        for fan, psi in completions(pc):
+            assert is_strictly_upper_convex(psi) and membership_first_convexity(psi)
+            ray = rng.choice(fan.rays()).coords
+            for step in (-2, -1, 1, 2):
+                values = {**psi.ray_values, ray: psi.ray_values[ray] + step}
+                moved = with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
+                verdict = is_strictly_upper_convex(moved)
+                assert verdict == membership_first_convexity(moved), (fan, values)
+                verdicts.add(verdict)
+            certificates += 1
+    assert certificates > 500 and verdicts == {True, False}
+
+
+def test_row_convexity_check_on_fraction_representatives_and_rank_two(rng):
+    """Representatives with ``Fraction`` entries, and fans of rank 2, take the
+    summed pairing and keep the membership-first verdict: completion
+    certificates carried by (x, y, z) -> (2x, y, z) onto cones of index 2
+    keep their verdict, and rank-2 star subdivisions give convex, flat and
+    lowered heights."""
+    fractions = 0
+    for pc in _certified_pieces()[:12]:
+        for fan, psi in itertools.islice(completions(pc), 4):
+            for step in (0, 1, -1):
+                values = dict(psi.ray_values)
+                ray = fan.rays()[0].coords
+                values[ray] += step
+                verdict = is_strictly_upper_convex(
+                    with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
+                )
+                doubled = Fan(3, tuple(
+                    simplicial_cone([V(2 * x, y, z) for x, y, z in (g.coords for g in cone.generators)])
+                    for cone in fan.maximal_cones
+                ))
+                mapped = with_linear_representatives(SupportFunction(
+                    fan=doubled, ray_values={(2 * x, y, z): h for (x, y, z), h in values.items()}
+                ))
+                fractions += any(type(a) is Fraction for m in mapped.linear_reps.values() for a in m.coords)
+                assert is_strictly_upper_convex(mapped) == membership_first_convexity(mapped) == verdict
+    assert fractions > 0
+    outcomes = set()
+    for _ in range(40):
+        fan, convex, new, scale = _star_subdivided(rng, rank=2)
+        lin = [rng.randint(-3, 3) for _ in range(2)]
+        flat = {r: sum(a * x for a, x in zip(lin, r)) for r in convex}
+        lowered = dict(convex)
+        lowered[new[-1]] -= 2 * scale
+        for kind, values in (("convex", convex), ("flat", flat), ("lowered", lowered)):
+            psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
+            verdict = is_strictly_upper_convex(psi)
+            assert verdict == membership_first_convexity(psi), (kind, fan, values)
+            outcomes.add((kind, verdict))
+    assert outcomes == {("convex", True), ("flat", False), ("lowered", False)}
+
+
+def test_row_convexity_check_tests_membership_of_rays_at_or_below_a_representative(monkeypatch):
+    """On a hand-built Fan whose second cone has a generator inside the first
+    cone, raised above the first cone's plane, the first cone's row pass
+    brings that ray back with its own generators; only then is membership
+    tested, and the ray inside is no violation.  A representative that does
+    not interpolate is refused, with an integral or a ``Fraction`` entry."""
+    first = simplicial_cone([V(0, 0, 1), V(3, 0, 1), V(0, 3, 1)])
+    second = simplicial_cone([V(1, 1, 1), V(3, 0, 1), V(0, 3, 1)])
+    fan = Fan(3, (first, second))
+    values = {(0, 0, 1): 0, (3, 0, 1): 0, (0, 3, 1): 0, (1, 1, 1): 1}
+    psi = with_linear_representatives(SupportFunction(fan=fan, ray_values=values))
+    contains, calls = cones.Cone.contains, []
+
+    def counted(cone, v):
+        calls.append((cone, v))
+        return contains(cone, v)
+
+    monkeypatch.setattr(cones.Cone, "contains", counted)
+    assert is_strictly_upper_convex(psi)
+    assert calls == [(first, V(1, 1, 1))]
+    assert membership_first_convexity(psi)
+    # raising (1, 1, 1) less leaves it below the second cone's plane at (0, 0, 1): refused
+    low = with_linear_representatives(SupportFunction(fan=fan, ray_values={**values, (1, 1, 1): -1}))
+    assert not is_strictly_upper_convex(low) and not membership_first_convexity(low)
+    pc = _certified_pieces()[0]
+    fan, psi = completion(pc, 0)
+    for bad in (Covector((0, 0, 1)), Covector((0, 0, Fraction(1, 2)))):
+        moved = psi.linear_reps[0] + bad
+        broken = SupportFunction(fan=fan, ray_values=psi.ray_values, linear_reps={**psi.linear_reps, 0: moved})
+        with pytest.raises(DivisorError, match="representative of cone 0 does not interpolate"):
+            is_strictly_upper_convex(broken)
+
+
+def test_triangle_cone_reads_its_dual_off_the_plane_vertices():
+    """Every triangle of every completion of the certified pieces, in its
+    sorted order and with two vertices swapped: the cone has the generators
+    and the facet normals of ``simplicial_cone`` of the lifts, and the dual
+    rows pair to the identity with the lifts in the triangle's order, with
+    det of both signs."""
+    signs, triangles = set(), 0
+    for pc in _certified_pieces():
+        for fan, _psi in completions(pc):
+            pass
+        for t in pc.triangle_cones:
+            oracle = simplicial_cone([V(x, y, 1) for x, y in t])
+            for order in (t, (t[1], t[0], t[2])):
+                cone, dual = _basic_triangle_cone(order, pc.rays)
+                lifts = [(x, y, 1) for x, y in order]
+                assert [[sum(a * b for a, b in zip(n, r)) for r in lifts] for n in dual] == [
+                    [1, 0, 0], [0, 1, 0], [0, 0, 1]
+                ], order
+                assert cone.generators == tuple(V(*r) for r in lifts), order
+                assert set(cone.generators) == set(oracle.generators)
+                assert cone.inequalities == oracle.inequalities, order
+                assert all(type(x) is int for n in dual for x in n)
+                signs.add(adjugate(lifts)[0])
+            assert _basic_triangle_cone(t, pc.rays)[0] == oracle
+            triangles += 1
+    assert triangles > 1000 and signs == {1, -1}
+
+
+def test_composite_heights_short_cut_matches_full_weight_search(monkeypatch):
+    """The heights with the t = 0 short cut equal those of the weight search
+    that shifts at every t from 0, on every completion of the certified
+    pieces; both the completions that stop at t = 0 and those that need a
+    larger t occur."""
+    composite = resolve3d._composite_heights
+    exponents = []
+
+    def compared(pc, chi, tris):
+        heights = composite(pc, chi, tris)
+        oracle, t = shifted_composite_heights(pc, chi, tris)
+        assert heights == oracle
+        exponents.append(t)
+        return heights
+
+    monkeypatch.setattr(resolve3d, "_composite_heights", compared)
+    for pc in _certified_pieces():
+        fresh = PolygonComplex(pc.polygon, pc.cells, pc.lifted, pc.frame)
+        assert len(list(completions(fresh))) == 2 ** len(pc.parallelograms)
+    assert len(exponents) > 500 and 0 in exponents and max(exponents) >= 1
 
 
 def test_completions_precondition():
