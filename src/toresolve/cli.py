@@ -296,10 +296,8 @@ def _completions_json(piece, which: str, first) -> list[dict]:
             )
         indices = range(count)
     else:
-        try:
-            index = int(which)
-        except ValueError:
-            index = -1
+        # ASCII decimal digits only: int() also reads "0_1", " 1", "+1" and non-ASCII digits
+        index = int(which) if which.isascii() and which.isdigit() else -1
         if not 0 <= index < count:
             raise ValueError(
                 f"--completion {which}: expected 'all' or an index from 0 to "

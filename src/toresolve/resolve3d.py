@@ -45,6 +45,7 @@ Point = tuple[int, int]
 Triangle = tuple[Point, Point, Point]
 Dual = tuple[tuple[int, int, int], ...]
 Wall = tuple[Point, Point, Point, Point]
+WallTerms = tuple[tuple[Point, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +124,11 @@ class PolygonComplex:
     completions.  ``frame``, when set, carries the polygon frame's (x, y, 1)
     into the input lattice, and ``rays`` keeps each cell vertex's vectors in
     both.  ``parallelograms`` lists the unit parallelograms that the
-    completions fill, once found; ``triangle_cones`` and ``wall_folds``
-    keep, for all completions, the cones over the triangles and the round
-    folds across the walls they have used.  A blow-up phase builds its
-    complex once, after its last round.
+    completions fill, once found; ``triangle_cones`` keeps, for all
+    completions, the cones over the triangles they have used, and
+    ``triangle_cells`` the basic cells with the fold coefficients of the
+    walls between them.  A blow-up phase builds its complex once, after its
+    last round.
     """
 
     polygon: LatticePolytope
@@ -176,31 +178,15 @@ class PolygonComplex:
         return {}
 
     @cached_property
-    def wall_folds(self) -> dict[Wall, tuple[tuple[tuple[int, int], ...], tuple[tuple[Point, int], ...]]]:
-        """Per wall (a, b, c, d) that a completion has met, its nonzero round
-        folds as (round, fold) pairs and its ``_wall_terms``; filled by
-        ``_composite_heights``, since completions share most of their walls."""
-        return {}
-
-    @cached_property
-    def triangle_cells(self) -> tuple[dict[Triangle, None], list[Wall], dict[tuple[Point, Point], Point]]:
-        """The basic cells as sorted vertex triples, in order, the walls between
-        two of them, and each of their edges that no other basic cell shares,
-        with its far vertex: what every completion keeps of the triangulation."""
+    def triangle_cells(self) -> tuple[dict[Triangle, None], list[WallTerms], dict[tuple[Point, Point], Point]]:
+        """The basic cells as sorted vertex triples, in order, the
+        ``_wall_terms`` of the walls between two of them, and each of their
+        edges that no other basic cell shares, with its far vertex: what every
+        completion keeps of the triangulation."""
         tris = dict.fromkeys(sorted(tuple(sorted(c.vertices)) for c in self.cells if len(c.vertices) == 3))
         open_edges: dict[tuple[Point, Point], Point] = {}
-        walls = _walls(tris, open_edges)
-        return tris, walls, open_edges
-
-    @cached_property
-    def point_rounds(self) -> dict[Point, list[int]]:
-        """Per lifted point, the rounds that lift it, in order: a point is
-        lifted again by each later round while it is still a centre."""
-        out: dict[Point, list[int]] = {}
-        for r, points in enumerate(self.lifted):
-            for p in points:
-                out.setdefault(p, []).append(r)
-        return out
+        terms = [_wall_terms(wall) for wall in _walls(tris, open_edges)]
+        return tris, terms, open_edges
 
     def census(self) -> dict:
         vertices = len({p for c in self.cells for p in c.vertices})
@@ -584,7 +570,7 @@ def _walls(tris, opposite: dict[tuple[Point, Point], Point]) -> list[Wall]:
     return walls
 
 
-def _wall_terms(wall) -> tuple[tuple[Point, int], ...]:
+def _wall_terms(wall: Wall) -> WallTerms:
     """The points of the wall (a, b, c, d) with their coefficients in the fold
     of h, the affine interpolant of h on abc at d minus h(d): on a unimodular
     abc, d has the integer barycentric coordinates 1 - x - y, x, y."""
@@ -602,52 +588,31 @@ def _composite_heights(pc: PolygonComplex, chi: dict[Point, int], tris) -> dict[
 
     Sums the per-round 0/1 heights (1 on the points that ``pc.lifted`` lists
     for the round) and the diagonal-choice correction chi with weights
-    2^(t(L-1-r)) for layer r of L, at the least t that makes every fold
-    positive, then divides out the common power of two; this is
-    the sum with weights eps^(r+1), eps = 2^-t, with denominators cleared.
-    t = 0 is tried first on the plain fold sums; there the heights are the
-    round counts plus chi, with no shift and no gcd.
-    Folds are linear in the heights, so each wall's coefficients are found
-    once, and its fold in round r adds up the coefficients of its points
-    that round r lifts (``pc.point_rounds``).  A point is lifted by each
-    round while it is still a centre, so a wall's nonzero round folds are in
-    rounds that lift its points, none deeper than its deepest point.
-    The round folds do not depend on the diagonals, so the piece keeps them,
-    in ``pc.wall_folds``, for all its completions, and lists the walls
-    between its basic cells once (``pc.triangle_cells``); only the walls of
-    the diagonals' triangles are found, and chi folded, for each completion.
+    2^(t(L-r)) for round r of L and 1 for chi, at the least t from 0 that
+    makes every fold positive, then divides out the common power of two;
+    this is the sum with weights eps^(r+1), eps = 2^-t, with denominators
+    cleared.  Every cell is basic or a unit parallelogram, so every lifted
+    point is a vertex.  A wall's fold is linear in the heights, so its
+    coefficients (``_wall_terms``) are found once: the piece keeps those of
+    the walls between its basic cells (``pc.triangle_cells``), and only the
+    walls of the diagonals' triangles are found for each completion.
     """
-    basic, walls, open_edges = pc.triangle_cells
-    walls = walls + _walls([t for t in tris if t not in basic], dict(open_edges))
-    point_rounds = pc.point_rounds
-    known = pc.wall_folds
-    entries = []  # per wall: its nonzero round folds and its terms
-    for wall in walls:
-        if wall not in known:
-            terms, by_round = _wall_terms(wall), {}
-            for p, k in terms:
-                for r in point_rounds.get(p, ()):
-                    by_round[r] = by_round.get(r, 0) + k
-            known[wall] = tuple((r, f) for r, f in by_round.items() if f), terms
-        entries.append(known[wall])
-    # t = 0: every layer has weight 1, so a height is its point's round count
-    # plus chi, a wall's fold is the plain sum of its round folds and its chi
-    # fold, and 2^0 leaves no common power of two to divide out
-    plain = {p: len(point_rounds.get(p, ())) + chi.get(p, 0) for p in pc.rays}
-    # the terms of a wall (a, b, c, d) carry the coefficient -1 on d
-    if all(
-        ka * plain[a] + kb * plain[b] + kc * plain[c] > plain[d]
-        for _f, ((a, ka), (b, kb), (c, kc), (d, _)) in entries
-    ):
-        return plain
-    folds = [(round_folds, sum(k * chi[p] for p, k in terms if p in chi)) for round_folds, terms in entries]
+    basic, terms, open_edges = pc.triangle_cells
+    terms = terms + [_wall_terms(wall) for wall in _walls([t for t in tris if t not in basic], dict(open_edges))]
     top = len(pc.lifted)
-    for t in range(1, 64):
-        # chi, the last layer, has weight 1
-        if all(sum(f << (t * (top - r)) for r, f in round_folds) + chi_fold > 0 for round_folds, chi_fold in folds):
-            heights = {}
-            for p in pc.rays:  # the vertices of the triangles
-                heights[p] = sum(1 << (t * (top - r)) for r in point_rounds.get(p, ())) + chi.get(p, 0)
+    for t in range(64):
+        heights = dict.fromkeys(pc.rays, 0)  # the vertices of the triangles
+        for r, points in enumerate(pc.lifted):
+            weight = 1 << (t * (top - r))
+            for p in points:
+                heights[p] += weight
+        for p, v in chi.items():
+            heights[p] += v
+        # the terms of a wall (a, b, c, d) carry the coefficient -1 on d
+        if all(
+            ka * heights[a] + kb * heights[b] + kc * heights[c] > heights[d]
+            for (a, ka), (b, kb), (c, kc), (d, _) in terms
+        ):
             g = math.gcd(1 << (t * (top + 1)), *heights.values())
             return {p: v // g for p, v in heights.items()}
     raise Resolve3dError("could not certify projectivity: fold margins kept failing")

@@ -238,6 +238,19 @@ def test_completion_index_out_of_range_exits_one(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["0_1", " 1", "+1", "\u0663"])
+def test_completion_index_takes_only_ascii_digits(tmp_path, capsys, bad):
+    """``int`` reads each of these as an index of FIG's 8 completions (the
+    last is an Arabic-Indic three); the CLI refuses them as it refuses an
+    index out of range, and writes no output."""
+    infile = write_job(tmp_path, "in.json", FIG)
+    outfile = tmp_path / "out.json"
+    assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", bad]) == 1
+    err = capsys.readouterr().err
+    assert f"--completion {bad}: expected 'all' or an index from 0 to 7 (8 completions)" in err
+    assert "Traceback" not in err and not outfile.exists()
+
+
 def test_parse_rejects_boolean_rank(tmp_path):
     job = {"lattice_rank": True, "cones": [{"generators": [[1]]}]}
     with pytest.raises(ParseError, match="lattice_rank"):

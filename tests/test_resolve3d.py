@@ -894,11 +894,11 @@ def test_triangle_cone_reads_its_dual_off_the_plane_vertices():
     assert triangles > 1000 and signs == {1, -1}
 
 
-def test_composite_heights_short_cut_matches_full_weight_search(monkeypatch):
-    """The heights with the t = 0 short cut equal those of the weight search
-    that shifts at every t from 0, on every completion of the certified
-    pieces; both the completions that stop at t = 0 and those that need a
-    larger t occur."""
+def test_composite_heights_match_round_fold_weight_search(monkeypatch):
+    """The heights searched on the summed weights equal those of the weight
+    search that folds every wall round by round and shifts the round folds,
+    on every completion of the certified pieces; both the completions that
+    stop at t = 0 and those that need a larger t occur."""
     composite = resolve3d._composite_heights
     exponents = []
 
@@ -1210,8 +1210,8 @@ def test_resolve_builds_one_complex_per_phase(monkeypatch):
 def test_lifted_rounds_list_a_shared_edge_point_once():
     """A curve round lifts each point inside an edge of two of its cells
     once: every round of ``pc.lifted`` is sorted with no repeat and is the
-    set of the round's centres, and ``pc.point_rounds`` lists each round at
-    most once per point.  FIG and the k=6 triangle each have such a point."""
+    set of the round's centres.  FIG and the k=6 triangle each have such a
+    point."""
     for c in (make_cone(FIG_CONE), _scaling_triangle(6)):
         pc, _matrix, rounds, _cert = resolve(c)[1].pieces[0]
         assert len(pc.lifted) == len(rounds)
@@ -1224,9 +1224,6 @@ def test_lifted_rounds_list_a_shared_edge_point_once():
             assert list(points) == sorted(set(centres)), c
             shared += len(centres) - len(points)
         assert shared > 0, c
-        for p, rs in pc.point_rounds.items():
-            assert rs == sorted(set(rs)), p
-        assert sum(map(len, pc.point_rounds.values())) == sum(map(len, pc.lifted))
 
 
 def test_census_off_the_phase_equals_box_scans(monkeypatch):
@@ -1285,30 +1282,30 @@ def _fan_walls(fan: Fan) -> set:
     return {(a, b, frozenset(ds)) for (a, b), ds in far.items() if len(ds) == 2}
 
 
-def test_triangle_cones_and_point_round_folds_equal_oracles():
+def test_triangle_cones_and_basic_wall_terms_equal_oracles():
     """On the corpus of the seeded-facts test, at most 16 completions per
     piece, on a copy of the complex that keeps nothing yet: each triangle
     cone, built from cross products, equals ``simplicial_cone`` of the
-    lifted triangle, and its dual is det times the adjugate columns; the
-    walls folded are those of the completions' triangulations; and each
-    wall's round folds, summed from the point -> rounds map, are the
-    rational folds of each round's heights on its own."""
-    signs, depths, pieces = set(), set(), 0
+    lifted triangle, and its dual is det times the adjugate columns; and the
+    wall terms that the piece keeps are ``_wall_terms`` of exactly the walls
+    between two basic cells of the completions' triangulations, each once."""
+    signs, pieces, kept = set(), 0, 0
     for c in facts_corpus() + (_scaling_triangle(6), _scaling_triangle(12)):
         for pc, _matrix, _rounds, _cert in resolve(c)[1].pieces:
             fresh = PolygonComplex(pc.polygon, pc.cells, pc.lifted)
             walls = set()
             for bits in itertools.islice(itertools.product((0, 1), repeat=len(fresh.parallelograms)), 16):
                 walls |= _fan_walls(_completion_for_bits(fresh, bits)[0])
-            assert {(a, b, frozenset((c, d))) for a, b, c, d in fresh.wall_folds} == walls
-            layers = [dict.fromkeys(r, 1) for r in fresh.lifted]
-            for wall, (round_folds, _terms) in fresh.wall_folds.items():
-                folds = {}
-                for r, layer in enumerate(layers):
-                    h = {p: Fraction(layer.get(p, 0)) for p in wall}
-                    folds[r] = _affine_value(wall[:3], h, wall[3]) - h[wall[3]]
-                assert dict(round_folds) == {r: f for r, f in folds.items() if f}, wall
-                depths.add(len(round_folds))
+            basic, terms, _open_edges = fresh.triangle_cells
+            between_basic = {
+                (a, b, cd) for a, b, cd in walls
+                if all(tuple(sorted((a, b, x))) in basic for x in cd)
+            }
+            kept_walls = [tuple(p for p, _k in wall_terms) for wall_terms in terms]
+            assert terms == [_wall_terms(wall) for wall in kept_walls]
+            kept_set = {(a, b, frozenset((c, d))) for a, b, c, d in kept_walls}
+            assert len(kept_set) == len(kept_walls) and kept_set == between_basic
+            kept += len(kept_walls)
             for t, (cone, dual) in fresh.triangle_cones.items():
                 rows = [(x, y, 1) for x, y in t]
                 det, cols = adjugate(rows)
@@ -1316,7 +1313,7 @@ def test_triangle_cones_and_point_round_folds_equal_oracles():
                 assert dual == tuple(tuple(det * x for x in col) for col in cols), t
                 signs.add(det)
             pieces += 1
-    assert pieces >= 350 and signs == {1, -1} and max(depths) >= 3
+    assert pieces >= 350 and signs == {1, -1} and kept > 2000
 
 
 def test_pick_shortcut_matches_box_interior_scan(monkeypatch):
