@@ -226,8 +226,8 @@ def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
     This is ``c.grading``: the unique m with <m, v> = 1 on every generator,
     together with its denominator (the index); ``None`` when the generators
     do not lie on a common affine hyperplane off the origin.  For index one
-    the functional is integral and primitive and the generators lie on the
-    corresponding primitive affine hyperplane.
+    the functional is integral, and primitive since the gcd of its entries
+    divides <m, g> = 1 on a generator g.
     """
     if not c.is_pointed:
         raise ClassifyError("grading data requires a pointed cone")
@@ -236,10 +236,7 @@ def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
             "grading data requires a full-dimensional cone; classify() projects "
             "low-dimensional cones to their span lattice first"
         )
-    gd = c.grading
-    if gd is not None and gd[1] == 1 and math.gcd(*gd[0].integral_vector().coords) != 1:
-        raise ClassifyError("integral grading functional fails to be primitive")
-    return gd
+    return c.grading
 
 
 def _grading_slab_points(c: Cone) -> set[tuple[int, ...]]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from .lattice import (
     IntMatrix,
     LatticeVector,
     adjugate,
-    angular_order,
     convex_hull_2d,
     integer_kernel,
     rational_solve,
@@ -55,23 +53,27 @@ def _triangulate(c: Cone) -> list[tuple[LatticeVector, ...]]:
     return simplices
 
 
+# the most cosets a parallelepiped walk takes on: a larger group is refused
+MAX_COSETS = 10**7
+
+
 def _cosets(gens: tuple[LatticeVector, ...]) -> tuple[list[int], IntMatrix, IntMatrix]:
     """Smith-form set-up shared by the parallelepiped walks over Z^d modulo
     the sublattice G Z^d, G the matrix with the generators as columns.
 
     Returns the Smith diagonal s of S = U G V, U and V: the cosets are those
     of U^-1 a, 0 <= a_i < |s_i|, det-many in all.  Refuses a group of more
-    than ``sys.maxsize`` elements.
+    than ``MAX_COSETS`` elements, before any coset is walked.
     """
     s, u, v = smith_normal_form(IntMatrix(tuple(zip(*(g.coords for g in gens)))))
     diag = [s.rows[i][i] for i in range(len(gens))]
     if any(x == 0 for x in diag):
         raise ConeError("parallelepiped of dependent vectors")
     count = math.prod(abs(x) for x in diag)
-    if count > sys.maxsize:
+    if count > MAX_COSETS:
         raise ConeError(
             f"the parallelepiped of the cone on {[g.coords for g in gens]} has {count} lattice points, "
-            f"more than the {sys.maxsize} that can be enumerated"
+            f"more than the {MAX_COSETS} that can be enumerated"
         )
     return diag, u, v
 
@@ -81,7 +83,8 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
 
     Enumerated via the Smith normal form: representatives of Z^d modulo the
     generator sublattice, shifted into the fundamental domain.  Exactly
-    det-many points, including the origin.
+    det-many points, including the origin; the last Smith factor is walked
+    as a range, as in ``_lower_points``.
     """
     d = len(gens)
     diag, u, _v = _cosets(gens)
@@ -90,15 +93,17 @@ def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, .
     # exact inverse of the generator matrix, once
     inv_rows = [tuple(Fraction(x, det) for x in row) for row in zip(*adj_cols)]
     points = []
-    for a in itertools.product(*(range(abs(x)) for x in diag)):
-        x0 = [sum(x * y for x, y in zip(row, a)) for row in u_inv]
-        t = [sum(inv_rows[i][j] * x0[j] for j in range(d)) for i in range(d)]
-        frac = [ti - math.floor(ti) for ti in t]
-        x = tuple(
-            int(sum(Fraction(g.coords[i]) * f for g, f in zip(gens, frac)))
-            for i in range(d)
-        )
-        points.append(x)
+    for outer in itertools.product(*(range(abs(x)) for x in diag[:-1])):
+        for last in range(abs(diag[-1])):
+            a = (*outer, last)
+            x0 = [sum(x * y for x, y in zip(row, a)) for row in u_inv]
+            t = [sum(inv_rows[i][j] * x0[j] for j in range(d)) for i in range(d)]
+            frac = [ti - math.floor(ti) for ti in t]
+            x = tuple(
+                int(sum(Fraction(g.coords[i]) * f for g, f in zip(gens, frac)))
+                for i in range(d)
+            )
+            points.append(x)
     return points
 
 
@@ -133,8 +138,8 @@ def _cone_lower_points(c: Cone) -> set[tuple[int, ...]]:
     """The primitive points sum t_i g_i with 0 < sum t_i <= 1 in some simplex
     of the pulling triangulation of a pointed full-dimensional cone: its
     generators (one t_i is 1) and each simplex's ``_lower_points``.  The hull
-    floor is gift-wrapped over them and classify reads its grading slab off
-    them; a simplex too large to walk raises ``ConeError``."""
+    floor is found over them in ranks 2 and 3 and classify reads its grading
+    slab off them; a simplex too large to walk raises ``ConeError``."""
     points = {g.coords for g in c.generators}
     for simplex in _triangulate(c):
         points.update(_lower_points(simplex))
@@ -210,46 +215,40 @@ def embedding_dimension(c: Cone) -> int:
     return len(hilbert_basis(dual_cone(c)))
 
 
-def floor_facets(c: Cone) -> list[list[LatticeVector]]:
-    """Lattice points on each compact facet of conv((c ∩ N) - {0}) facing the origin.
+def floor_facets(c: Cone) -> list[tuple[tuple[int, ...], int, list[tuple[int, ...]], list[LatticeVector]]]:
+    """The compact facets of conv((c ∩ N) - {0}) facing the origin, each as
+    (n, k, vertices, points): its primitive normal n, its level k = <n, h>,
+    its vertices in cyclic order (the two ends in rank 2, lexicographically)
+    and its sorted lattice points, which are all Hilbert points; the facets
+    in increasing order of (-k, n).
 
     These compact facets, the "floor" through which every ray of the cone
-    exits, are found in integers from a finite candidate set whose hull plus
-    c is the whole hull.  In rank 2 the candidates are the Hilbert basis and
-    the floor is the basis in angular order, split into maximal collinear
-    runs.  In rank 3 the candidates are ``_cone_lower_points``, the primitive
+    exits, are found in integers over ``_cone_lower_points``, the primitive
     points sum t_i g_i with 0 < sum t_i <= 1 in some simplex of the pulling
-    triangulation, and the floor is gift-wrapped over them: the first facet
-    is pivoted about a floor edge on a wall of the cone, then every polygon
-    edge off the walls is pivoted about in turn (see ``_floor_3d``).  Each
-    facet is listed as its sorted lattice points, which are all Hilbert
-    points, the facets in increasing order of (-k, n) for the primitive
-    normal n and level k = <n, h> on the facet.
+    triangulation.  In rank 2 every candidate lies in the triangle
+    (0, g_1, g_2), so the planar hull of the candidates has the edge g_1 g_2
+    and the rest of its boundary is the floor; when the hull is that segment
+    alone, the floor is the segment (see ``_floor_2d``).  In rank 3 the floor
+    is gift-wrapped over them: the first facet is pivoted about a floor edge
+    on a wall of the cone, then every polygon edge off the walls is pivoted
+    about in turn (see ``_floor_3d``).
 
     The result is certified: every facet has <n, h> >= k > 0 on every
-    candidate and <n, g> > 0 on every generator, and every floor edge off
-    the walls lies in exactly two of the facets found; a failure raises
-    ``ConeError``.
+    candidate and <n, g> > 0 on every generator, and in rank 3 every floor
+    edge off the walls lies in exactly two of the facets found; a failure
+    raises ``ConeError``, as does a simplex too large to walk.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise ConeError("hull floor requires a pointed full-dimensional cone")
     rank = c.lattice_rank
-    if rank > 3:
-        raise ConeError(f"hull floor implemented for rank <= 3, got rank {rank}")
+    if rank not in (2, 3):
+        raise ConeError(f"hull floor implemented for rank 2 and 3, got rank {rank}")
     gens = [g.coords for g in c.generators]
-    if rank == 3:
-        facets = _floor_3d(c, list(_cone_lower_points(c)), gens)
-    else:
-        # the angular chain joins consecutive points, so it needs exactly the
-        # Hilbert points: a candidate above the floor makes an edge the
-        # certificate refuses
-        members = [h.coords for h in hilbert_basis(c).members]
-        if rank == 1:
-            return [[LatticeVector(members[0])]]
-        facets = {(n, k): _certified_tight(n, k, members, gens) for n, k in _floor_2d_normals(members)}
+    members = list(_cone_lower_points(c))
+    floor = _floor_3d(c, members, gens) if rank == 3 else _floor_2d(members, gens)
     return [
-        [LatticeVector(p) for p in sorted(tight)]
-        for (n, _k), tight in sorted(facets.items(), key=lambda item: (-item[0][1], item[0][0]))
+        (n, k, verts, [LatticeVector(p) for p in sorted(tight)])
+        for n, k, verts, tight in sorted(floor, key=lambda facet: (-facet[1], facet[0]))
     ]
 
 
@@ -270,17 +269,24 @@ def _certified_tight(n, k, members, gens) -> list[tuple[int, ...]]:
     return [h for h, v in zip(members, values) if v == k]
 
 
-def _floor_2d_normals(members) -> set[tuple[tuple[int, int], int]]:
-    """(normal, level) of each compact edge of a rank-2 hull: the edges join
-    angularly consecutive Hilbert points, and collinear runs share one."""
-    chain = angular_order(members)
-    out = set()
+def _floor_2d(members, gens) -> list:
+    """(n, k, ends, tight members) of each compact edge of a rank-2 hull.
+
+    Every candidate has sum t_i <= 1, so g_1 and g_2 are hull vertices
+    joined by a hull edge; the floor is the chain of hull vertices from one
+    to the other that avoids that edge, or the edge itself when the hull is
+    a segment."""
+    hull = convex_hull_2d(members)
+    j = next(j for j in range(len(hull)) if {hull[j - 1], hull[j]} == set(gens))
+    chain = hull[j:] + hull[:j]
+    floor = []
     for a, b in zip(chain, chain[1:]):
         n = _gcd_normalize((b[1] - a[1], a[0] - b[0]))
         if _dot(n, a) < 0:
             n = (-n[0], -n[1])
-        out.add((n, _dot(n, a)))
-    return out
+        k = _dot(n, a)
+        floor.append((n, k, sorted((a, b)), _certified_tight(n, k, members, gens)))
+    return floor
 
 
 def _polygon(n, pts) -> list[tuple[int, ...]]:
@@ -292,31 +298,10 @@ def _polygon(n, pts) -> list[tuple[int, ...]]:
     return [flat[q] for q in convex_hull_2d(list(flat))]
 
 
-def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
-    """Primitive normal n, level k and vertices in cyclic order of one floor
-    facet of a rank-2 or rank-3 cone, given as its Hilbert points (an entry
-    of ``floor_facets``); the vertices span the cone over the facet."""
-    pts = [h.coords for h in tight]
-    a = pts[0]
-    if len(a) == 2:
-        n = _gcd_normalize((pts[-1][1] - a[1], a[0] - pts[-1][0]))
-        verts = [a, pts[-1]]  # sorted collinear points: the ends come first and last
-    else:
-        normals = (_cross(_sub(p, a), _sub(q, a)) for p, q in itertools.combinations(pts[1:], 2))
-        n = next((v for v in normals if any(v)), None)
-        if n is None:
-            raise ConeError(f"floor facet {pts} spans no plane")
-        n = _gcd_normalize(n)
-        verts = _polygon(n, pts)
-    if _dot(n, a) < 0:
-        n = tuple(-x for x in n)
-    return n, _dot(n, a), verts
-
-
-def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]]:
-    """Tight members of each compact hull facet (n, k) of a pointed
-    full-dimensional rank-3 cone, by gift wrapping over its candidate points,
-    ``_cone_lower_points``.
+def _floor_3d(c: Cone, members, gens) -> list:
+    """(n, k, vertices, tight members) of each compact hull facet of a
+    pointed full-dimensional rank-3 cone, by gift wrapping over its candidate
+    points, ``_cone_lower_points``.
 
     Why these candidates give the same floor, tight sets and order as the
     Hilbert basis:
@@ -359,16 +344,16 @@ def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[
                 level = _dot(n, a)
         return _gcd_normalize(n)
 
-    facets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+    facets: dict[tuple[tuple[int, ...], int], tuple] = {}
     edges: dict[frozenset, int] = {}
     todo = []
 
     def add(n, k):
         tight = _certified_tight(n, k, members, gens)
-        facets[(n, k)] = tight
         verts = _polygon(n, tight)
         if len(verts) < 3:
             raise ConeError(f"hull floor facet {tight} spans no plane")
+        facets[(n, k)] = (n, k, verts, tight)
         for i, (u, v) in enumerate(zip(verts, verts[1:] + verts[:1])):
             if any(_dot(w, u) == 0 == _dot(w, v) for w in walls):
                 continue
@@ -397,7 +382,7 @@ def _floor_3d(c: Cone, members, gens) -> dict[tuple[tuple[int, ...], int], list[
         add(across, level)
     if any(count != 2 for count in edges.values()):
         raise ConeError("hull floor is not closed: an edge off the walls is not in two facets")
-    return facets
+    return list(facets.values())
 
 
 @dataclass(frozen=True)

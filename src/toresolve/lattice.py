@@ -558,9 +558,7 @@ def hyperplane_basis(m: Covector) -> IntMatrix:
     _hermite_rows(h, u)
     kernel = [row for row, (x,) in zip(u, h) if x == 0]
     _hermite_rows(kernel, [[] for _ in kernel])
-    g, w = extended_gcd_vector(mi)
-    if g != 1:
-        raise LatticeError("covector is not primitive")
+    w = extended_gcd_vector(mi)[1]
     rows = tuple(zip(*kernel, w))
     if abs(_det(rows)) != 1:
         raise LatticeError("failed to complete covector to a unimodular basis")

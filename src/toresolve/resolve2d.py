@@ -1,9 +1,9 @@
 """Minimal resolution of two-dimensional toric singularities.
 
-The resolution fan is read off the boundary of conv((cone ∩ N) - {0}), whose
-lattice points are the Hilbert basis; the negative-continued-fraction
-expansion gives an independent arithmetic route to the same
-self-intersection data, kept for cross-validation.
+The resolution fan is read off the hull floor of conv((cone ∩ N) - {0})
+(``hilbert.floor_facets``), whose lattice points are the Hilbert basis; the
+negative-continued-fraction expansion gives an independent arithmetic route
+to the same self-intersection data, kept for cross-validation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .cones import Cone, Fan, _simplicial_cone
-from .hilbert import hilbert_basis
+from .hilbert import floor_facets
 from .lattice import LatticeVector, angular_order
 
 
@@ -60,26 +60,28 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     """Unique minimal resolution of a pointed full-dimensional rank-2 cone.
 
     The rays of the output fan are the lattice points on the bounded part of
-    the hull boundary, which in rank 2 are exactly the Hilbert basis (Oda,
-    *Convex Bodies and Algebraic Geometry*, 1.6); consecutive rays span
-    basic cones, and each interior ray u_i satisfies
-    u_{i-1} + u_{i+1} = b_i * u_i with the i-th exceptional curve of
-    self-intersection -b_i; as det(u_{i-1}, u_i) = 1 in counterclockwise
-    order, b_i = det(u_{i-1}, u_{i+1}).  The consecutive cones tile the cone
-    by construction, so the fan is built without pairwise validation.
+    the hull boundary, read off ``floor_facets``; in rank 2 they are exactly
+    the Hilbert basis (Oda, *Convex Bodies and Algebraic Geometry*, 1.6).
+    In angular order, consecutive rays span basic cones, and each interior
+    ray u_i satisfies u_{i-1} + u_{i+1} = b_i * u_i with the i-th exceptional
+    curve of self-intersection -b_i; as det(u_{i-1}, u_i) = 1 in
+    counterclockwise order, b_i = det(u_{i-1}, u_{i+1}).  The consecutive
+    cones tile the cone by construction, so the fan is built without
+    pairwise validation.  A parallelepiped too large to walk raises
+    ``ConeError``.
     """
     if c.lattice_rank != 2:
         raise Resolve2dError("minimal resolution is a rank-2 operation")
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve2dError("need a pointed full-dimensional cone")
-    chain = angular_order(hilbert_basis(c).members)
+    chain = angular_order(list({p for *_, points in floor_facets(c) for p in points}))
     cones = []
     for u, v in zip(chain, chain[1:]):
         cone, det = _simplicial_cone([u, v])
         if det not in (1, -1):
             raise Resolve2dError(
                 f"hull boundary pair {u.coords}, {v.coords} is not basic; "
-                "Hilbert-basis computation is inconsistent"
+                "hull floor computation is inconsistent"
             )
         cones.append(cone)
     exceptional = []

@@ -33,7 +33,7 @@ from .cones import (
     Cone, ConeError, Fan, _mapped_cones, cone_over_polygon, is_basic, make_fan, simplicial_cone
 )
 from .divisors import DiscrepancyReport, SupportFunction, is_strictly_upper_convex
-from .hilbert import floor_facets, floor_polygon
+from .hilbert import floor_facets
 from .lattice import Covector, IntMatrix, LatticeVector, _made
 
 
@@ -215,7 +215,7 @@ def canonical_modification(c: Cone) -> Fan:
     functional is at least one on every nonzero lattice point), so {c} is
     returned without computing the floor.  Otherwise the maximal cones sit
     over the compact facets of conv((c ∩ N) - {0}), which ``floor_facets``
-    gift-wraps and certifies; the fan equals {c} exactly when the cone is
+    finds and certifies; the fan equals {c} exactly when the cone is
     already canonical.  Projecting the facets from the origin tiles c, so
     the fan is built directly: each piece from its facet's vertices, by
     cross products of consecutive ones (``cone_over_polygon``) in rank 3 and
@@ -232,16 +232,16 @@ def canonical_modification(c: Cone) -> Fan:
         pieces = [c]
     else:
         try:
-            pieces = [_floor_piece(facet) for facet in floor_facets(c)]
+            pieces = [_floor_piece(n, k, verts) for n, k, verts, _points in floor_facets(c)]
         except ConeError as e:
             raise Resolve3dError(f"canonical modification of {c}: {e}") from e
         pieces.sort(key=lambda piece: tuple(g.coords for g in piece.generators))
     return Fan(lattice_rank=c.lattice_rank, maximal_cones=tuple(pieces))
 
 
-def _floor_piece(facet: list[LatticeVector]) -> Cone:
-    """The cone over one floor facet, keeping its grading from the facet normal."""
-    n, k, verts = floor_polygon(facet)
+def _floor_piece(n: tuple[int, ...], k: int, verts: list[tuple[int, ...]]) -> Cone:
+    """The cone over the floor facet with primitive normal n at level k and
+    the given vertices, keeping its grading (n / k, k)."""
     piece = simplicial_cone([LatticeVector(v) for v in verts]) if len(n) == 2 else cone_over_polygon(verts)
     piece.__dict__["grading"] = (Covector(tuple(Fraction(x, k) for x in n)), k)
     return piece

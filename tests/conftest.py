@@ -7,6 +7,8 @@ stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function, envelope
 subdivisions and hull floors are recomputed by a 4-D double description,
+rank-2 floors and minimal resolutions by the angular chain of the Hilbert
+basis, each floor facet's normal, level and vertices from its points,
 canonical modifications by validated fans of those floors, completion
 heights are recomputed with rational weights and barycentric folds,
 diagonal-choice systems are solved by Fourier-Motzkin over the rationals,
@@ -30,12 +32,13 @@ from fractions import Fraction
 import pytest
 
 from toresolve.cones import (
-    Cone, ConeError, Fan, dual_cone, extreme_rays, is_basic, make_cone, simplicial_cone
+    Cone, ConeError, Fan, _cross, _gcd_normalize, dual_cone, extreme_rays, is_basic, make_cone,
+    make_fan, simplicial_cone,
 )
 from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.divisors import SupportFunction, with_linear_representatives
-from toresolve.hilbert import hilbert_basis
-from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector
+from toresolve.hilbert import _dot, _polygon, _sub, hilbert_basis
+from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector, angular_order
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, _wall_terms, _walls, blowup_fixed_point
 
 Point = tuple[int, int]
@@ -444,6 +447,55 @@ def dd_floor_facets(c: Cone) -> list[list[LatticeVector]]:
             raise ConeError("floor facet with recession direction; cone degenerate")
         out.append(sorted(h for h in members if c0 + sum(a * b for a, b in zip(m, h.coords)) == 0))
     return out
+
+
+def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """Primitive normal n, level k and vertices in cyclic order of one floor
+    facet of a rank-2 or rank-3 cone, re-derived from its sorted lattice
+    points alone: n from the first cross product that does not vanish, the
+    vertices from the planar hull, or the first and last point in rank 2."""
+    pts = [h.coords for h in tight]
+    a = pts[0]
+    if len(a) == 2:
+        n = _gcd_normalize((pts[-1][1] - a[1], a[0] - pts[-1][0]))
+        verts = [a, pts[-1]]
+    else:
+        normals = (_cross(_sub(p, a), _sub(q, a)) for p, q in itertools.combinations(pts[1:], 2))
+        n = _gcd_normalize(next(v for v in normals if any(v)))
+        verts = _polygon(n, pts)
+    if _dot(n, a) < 0:
+        n = tuple(-x for x in n)
+    return n, _dot(n, a), verts
+
+
+def angular_chain_floor(c: Cone) -> list[list[LatticeVector]]:
+    """Lattice points on each compact edge of a rank-2 hull, by the angular
+    chain of the Hilbert basis: consecutive members span an edge, and a
+    collinear run shares one (normal, level); listed in (-k, n) order."""
+    chain = angular_order(hilbert_basis(c).members)
+    edges: dict[tuple[tuple[int, int], int], set] = {}
+    for a, b in zip(chain, chain[1:]):
+        n = _gcd_normalize((b.coords[1] - a.coords[1], a.coords[0] - b.coords[0]))
+        if _dot(n, a.coords) < 0:
+            n = (-n[0], -n[1])
+        edges.setdefault((n, _dot(n, a.coords)), set()).update((a, b))
+    return [sorted(edges[key]) for key in sorted(edges, key=lambda nk: (-nk[1], nk[0]))]
+
+
+def hilbert_chain_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
+    """Minimal resolution of a rank-2 cone from its Hilbert basis in angular
+    order: the validated fan of consecutive pairs, and each b_i the quotient
+    of the three-term relation u_{i-1} + u_{i+1} = b_i * u_i, read
+    coordinatewise."""
+    chain = angular_order(hilbert_basis(c).members)
+    fan = make_fan([simplicial_cone([u, v]) for u, v in zip(chain, chain[1:])])
+    exceptional = []
+    for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):
+        s = u_prev + u_next
+        b = next(x // y for x, y in zip(s.coords, u.coords) if y != 0)
+        assert s == b * u
+        exceptional.append((u, -b))
+    return fan, exceptional
 
 
 def random_rank3_cones(seed: int, bound: int, count: int) -> list[Cone]:

@@ -582,6 +582,37 @@ def test_low_dimensional_refusal_names_the_input_cone(tmp_path, capsys):
     assert not outfile.exists()
 
 
+PAST_BUDGET_2D = [[1, 0], [1, 10**18 + 3]]
+PAST_BUDGET_3D = [[1, 0, 0], [0, 1, 0], [1, 1, 10**9 + 7]]
+
+
+@pytest.mark.parametrize(
+    "command, gens",
+    [
+        ("hilbert", PAST_BUDGET_2D),
+        ("classify", PAST_BUDGET_2D),
+        ("resolve2d", PAST_BUDGET_2D),
+        ("hilbert", PAST_BUDGET_3D),
+        ("classify", PAST_BUDGET_3D),
+    ],
+)
+def test_walks_past_the_coset_budget_are_refused_at_once(tmp_path, capsys, command, gens):
+    """A parallelepiped of more than 10^7 cosets is refused before any coset
+    is walked or listed: exit 1 in under a second, one stderr line naming
+    the cone and the budget, no output file."""
+    assert hilbert.MAX_COSETS == 10**7
+    infile = write_job(tmp_path, "in.json", {"lattice_rank": len(gens[0]), "cones": [{"generators": gens}]})
+    outfile = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main([command, "--in", infile, "--out", str(outfile)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("toresolve: ") and err.count("\n") == 1, err
+    assert "more than the 10000000 that can be enumerated" in err, err
+    assert all(str(tuple(g)) in err for g in gens), err
+    assert not outfile.exists()
+
+
 FUZZ_COMMANDS = [
     ["classify"],
     ["hilbert"],

@@ -256,7 +256,7 @@ def test_edim_at_least_rank_with_equality_iff_basic(rng):
 def test_floor_facets_running_example():
     c = make_cone([V(1, 0), V(4, 5)])
     fls = floor_facets(c)
-    pts = sorted(p.coords for facet in fls for p in facet)
+    pts = sorted(p.coords for *_, points in fls for p in points)
     assert pts == [(1, 0), (1, 1), (1, 1), (4, 5)]  # two segments sharing (1,1)
 
 
@@ -264,7 +264,7 @@ def test_floor_facet_of_canonical_cone_is_single():
     fig = make_cone([V(-3, 3, 1), V(3, 1, 1), V(0, -3, 1)])
     fls = floor_facets(fig)
     assert len(fls) == 1
-    assert {p.coords for p in fls[0]} >= {(-3, 3, 1), (3, 1, 1), (0, -3, 1)}
+    assert {p.coords for p in fls[0][3]} >= {(-3, 3, 1), (3, 1, 1), (0, -3, 1)}
 
 
 def box_lower_points(simplex) -> list[tuple[int, ...]]:
@@ -355,7 +355,7 @@ def test_floor_facets_on_lower_points_match_oracles(tmp_path, capsys):
     point of every facet is a Hilbert point.  A simplex too large to walk is
     refused at once on the floor path, with a message naming the cone."""
     for c in random_rank3_cones(27182818, 4, 300):
-        facets = floor_facets(c)
+        facets = [points for *_, points in floor_facets(c)]
         assert facets == dd_floor_facets(c), c
         basis = set(hilbert_basis(c).members)
         assert all(p in basis for facet in facets for p in facet), c

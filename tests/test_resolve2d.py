@@ -1,14 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from toresolve.cones import is_basic, make_cone, make_fan, simplicial_cone
+from toresolve import hilbert
+from toresolve.cones import is_basic, make_cone
 from toresolve.hilbert import hilbert_basis
 from toresolve.resolve2d import Resolve2dError, cf_expansion, minimal_resolution
-from toresolve.lattice import LatticeVector, angular_order
+from toresolve.lattice import LatticeVector
 
-from conftest import random_pointed_cone
+from conftest import count_calls, hilbert_chain_resolution, random_pointed_cone
+from test_resolve3d import floor_corpus
 
 
 def V(*coords):
@@ -93,29 +96,32 @@ def test_rays_equal_hilbert_basis_random(rng):
         checked += 1
 
 
-def test_minimal_resolution_matches_validated_fan():
-    """On 300 seeded rank-2 cones the directly built fan equals the validated
-    make_fan of the same chain cones, and each b_i is the quotient of the
-    three-term relation u_{i-1} + u_{i+1} = b_i * u_i, read coordinatewise."""
+def test_minimal_resolution_matches_validated_fan(monkeypatch):
+    """On 300 seeded rank-2 cones, the rank-2 floor corpus and the 12-term
+    cone (0,1), (121393, -46368), n/q = [3, ..., 3], the fan and the
+    self-intersections read off the hull floor equal the validated fan of
+    the Hilbert basis in angular order and the quotients of its three-term
+    relations; no Hilbert basis is computed, and the 12-term cone, whose
+    parallelepiped has 121,393 points, resolves in under 2 s."""
     rng = random.Random(20261019)
-    checked = singular = 0
-    while checked < 300:
+    corpus = []
+    while len(corpus) < 300:
         c = random_pointed_cone(rng, 2, coord_bound=9, max_gens=3)
-        if c is None or not c.is_full_dimensional:
-            continue
-        checked += 1
-        fan, exc = minimal_resolution(c)
-        chain = angular_order(hilbert_basis(c).members)
-        assert fan == make_fan([simplicial_cone([u, v]) for u, v in zip(chain, chain[1:])]), c
-        oracle = []
-        for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):
-            s = u_prev + u_next
-            b = next(x // y for x, y in zip(s.coords, u.coords) if y != 0)
-            assert s == b * u
-            oracle.append((u, -b))
-        assert exc == oracle, c
-        singular += bool(exc)
-    assert singular >= 200
+        if c is not None and c.is_full_dimensional:
+            corpus.append(c)
+    corpus += floor_corpus()[1]
+    twelve = make_cone([V(0, 1), V(121393, -46368)])
+    calls = count_calls(monkeypatch, hilbert.hilbert_basis)
+    resolved = [minimal_resolution(c) for c in corpus]
+    start = time.perf_counter()
+    resolved.append(minimal_resolution(twelve))
+    assert time.perf_counter() - start < 2
+    assert calls == []
+    monkeypatch.undo()
+    for c, got in zip([*corpus, twelve], resolved):
+        assert got == hilbert_chain_resolution(c), c
+    assert sum(bool(exc) for _, exc in resolved) >= 200
+    assert [b for _, b in resolved[-1][1]] == [-3] * 12
 
 
 def test_minimal_resolution_rejects_other_ranks():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toresolve import cones, resolve3d
+from toresolve import cones, hilbert, resolve3d
 from toresolve.classify import LatticePolytope, gorenstein_data, index_one_cover
 from toresolve.cones import (
     Fan, dual_cone, intersect_cones, is_basic, make_cone, make_fan, simplicial_cone, star_subdivision
@@ -41,6 +41,7 @@ import conftest
 from conftest import (
     _affine_value,
     _order_function_subdivision,
+    angular_chain_floor,
     box_interior_points,
     box_lattice_points,
     box_slab_points,
@@ -48,6 +49,7 @@ from conftest import (
     count_calls,
     dd_envelope_subdivision,
     dd_floor_facets,
+    floor_polygon,
     fraction_composite_heights,
     fraction_fourier_motzkin,
     fraction_rank,
@@ -147,16 +149,26 @@ def floor_corpus() -> tuple:
     return tuple(rank3), tuple(rank2)
 
 
-def test_floor_facets_match_double_description_oracle():
-    """The gift-wrapped floor equals the 4-D double description, list order
-    included, and the fan built from it equals the validated fan of the
-    oracle's pieces; the draw holds cones of index > 1, cones that are not
+def test_floor_facets_match_double_description_oracle(monkeypatch):
+    """The floor found over the lower points equals the 4-D double
+    description, list order included, and in rank 2 the angular chain of
+    the Hilbert basis; each facet's normal, level and vertices are those
+    re-derived from its points alone; no Hilbert basis is computed; and the
+    fan built from the floor equals the validated fan of the oracle's
+    pieces.  The draw holds cones of index > 1, cones that are not
     Q-Gorenstein and cones that are not simplicial."""
     rank3, rank2 = floor_corpus()
     kinds = {"index > 1": 0, "not Q-Gorenstein": 0, "not simplicial": 0, "several pieces": 0}
-    for c in rank3 + rank2:
+    calls = count_calls(monkeypatch, hilbert.hilbert_basis)
+    floors = [floor_facets(c) for c in rank3 + rank2]
+    assert calls == []
+    monkeypatch.undo()
+    for c, facets in zip(rank3 + rank2, floors):
         expected = dd_floor_facets(c)
-        assert floor_facets(c) == expected, c
+        if c.lattice_rank == 2:
+            assert angular_chain_floor(c) == expected, c
+        assert [points for *_, points in facets] == expected, c
+        assert [(n, k, verts) for n, k, verts, points in facets] == [floor_polygon(f) for f in expected], c
         fan = canonical_modification(c)
         assert fan == make_fan([make_cone(f) for f in expected]), c
         if c.lattice_rank == 3:
