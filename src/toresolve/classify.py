@@ -322,31 +322,25 @@ def is_elementary(p: LatticePolytope) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NakajimaWitness:
-    """Normal form found for a stacked polytope: vertex images after the map."""
+def is_nakajima(p: LatticePolytope) -> bool:
+    """Equivalence to an inductively stacked polytope (dimension <= 2 only).
 
-    base_length: int
-    left_height: int
-    right_height: int
-    slope: int
-
-
-def _nakajima_witness(p: LatticePolytope) -> NakajimaWitness | None:
-    """Search all edges (as prospective base facets) for the stacked normal form.
-
-    In the plane a stacked polytope is unimodularly a region
-    0 <= x <= c, 0 <= y <= slope*x + h0 with integer slope; anchoring each
-    edge in turn determines the lattice-height functional, and an integer
-    shear must make the sides vertical.  The scan over all edges and both
-    orientations is exhaustive.
+    Points and lattice segments are always stacked.  In the plane a stacked
+    polytope is unimodularly a region 0 <= x <= c, 0 <= y <= slope*x + h0
+    with integer slope; anchoring each edge in turn as the base determines
+    the lattice-height functional, and an integer shear must make the sides
+    vertical.  The scan over all edges and both orientations is exhaustive.
     """
+    if p.dimension > 2:
+        raise ClassifyError("out of scope: stacked-polytope test only below dimension 3")
+    if p.dimension == 2 and p.ambient_rank != 2:
+        raise ClassifyError("planar polytopes must be given in rank-2 coordinates")
     if p.dimension < 2:
-        return NakajimaWitness(0, 0, 0, 0)
+        return True
     verts = list(p.vertices)
     n = len(verts)
     if n > 4:
-        return None
+        return False
     for i in range(n):
         for flip in (False, True):
             a, b = verts[i], verts[(i + 1) % n]
@@ -370,7 +364,7 @@ def _nakajima_witness(p: LatticePolytope) -> NakajimaWitness | None:
                 if yw <= 0 or yw % c_len != 0:
                     continue
                 if xw % yw == 0 or (c_len - xw) % yw == 0:
-                    return NakajimaWitness(c_len, yw, 0, -yw // c_len)
+                    return True
             else:
                 wa, wb = before, after
                 ya, xa = height(wa), xcoord(wa)
@@ -384,21 +378,8 @@ def _nakajima_witness(p: LatticePolytope) -> NakajimaWitness | None:
                     continue
                 if (yb - ya) % c_len != 0:
                     continue
-                return NakajimaWitness(c_len, ya, yb, (yb - ya) // c_len)
-    return None
-
-
-def is_nakajima(p: LatticePolytope) -> bool:
-    """Equivalence to an inductively stacked polytope (dimension <= 2 only).
-
-    Points and lattice segments are always stacked; planar polytopes are
-    decided by the exhaustive base-edge scan of the normal form.
-    """
-    if p.dimension > 2:
-        raise ClassifyError("out of scope: stacked-polytope test only below dimension 3")
-    if p.dimension == 2 and p.ambient_rank != 2:
-        raise ClassifyError("planar polytopes must be given in rank-2 coordinates")
-    return _nakajima_witness(p) is not None
+                return True
+    return False
 
 
 def lri_general_section(c: Cone) -> int:

@@ -287,11 +287,12 @@ def _completions_json(piece, which: str, first) -> list[dict]:
     """The selected completions of a resolved piece, in the input lattice;
     ``first`` is its completion 0 when already built, else ``None``."""
     pc, _frame, _rounds, _cert = piece
-    count = 2 ** len(pc.parallelograms)
+    p = len(pc.parallelograms)
+    count = 2**p
     if which == "all":
         if count > MAX_LISTED_COMPLETIONS:
             raise ValueError(
-                f"--completion all: {count} completions, more than the "
+                f"--completion all: 2^{p} completions ({p} unit parallelograms), more than the "
                 f"{MAX_LISTED_COMPLETIONS} that are listed; select one by its index"
             )
         indices = range(count)

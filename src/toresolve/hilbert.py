@@ -11,8 +11,10 @@ from .cones import Cone, ConeError, _cross, _gcd_normalize, dual_cone, make_cone
 from .lattice import (
     IntMatrix,
     LatticeVector,
+    _made,
     adjugate,
     convex_hull_2d,
+    extended_gcd_vector,
     integer_kernel,
     rational_solve,
     smith_normal_form,
@@ -137,9 +139,9 @@ def _lower_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
 def _cone_lower_points(c: Cone) -> set[tuple[int, ...]]:
     """The primitive points sum t_i g_i with 0 < sum t_i <= 1 in some simplex
     of the pulling triangulation of a pointed full-dimensional cone: its
-    generators (one t_i is 1) and each simplex's ``_lower_points``.  The hull
-    floor is found over them in ranks 2 and 3 and classify reads its grading
-    slab off them; a simplex too large to walk raises ``ConeError``."""
+    generators (one t_i is 1) and each simplex's ``_lower_points``.  The
+    rank-3 hull floor is found over them and classify reads its grading slab
+    off them; a simplex too large to walk raises ``ConeError``."""
     points = {g.coords for g in c.generators}
     for simplex in _triangulate(c):
         points.update(_lower_points(simplex))
@@ -166,11 +168,56 @@ def _solve_columns(b_cols: IntMatrix, g: LatticeVector) -> LatticeVector:
     return sol.integral_vector()
 
 
+def _hj_terms(p: int, q: int) -> tuple[int, ...]:
+    """Terms b_i >= 2 of the Hirzebruch-Jung continued fraction
+    p/q = b_1 - 1/(b_2 - 1/(...)), for coprime 0 < q < p; none for q = 0."""
+    terms = []
+    while q > 0:
+        t = -(-p // q)  # ceiling
+        terms.append(t)
+        p, q = q, t * q - p
+    return tuple(terms)
+
+
+def hilbert_chain(c: Cone) -> tuple[tuple[LatticeVector, ...], tuple[int, ...]]:
+    """The Hilbert basis of a pointed full-dimensional rank-2 cone in
+    counterclockwise order, u_0 = a, ..., u_{r+1} = b, and the terms
+    b_1, ..., b_r of the continued fraction n/q with u_{i-1} + u_{i+1} = b_i u_i
+    (Oda, *Convex Bodies and Algebraic Geometry*, 1.6; Fulton, *Introduction
+    to Toric Varieties*, 2.6).
+
+    With n = det(a, b) > 0, the extended gcd (s, t) of a gives w = (-t, s)
+    with det(a, w) = 1 and b = alpha a + n w, alpha = s b_0 + t b_1; then
+    u_1 = w + ceil(alpha / n) a has b = n u_1 - q a with 0 <= q < n, and
+    u_{i+1} = b_i u_i - u_{i-1} ends at b.  Consecutive members have det 1
+    and every b_i >= 2, so the chain is the Hilbert basis, the lattice points
+    of the hull floor and the rays of the minimal resolution.  A cone whose
+    parallelepiped has more than ``MAX_COSETS`` points is refused, as by the
+    coset walks.
+    """
+    _cosets(c.generators)
+    a, b = (g.coords for g in c.generators)
+    n = a[0] * b[1] - a[1] * b[0]
+    if n < 0:
+        a, b, n = b, a, -n
+    s, t = extended_gcd_vector(a)[1]
+    alpha = s * b[0] + t * b[1]
+    k = -(-alpha // n)
+    terms = _hj_terms(n, n * k - alpha)
+    chain = [a, (k * a[0] - t, k * a[1] + s)]
+    for bi in terms:
+        (x0, y0), (x1, y1) = chain[-2:]
+        chain.append((bi * x1 - x0, bi * y1 - y0))
+    return tuple(_made(LatticeVector, u) for u in chain), terms
+
+
 def hilbert_basis(c: Cone) -> HilbertBasis:
     """Minimal generating system of c ∩ N for a strongly convex cone.
 
-    Strategy: pull the first ray to triangulate into simplicial subcones,
-    enumerate the lattice points of each fundamental half-open
+    A full-dimensional rank-2 cone takes the continued-fraction chain of
+    ``hilbert_chain``; a cone of lower dimension is solved in its span
+    lattice.  Otherwise: pull the first ray to triangulate into simplicial
+    subcones, enumerate the lattice points of each fundamental half-open
     parallelepiped, add the ray generators, then, in degree order, keep the
     elements whose facet values dominate no kept element's.  Uniqueness
     fails for non-pointed cones, which are rejected.
@@ -183,6 +230,8 @@ def hilbert_basis(c: Cone) -> HilbertBasis:
         small, b_cols = _to_sublattice(c)
         members = tuple(sorted(b_cols.apply(m) for m in hilbert_basis(small).members))
         return HilbertBasis(cone=c, members=members)
+    if c.lattice_rank == 2:
+        return HilbertBasis(cone=c, members=tuple(sorted(hilbert_chain(c)[0])))
 
     candidates: set[tuple[int, ...]] = {g.coords for g in c.generators}
     for simplex in _triangulate(c):
@@ -223,20 +272,19 @@ def floor_facets(c: Cone) -> list[tuple[tuple[int, ...], int, list[tuple[int, ..
     in increasing order of (-k, n).
 
     These compact facets, the "floor" through which every ray of the cone
-    exits, are found in integers over ``_cone_lower_points``, the primitive
+    exits, are found in integers.  In rank 2 the floor is the chain of
+    ``hilbert_chain``, split into edges at its vertices (see ``_floor_2d``).
+    In rank 3 it is gift-wrapped over ``_cone_lower_points``, the primitive
     points sum t_i g_i with 0 < sum t_i <= 1 in some simplex of the pulling
-    triangulation.  In rank 2 every candidate lies in the triangle
-    (0, g_1, g_2), so the planar hull of the candidates has the edge g_1 g_2
-    and the rest of its boundary is the floor; when the hull is that segment
-    alone, the floor is the segment (see ``_floor_2d``).  In rank 3 the floor
-    is gift-wrapped over them: the first facet is pivoted about a floor edge
-    on a wall of the cone, then every polygon edge off the walls is pivoted
-    about in turn (see ``_floor_3d``).
+    triangulation: the first facet is pivoted about a floor edge on a wall of
+    the cone, then every polygon edge off the walls is pivoted about in turn
+    (see ``_floor_3d``).
 
     The result is certified: every facet has <n, h> >= k > 0 on every
     candidate and <n, g> > 0 on every generator, and in rank 3 every floor
     edge off the walls lies in exactly two of the facets found; a failure
-    raises ``ConeError``, as does a simplex too large to walk.
+    raises ``ConeError``, as does a cone whose parallelepiped has more than
+    ``MAX_COSETS`` points.
     """
     if not (c.is_pointed and c.is_full_dimensional):
         raise ConeError("hull floor requires a pointed full-dimensional cone")
@@ -244,8 +292,10 @@ def floor_facets(c: Cone) -> list[tuple[tuple[int, ...], int, list[tuple[int, ..
     if rank not in (2, 3):
         raise ConeError(f"hull floor implemented for rank 2 and 3, got rank {rank}")
     gens = [g.coords for g in c.generators]
-    members = list(_cone_lower_points(c))
-    floor = _floor_3d(c, members, gens) if rank == 3 else _floor_2d(members, gens)
+    if rank == 2:
+        floor = _floor_2d(*hilbert_chain(c), gens)
+    else:
+        floor = _floor_3d(c, list(_cone_lower_points(c)), gens)
     return [
         (n, k, verts, [LatticeVector(p) for p in sorted(tight)])
         for n, k, verts, tight in sorted(floor, key=lambda facet: (-facet[1], facet[0]))
@@ -269,23 +319,21 @@ def _certified_tight(n, k, members, gens) -> list[tuple[int, ...]]:
     return [h for h, v in zip(members, values) if v == k]
 
 
-def _floor_2d(members, gens) -> list:
-    """(n, k, ends, tight members) of each compact edge of a rank-2 hull.
+def _floor_2d(chain, terms, gens) -> list:
+    """(n, k, ends, tight members) of each compact edge of a rank-2 hull,
+    from the chain and terms of ``hilbert_chain``.
 
-    Every candidate has sum t_i <= 1, so g_1 and g_2 are hull vertices
-    joined by a hull edge; the floor is the chain of hull vertices from one
-    to the other that avoids that edge, or the edge itself when the hull is
-    a segment."""
-    hull = convex_hull_2d(members)
-    j = next(j for j in range(len(hull)) if {hull[j - 1], hull[j]} == set(gens))
-    chain = hull[j:] + hull[:j]
+    det(u_i - u_{i-1}, u_{i+1} - u_i) = 2 - b_i, so u_i is a hull vertex
+    exactly when b_i != 2 and the chain splits into edges at those rays.
+    The primitive normal n of an edge ab has <n, a> = det(a, b) / g > 0 in
+    counterclockwise order, and every chain member is certified against it."""
+    points = [u.coords for u in chain]
+    ends = [points[0], *(u for u, b in zip(points[1:], terms) if b != 2), points[-1]]
     floor = []
-    for a, b in zip(chain, chain[1:]):
+    for a, b in zip(ends, ends[1:]):
         n = _gcd_normalize((b[1] - a[1], a[0] - b[0]))
-        if _dot(n, a) < 0:
-            n = (-n[0], -n[1])
         k = _dot(n, a)
-        floor.append((n, k, sorted((a, b)), _certified_tight(n, k, members, gens)))
+        floor.append((n, k, sorted((a, b)), _certified_tight(n, k, points, gens)))
     return floor
 
 

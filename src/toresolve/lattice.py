@@ -9,7 +9,6 @@ indices and solve integral systems without ever touching floating point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -174,12 +173,6 @@ def primitive(v: LatticeVector) -> LatticeVector:
 def _turn(o, a, b) -> int:
     """Twice the signed area of the triangle oab: positive for a left turn."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def angular_order(points: list) -> list:
-    """Planar vectors (tuples or ``LatticeVector``) in counterclockwise angular
-    order; a total order when they lie in a pointed cone (opening below pi)."""
-    return sorted(points, key=functools.cmp_to_key(lambda u, v: _turn((0, 0), tuple(v), tuple(u))))
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

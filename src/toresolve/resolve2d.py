@@ -1,9 +1,9 @@
 """Minimal resolution of two-dimensional toric singularities.
 
-The resolution fan is read off the hull floor of conv((cone ∩ N) - {0})
-(``hilbert.floor_facets``), whose lattice points are the Hilbert basis; the
-negative-continued-fraction expansion gives an independent arithmetic route
-to the same self-intersection data, kept for cross-validation.
+The Hirzebruch-Jung continued fraction n/q of the cone is the route: its
+chain ``hilbert.hilbert_chain`` is at once the Hilbert basis, the lattice
+points of the hull floor of conv((cone ∩ N) - {0}) and the rays of the
+minimal resolution, and its terms are the negated self-intersections.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Fan, _simplicial_cone
-from .hilbert import floor_facets
-from .lattice import LatticeVector, angular_order
+from .cones import Cone, Fan, simplicial_cone
+from .hilbert import _hj_terms, hilbert_chain
+from .lattice import LatticeVector
 
 
 class Resolve2dError(ValueError):
@@ -47,52 +47,29 @@ def cf_expansion(p: int, q: int) -> CFExpansion:
         raise Resolve2dError(f"need 0 < q < p, got p={p}, q={q}")
     if math.gcd(p, q) != 1:
         raise Resolve2dError(f"p={p} and q={q} are not coprime")
-    terms = []
-    a, b = p, q
-    while b > 0:
-        t = -(-a // b)  # ceiling
-        terms.append(t)
-        a, b = b, t * b - a
-    return CFExpansion(p=p, q=q, terms=tuple(terms))
+    return CFExpansion(p=p, q=q, terms=_hj_terms(p, q))
 
 
 def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     """Unique minimal resolution of a pointed full-dimensional rank-2 cone.
 
-    The rays of the output fan are the lattice points on the bounded part of
-    the hull boundary, read off ``floor_facets``; in rank 2 they are exactly
-    the Hilbert basis (Oda, *Convex Bodies and Algebraic Geometry*, 1.6).
-    In angular order, consecutive rays span basic cones, and each interior
-    ray u_i satisfies u_{i-1} + u_{i+1} = b_i * u_i with the i-th exceptional
-    curve of self-intersection -b_i; as det(u_{i-1}, u_i) = 1 in
-    counterclockwise order, b_i = det(u_{i-1}, u_{i+1}).  The consecutive
-    cones tile the cone by construction, so the fan is built without
-    pairwise validation.  A parallelepiped too large to walk raises
-    ``ConeError``.
+    The rays of the output fan are the chain u_0, ..., u_{r+1} of
+    ``hilbert_chain``, the Hilbert basis in counterclockwise order (Oda,
+    *Convex Bodies and Algebraic Geometry*, 1.6), and its cones are the
+    consecutive pairs, each basic as det(u_i, u_{i+1}) = 1.  Each interior ray
+    u_i carries the exceptional curve of self-intersection -b_i, b_i >= 2 the
+    i-th term of the continued fraction with u_{i-1} + u_{i+1} = b_i u_i.  The
+    recurrence that builds the chain makes these identities, so the fan is
+    built without validation.  A cone whose parallelepiped has more than
+    ``hilbert.MAX_COSETS`` points raises ``ConeError``.
     """
     if c.lattice_rank != 2:
         raise Resolve2dError("minimal resolution is a rank-2 operation")
     if not (c.is_pointed and c.is_full_dimensional):
         raise Resolve2dError("need a pointed full-dimensional cone")
-    chain = angular_order(list({p for *_, points in floor_facets(c) for p in points}))
-    cones = []
-    for u, v in zip(chain, chain[1:]):
-        cone, det = _simplicial_cone([u, v])
-        if det not in (1, -1):
-            raise Resolve2dError(
-                f"hull boundary pair {u.coords}, {v.coords} is not basic; "
-                "hull floor computation is inconsistent"
-            )
-        cones.append(cone)
-    exceptional = []
-    for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):
-        b = u_prev.coords[0] * u_next.coords[1] - u_prev.coords[1] * u_next.coords[0]
-        if u_prev + u_next != b * u:
-            raise Resolve2dError(f"three-term relation fails at ray {u.coords}")
-        if b < 2:
-            raise Resolve2dError(
-                f"self-intersection -{b} at {u.coords}: resolution is not minimal"
-            )
-        exceptional.append((u, -b))
-    cones.sort(key=lambda cone: tuple(g.coords for g in cone.generators))
-    return Fan(2, tuple(cones)), exceptional
+    chain, terms = hilbert_chain(c)
+    cones = sorted(
+        (simplicial_cone([u, v]) for u, v in zip(chain, chain[1:])),
+        key=lambda cone: tuple(g.coords for g in cone.generators),
+    )
+    return Fan(2, tuple(cones)), [(u, -b) for u, b in zip(chain[1:], terms)]

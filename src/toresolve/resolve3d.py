@@ -133,8 +133,8 @@ class PolygonComplex:
 
     polygon: LatticePolytope
     cells: tuple[LatticePolytope, ...]
-    lifted: tuple[tuple[Point, ...], ...] = ()
-    frame: IntMatrix | None = field(default=None, repr=False)
+    lifted: tuple[tuple[Point, ...], ...] = field(default=(), compare=False)
+    frame: IntMatrix | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def initial(cls, polygon: LatticePolytope, frame: IntMatrix | None = None) -> "PolygonComplex":
@@ -191,16 +191,6 @@ class PolygonComplex:
     def census(self) -> dict:
         vertices = len({p for c in self.cells for p in c.vertices})
         return _census(self.polygon, self.cells, _tag_sums(map(_tag, self.cells)), vertices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolygonComplex)
-            and self.polygon == other.polygon
-            and self.cells == other.cells
-        )
-
-    def __hash__(self):
-        return hash((self.polygon, self.cells))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ stacked-polytope oracle tries explicit unimodular maps against the literal
 construction, fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function, envelope
 subdivisions and hull floors are recomputed by a 4-D double description,
-rank-2 floors and minimal resolutions by the angular chain of the Hilbert
-basis, each floor facet's normal, level and vertices from its points,
+rank-2 Hilbert bases by the parallelepiped walk and its domination filter,
+rank-2 floors and minimal resolutions by the angular chain of that basis,
+each floor facet's normal, level and vertices from its points,
 canonical modifications by validated fans of those floors, completion
 heights are recomputed with rational weights and barycentric folds,
 diagonal-choice systems are solved by Fourier-Motzkin over the rationals,
@@ -37,8 +38,8 @@ from toresolve.cones import (
 )
 from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.divisors import SupportFunction, with_linear_representatives
-from toresolve.hilbert import _dot, _polygon, _sub, hilbert_basis
-from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector, angular_order
+from toresolve.hilbert import _dot, _parallelepiped_points, _polygon, _sub, _triangulate, hilbert_basis
+from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector, _turn
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, _wall_terms, _walls, blowup_fixed_point
 
 Point = tuple[int, int]
@@ -434,7 +435,7 @@ def dd_floor_facets(c: Cone) -> list[list[LatticeVector]]:
     {1} x basis and {0} x generators with normal (c0, m), c0 < 0, are the
     compact ones, listed in the order of their primitive normals.
     """
-    members = hilbert_basis(c).members
+    members = parallelepiped_hilbert_basis(c)
     homog = [(1, *h.coords) for h in members] + [(0, *g.coords) for g in c.generators]
     normals, lin = extreme_rays(homog, c.lattice_rank + 1)
     if lin:
@@ -468,11 +469,35 @@ def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, lis
     return n, _dot(n, a), verts
 
 
+def parallelepiped_hilbert_basis(c: Cone) -> list[LatticeVector]:
+    """Hilbert basis of a pointed full-dimensional cone by the coset walk:
+    the generators and the lattice points of each simplex's half-open
+    parallelepiped, then, in degree order, those whose facet values dominate
+    no kept point's; independent of the continued-fraction chain."""
+    candidates = {g.coords for g in c.generators}
+    for simplex in _triangulate(c):
+        candidates.update(p for p in _parallelepiped_points(simplex) if any(p))
+    normals = [m.coords for m in c.inequalities]
+    valued = [(tuple(_dot(m, p) for m in normals), p) for p in candidates]
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for vals, p in sorted(valued, key=lambda vp: (sum(vp[0]), vp[1])):
+        if not any(all(a >= b for a, b in zip(vals, h)) for h, _ in kept):
+            kept.append((vals, p))
+    return sorted(LatticeVector(p) for _, p in kept)
+
+
+def angular_order(points: list) -> list:
+    """Planar vectors in counterclockwise angular order; a total order when
+    they lie in a pointed cone (opening below pi)."""
+    return sorted(points, key=functools.cmp_to_key(lambda u, v: _turn((0, 0), tuple(v), tuple(u))))
+
+
 def angular_chain_floor(c: Cone) -> list[list[LatticeVector]]:
     """Lattice points on each compact edge of a rank-2 hull, by the angular
-    chain of the Hilbert basis: consecutive members span an edge, and a
-    collinear run shares one (normal, level); listed in (-k, n) order."""
-    chain = angular_order(hilbert_basis(c).members)
+    chain of the parallelepiped Hilbert basis: consecutive members span an
+    edge, and a collinear run shares one (normal, level); listed in (-k, n)
+    order."""
+    chain = angular_order(parallelepiped_hilbert_basis(c))
     edges: dict[tuple[tuple[int, int], int], set] = {}
     for a, b in zip(chain, chain[1:]):
         n = _gcd_normalize((b.coords[1] - a.coords[1], a.coords[0] - b.coords[0]))
@@ -483,11 +508,11 @@ def angular_chain_floor(c: Cone) -> list[list[LatticeVector]]:
 
 
 def hilbert_chain_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
-    """Minimal resolution of a rank-2 cone from its Hilbert basis in angular
-    order: the validated fan of consecutive pairs, and each b_i the quotient
-    of the three-term relation u_{i-1} + u_{i+1} = b_i * u_i, read
-    coordinatewise."""
-    chain = angular_order(hilbert_basis(c).members)
+    """Minimal resolution of a rank-2 cone from its parallelepiped Hilbert
+    basis in angular order: the validated fan of consecutive pairs, and each
+    b_i the quotient of the three-term relation u_{i-1} + u_{i+1} = b_i * u_i,
+    read coordinatewise."""
+    chain = angular_order(parallelepiped_hilbert_basis(c))
     fan = make_fan([simplicial_cone([u, v]) for u, v in zip(chain, chain[1:])])
     exceptional = []
     for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):

@@ -407,9 +407,23 @@ def test_completion_all_capped(tmp_path, capsys):
     outfile = tmp_path / "out.json"
     assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "all"]) == 1
     err = capsys.readouterr().err
-    assert "2048" in err and "Traceback" not in err
+    assert "2^11" in err and "Traceback" not in err
     assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "2047"]) == 0
     assert len(json.loads(outfile.read_text())["results"][0]["completions"]) == 1
+
+
+def test_completion_all_refusal_names_the_count_as_a_power_of_two(tmp_path, capsys):
+    # 200 unit squares: 2^200 completions, a 61-digit number, named in one short line
+    strip = {"lattice_rank": 3, "cones": [{"generators": [[0, 0, 1], [200, 0, 1], [200, 1, 1], [0, 1, 1]]}]}
+    infile = write_job(tmp_path, "in.json", strip)
+    outfile = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", "all"]) == 1
+    assert time.perf_counter() - start < 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, lines
+    assert "2^200 completions (200 unit parallelograms)" in lines[0]
+    assert not outfile.exists()
 
 
 def test_resolve3d_job_resolves_each_piece_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toresolve import hilbert, lattice
 from toresolve.classify import classify
 from toresolve.cli import main
 from toresolve.cones import ConeError, dual_cone, make_cone
@@ -16,16 +17,21 @@ from toresolve.hilbert import (
     embedding_dimension,
     floor_facets,
     hilbert_basis,
+    hilbert_chain,
     toric_relations,
 )
 from toresolve.lattice import IntMatrix, LatticeVector, adjugate, smith_normal_form
+from toresolve.resolve2d import cf_expansion, minimal_resolution
 
 from conftest import (
     box_hilbert_oracle,
+    count_calls,
     dd_floor_facets,
     gauss_jordan_solve,
+    parallelepiped_hilbert_basis,
     random_pointed_cone,
     random_rank3_cones,
+    unimodular_2x2,
     unimodular_from_ops,
 )
 from test_cli import HOSTILE_JOBS, write_job
@@ -251,6 +257,81 @@ def test_edim_at_least_rank_with_equality_iff_basic(rng):
         e = embedding_dimension(c)
         assert e >= c.lattice_rank
         assert (e == c.lattice_rank) == is_basic(c)
+
+
+def normal_form_cones(seed: int) -> list:
+    """The cones (0, 1), (n, -q) for every coprime 0 <= q < n <= 60 and for
+    20 seeded n <= 2,000, each followed by its image under a random GL(2, Z)
+    map with entries in [-5, 5]."""
+    rng = random.Random(seed)
+    pairs = [(n, q) for n in range(1, 61) for q in range(n) if math.gcd(n, q) == 1]
+    drawn = []
+    while len(drawn) < 20:
+        n = rng.randint(61, 2000)
+        q = rng.randrange(n)
+        if math.gcd(n, q) == 1:
+            drawn.append((n, q))
+    maps = unimodular_2x2()
+    cones = []
+    for n, q in pairs + drawn:
+        (a, b), (c, d) = rng.choice(maps)
+        gens = [(0, 1), (n, -q)]
+        cones.append(make_cone([V(*g) for g in gens]))
+        cones.append(make_cone([V(a * x + b * y, c * x + d * y) for x, y in gens]))
+    return cones
+
+
+def test_rank2_hilbert_basis_matches_parallelepiped_oracle():
+    """The continued-fraction chain, sorted, is the Hilbert basis found by
+    the parallelepiped walk and its domination filter, on every coprime
+    n/q with n <= 60, on seeded n <= 2,000 and on GL(2, Z) images of both."""
+    cones = normal_form_cones(20261021)
+    assert len(cones) > 2_000
+    for c in cones:
+        assert list(hilbert_basis(c).members) == parallelepiped_hilbert_basis(c), c
+
+
+def test_hilbert_chain_runs_from_generator_to_generator_in_basic_steps():
+    """The chain starts at one generator and ends at the far one,
+    counterclockwise; consecutive members have det 1, and its terms are the
+    continued fraction of n/q and satisfy u_{i-1} + u_{i+1} = b_i u_i."""
+    det = lambda u, v: u.coords[0] * v.coords[1] - u.coords[1] * v.coords[0]
+    for c in normal_form_cones(7):
+        chain, terms = hilbert_chain(c)
+        assert {chain[0], chain[-1]} == set(c.generators), c
+        n = det(chain[0], chain[-1])
+        assert n > 0, c
+        assert all(det(u, v) == 1 for u, v in zip(chain, chain[1:])), c
+        assert len(terms) == len(chain) - 2
+        for u_prev, u, u_next, b in zip(chain, chain[1:], chain[2:], terms):
+            assert u_prev + u_next == b * u and b >= 2, c
+        if n > 1:
+            # the far generator is n u_1 - q u_0
+            q = det(chain[1], chain[-1])
+            assert terms == cf_expansion(n, q).terms, c
+
+
+def test_rank2_routes_walk_no_cosets(monkeypatch):
+    """In rank 2 the Hilbert basis, the embedding dimension, the hull floor
+    and the minimal resolution come from the chain alone: no parallelepiped
+    or lower-point walk and no planar hull runs, on the 12-term cone and a
+    seeded draw."""
+    rng = random.Random(29)
+    cones = [make_cone([V(0, 1), V(121393, -46368)]), make_cone([V(1, 0), V(1, 10007)])]
+    while len(cones) < 60:
+        c = random_pointed_cone(rng, 2, coord_bound=30)
+        if c is not None and c.is_full_dimensional:
+            cones.append(c)
+    calls = [
+        count_calls(monkeypatch, fn)
+        for fn in (hilbert._parallelepiped_points, hilbert._lower_points, lattice.convex_hull_2d)
+    ]
+    for c in cones:
+        hilbert_basis(c)
+        embedding_dimension(c)
+        floor_facets(c)
+        minimal_resolution(c)
+    assert calls == [[], [], []]
 
 
 def test_floor_facets_running_example():

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from toresolve import hilbert
-from toresolve.cones import is_basic, make_cone
+from toresolve.cones import is_basic, make_cone, make_fan, simplicial_cone
 from toresolve.hilbert import hilbert_basis
 from toresolve.resolve2d import Resolve2dError, cf_expansion, minimal_resolution
+from toresolve.resolve3d import resolve
 from toresolve.lattice import LatticeVector
 
-from conftest import count_calls, hilbert_chain_resolution, random_pointed_cone
+from conftest import count_calls, hilbert_chain_resolution, random_pointed_cone, unimodular_2x2
 from test_resolve3d import floor_corpus
 
 
@@ -99,10 +100,11 @@ def test_rays_equal_hilbert_basis_random(rng):
 def test_minimal_resolution_matches_validated_fan(monkeypatch):
     """On 300 seeded rank-2 cones, the rank-2 floor corpus and the 12-term
     cone (0,1), (121393, -46368), n/q = [3, ..., 3], the fan and the
-    self-intersections read off the hull floor equal the validated fan of
-    the Hilbert basis in angular order and the quotients of its three-term
-    relations; no Hilbert basis is computed, and the 12-term cone, whose
-    parallelepiped has 121,393 points, resolves in under 2 s."""
+    self-intersections read off the continued-fraction chain equal the
+    validated fan of the parallelepiped Hilbert basis in angular order and
+    the quotients of its three-term relations; no Hilbert basis is computed,
+    and the 12-term cone, whose parallelepiped has 121,393 points, resolves
+    in under 2 s."""
     rng = random.Random(20261019)
     corpus = []
     while len(corpus) < 300:
@@ -122,6 +124,28 @@ def test_minimal_resolution_matches_validated_fan(monkeypatch):
         assert got == hilbert_chain_resolution(c), c
     assert sum(bool(exc) for _, exc in resolved) >= 200
     assert [b for _, b in resolved[-1][1]] == [-3] * 12
+
+
+def test_minimal_resolution_times_a_ray_is_the_resolution_of_the_product():
+    """For sigma = cone((0, 1), (n, 1 - n)), n = 2 ... 30, and two random
+    GL(2, Z) images of each, the rank-3 pipeline resolves sigma x R>=0 into
+    the cones of the minimal resolution of sigma, each joined with e_3."""
+    rng = random.Random(29)
+    maps = unimodular_2x2()
+    e3 = V(0, 0, 1)
+    checked = 0
+    for n in range(2, 31):
+        for (a, b), (c, d) in [((1, 0), (0, 1)), rng.choice(maps), rng.choice(maps)]:
+            gens = [V(a * x + b * y, c * x + d * y) for x, y in [(0, 1), (n, 1 - n)]]
+            fan2, _exc = minimal_resolution(make_cone(gens))
+            fan3, _trace = resolve(make_cone([V(*g.coords, 0) for g in gens] + [e3]))
+            product = [
+                simplicial_cone([V(*g.coords, 0) for g in mc.generators] + [e3]) for mc in fan2.maximal_cones
+            ]
+            assert len(fan2.maximal_cones) == n
+            assert fan3 == make_fan(product), gens
+            checked += 1
+    assert checked == 87
 
 
 def test_minimal_resolution_rejects_other_ranks():

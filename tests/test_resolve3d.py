@@ -150,9 +150,10 @@ def floor_corpus() -> tuple:
 
 
 def test_floor_facets_match_double_description_oracle(monkeypatch):
-    """The floor found over the lower points equals the 4-D double
-    description, list order included, and in rank 2 the angular chain of
-    the Hilbert basis; each facet's normal, level and vertices are those
+    """The floor found over the lower points, or over the continued-fraction
+    chain in rank 2, equals the 4-D double description of the
+    parallelepiped Hilbert basis, list order included, and in rank 2 the
+    angular chain of that basis; each facet's normal, level and vertices are those
     re-derived from its points alone; no Hilbert basis is computed; and the
     fan built from the floor equals the validated fan of the oracle's
     pieces.  The draw holds cones of index > 1, cones that are not
