@@ -249,7 +249,10 @@ def _grading_slab_points(c: Cone) -> set[tuple[int, ...]]:
     not canonical, where the primitive point on its ray is listed, below
     grading one too.  So the flags read the same off either set: canonical
     when every point has grading one, terminal when they are also just the
-    generators.
+    generators.  The slab is the same over any triangulation on the
+    generators that covers the cone; the rays lie on the plane <m, x> = 1,
+    so every pulling apex has the same determinant sum and the walk keeps
+    the first ray's simplices (see ``hilbert._triangulate``).
     """
     return _cone_lower_points(c)
 

@@ -301,8 +301,8 @@ def _completions_json(piece, which: str, first) -> list[dict]:
         index = int(which) if which.isascii() and which.isdigit() else -1
         if not 0 <= index < count:
             raise ValueError(
-                f"--completion {which}: expected 'all' or an index from 0 to "
-                f"{count - 1} ({count} completions)"
+                f"--completion {which}: expected 'all' or an index below the "
+                f"2^{p} completions ({p} unit parallelograms)"
             )
         indices = [index]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,20 +39,38 @@ class HilbertBasis:
 def _triangulate(c: Cone) -> list[tuple[LatticeVector, ...]]:
     """Pulling triangulation of a pointed cone into simplicial cones.
 
-    The first ray is joined to a triangulation of each facet that misses it:
-    a facet on dim - 1 rays is a simplex already, any other is triangulated
-    in turn as the cone on its rays.  In dimension 3 every facet is a simplex.
+    The apex is joined to a triangulation of each facet that misses it: a
+    facet on dim - 1 rays is a simplex already, any other is triangulated in
+    turn as the cone on its rays.  In dimension 3 every facet is a simplex.
+
+    The coset walks cost the simplices' determinant sum, so a
+    full-dimensional rank-3 cone is pulled from the generator a with the
+    least sum_F <m_F, a> w_F over its facets F = pos(g, h), m_F the inward
+    primitive normal and w_F = gcd(g x h), which is |det(a, g, h)| summed
+    over the facets a misses (Normaliz too keeps this sum small; Bruns-Ichim,
+    J. Algebra 2010).  Ties go to the first generator, so a cone on coplanar
+    rays, where every apex gives the same sum, keeps its simplices; other
+    ranks pull from the first ray.  The Hilbert basis and the hull floor are
+    unique and the walks find them over any triangulation on the generators
+    that covers the cone, so the apex changes no output.
     """
     gens = c.generators
     if len(gens) == c.dim:
         return [gens]
-    apex = gens[0]
+    # pairings[f][j] = <m_f, g_j>, zero exactly when g_j lies on facet f
+    coords = [g.coords for g in gens]
+    pairings = [[sum(map(operator.mul, m.coords, g)) for g in coords] for m in c.inequalities]
+    facets = [tuple(g for g, v in zip(gens, row) if not v) for row in pairings]
+    apex = 0
+    if c.lattice_rank == 3 and c.is_full_dimensional:
+        widths = [math.gcd(*_cross(g.coords, h.coords)) for g, h in facets]
+        costs = [sum(map(operator.mul, column, widths)) for column in zip(*pairings)]
+        apex = costs.index(min(costs))
     simplices = []
-    for m in c.inequalities:
-        if m.pair(apex) != 0:
-            facet = tuple(g for g in gens if m.pair(g) == 0)
+    for row, facet in zip(pairings, facets):
+        if row[apex] != 0:
             parts = [facet] if len(facet) == c.dim - 1 else _triangulate(make_cone(list(facet)))
-            simplices += [(apex, *p) for p in parts]
+            simplices += [(gens[apex], *p) for p in parts]
     return simplices
 
 
@@ -71,13 +90,17 @@ def _cosets(gens: tuple[LatticeVector, ...]) -> tuple[list[int], IntMatrix, IntM
     diag = [s.rows[i][i] for i in range(len(gens))]
     if any(x == 0 for x in diag):
         raise ConeError("parallelepiped of dependent vectors")
-    count = math.prod(abs(x) for x in diag)
+    _check_budget(gens, math.prod(abs(x) for x in diag))
+    return diag, u, v
+
+
+def _check_budget(gens: tuple[LatticeVector, ...], count: int) -> None:
+    """Refuse a parallelepiped of ``count`` > ``MAX_COSETS`` lattice points."""
     if count > MAX_COSETS:
         raise ConeError(
             f"the parallelepiped of the cone on {[g.coords for g in gens]} has {count} lattice points, "
             f"more than the {MAX_COSETS} that can be enumerated"
         )
-    return diag, u, v
 
 
 def _parallelepiped_points(gens: tuple[LatticeVector, ...]) -> list[tuple[int, ...]]:
@@ -141,7 +164,13 @@ def _cone_lower_points(c: Cone) -> set[tuple[int, ...]]:
     of the pulling triangulation of a pointed full-dimensional cone: its
     generators (one t_i is 1) and each simplex's ``_lower_points``.  The
     rank-3 hull floor is found over them and classify reads its grading slab
-    off them; a simplex too large to walk raises ``ConeError``."""
+    off them; a simplex too large to walk raises ``ConeError``.
+
+    A rank-3 cone is pulled from the apex with the least determinant sum
+    (see ``_triangulate``).  The set depends on the triangulation, what is
+    read off it does not: the floor is the same over any triangulation on
+    the generators that covers the cone (see ``_floor_3d``), and on the
+    slab's coplanar rays every apex ties and the first ray is kept."""
     points = {g.coords for g in c.generators}
     for simplex in _triangulate(c):
         points.update(_lower_points(simplex))
@@ -192,12 +221,12 @@ def hilbert_chain(c: Cone) -> tuple[tuple[LatticeVector, ...], tuple[int, ...]]:
     u_{i+1} = b_i u_i - u_{i-1} ends at b.  Consecutive members have det 1
     and every b_i >= 2, so the chain is the Hilbert basis, the lattice points
     of the hull floor and the rays of the minimal resolution.  A cone whose
-    parallelepiped has more than ``MAX_COSETS`` points is refused, as by the
-    coset walks.
+    parallelepiped has more than ``MAX_COSETS`` points, |n| of them, is
+    refused, as by the coset walks.
     """
-    _cosets(c.generators)
     a, b = (g.coords for g in c.generators)
     n = a[0] * b[1] - a[1] * b[0]
+    _check_budget(c.generators, abs(n))
     if n < 0:
         a, b, n = b, a, -n
     s, t = extended_gcd_vector(a)[1]
@@ -216,11 +245,17 @@ def hilbert_basis(c: Cone) -> HilbertBasis:
 
     A full-dimensional rank-2 cone takes the continued-fraction chain of
     ``hilbert_chain``; a cone of lower dimension is solved in its span
-    lattice.  Otherwise: pull the first ray to triangulate into simplicial
-    subcones, enumerate the lattice points of each fundamental half-open
-    parallelepiped, add the ray generators, then, in degree order, keep the
-    elements whose facet values dominate no kept element's.  Uniqueness
-    fails for non-pointed cones, which are rejected.
+    lattice.  Otherwise: triangulate into simplicial subcones by pulling
+    (in rank 3 from the apex with the least determinant sum, see
+    ``_triangulate``), enumerate the lattice points of each fundamental
+    half-open parallelepiped, add the ray generators, then, in degree order,
+    keep the elements whose facet values dominate no kept element's.  Every
+    Hilbert basis member is irreducible, so it lies in the half-open
+    parallelepiped of any simplex containing it or is a generator: any
+    triangulation on the generators that covers the cone gives the same
+    basis, and the apex only sets how many cosets are walked, the sum of the
+    simplices' |det|.  Uniqueness fails for non-pointed cones, which are
+    rejected.
     """
     if not c.is_pointed:
         raise ConeError("Hilbert basis requires a strongly convex cone")
@@ -275,8 +310,8 @@ def floor_facets(c: Cone) -> list[tuple[tuple[int, ...], int, list[tuple[int, ..
     exits, are found in integers.  In rank 2 the floor is the chain of
     ``hilbert_chain``, split into edges at its vertices (see ``_floor_2d``).
     In rank 3 it is gift-wrapped over ``_cone_lower_points``, the primitive
-    points sum t_i g_i with 0 < sum t_i <= 1 in some simplex of the pulling
-    triangulation: the first facet is pivoted about a floor edge on a wall of
+    points sum t_i g_i with 0 < sum t_i <= 1 in some simplex of a pulling
+    triangulation, whichever apex it is pulled from: the first facet is pivoted about a floor edge on a wall of
     the cone, then every polygon edge off the walls is pivoted about in turn
     (see ``_floor_3d``).
 

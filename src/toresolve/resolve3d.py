@@ -668,7 +668,7 @@ def completion(pc: PolygonComplex, index: int) -> tuple[Fan, SupportFunction]:
     """
     k = len(pc.parallelograms)
     if not 0 <= index < 2**k:
-        raise Resolve3dError(f"completion index {index} out of range ({2**k} completions)")
+        raise Resolve3dError(f"completion index {index} out of range: 2^{k} completions ({k} unit parallelograms)")
     bits = tuple((index >> (k - 1 - j)) & 1 for j in range(k))
     return _completion_for_bits(pc, bits)
 

@@ -38,7 +38,7 @@ from toresolve.cones import (
 )
 from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.divisors import SupportFunction, with_linear_representatives
-from toresolve.hilbert import _dot, _parallelepiped_points, _polygon, _sub, _triangulate, hilbert_basis
+from toresolve.hilbert import _dot, _parallelepiped_points, _polygon, _sub, hilbert_basis
 from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector, _turn
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, _wall_terms, _walls, blowup_fixed_point
 
@@ -469,13 +469,33 @@ def floor_polygon(tight: list[LatticeVector]) -> tuple[tuple[int, ...], int, lis
     return n, _dot(n, a), verts
 
 
+def pulling_triangulation(c: Cone, apex: int = 0) -> list[tuple[LatticeVector, ...]]:
+    """Pulling triangulation of a pointed cone from its generator number
+    ``apex``: joined to each facet that misses it, in the order of the
+    facet normals, a facet on more than dim - 1 rays pulled in turn from its
+    first ray.  The default is the first-ray rule in every rank, which the
+    oracles here use whatever apex ``hilbert._triangulate`` picks."""
+    gens = c.generators
+    if len(gens) == c.dim:
+        return [gens]
+    a = gens[apex]
+    simplices = []
+    for m in c.inequalities:
+        if m.pair(a) != 0:
+            facet = tuple(g for g in gens if m.pair(g) == 0)
+            parts = [facet] if len(facet) == c.dim - 1 else pulling_triangulation(make_cone(list(facet)))
+            simplices += [(a, *p) for p in parts]
+    return simplices
+
+
 def parallelepiped_hilbert_basis(c: Cone) -> list[LatticeVector]:
     """Hilbert basis of a pointed full-dimensional cone by the coset walk:
     the generators and the lattice points of each simplex's half-open
-    parallelepiped, then, in degree order, those whose facet values dominate
-    no kept point's; independent of the continued-fraction chain."""
+    parallelepiped over the first-ray pulling triangulation, then, in degree
+    order, those whose facet values dominate no kept point's; independent of
+    the continued-fraction chain and of the apex ``hilbert_basis`` pulls from."""
     candidates = {g.coords for g in c.generators}
-    for simplex in _triangulate(c):
+    for simplex in pulling_triangulation(c):
         candidates.update(p for p in _parallelepiped_points(simplex) if any(p))
     normals = [m.coords for m in c.inequalities]
     valued = [(tuple(_dot(m, p) for m in normals), p) for p in candidates]

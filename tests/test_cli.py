@@ -234,7 +234,7 @@ def test_completion_index_out_of_range_exits_one(tmp_path, capsys):
     for bad in ["99", "2", "-1", "first"]:
         assert main(["resolve3d", "--in", infile, "--out", outfile, "--completion", bad]) == 1
         err = capsys.readouterr().err
-        assert f"--completion {bad}" in err and "2 completions" in err
+        assert f"--completion {bad}" in err and "2^1 completions (1 unit parallelograms)" in err
         assert "Traceback" not in err
 
 
@@ -247,7 +247,7 @@ def test_completion_index_takes_only_ascii_digits(tmp_path, capsys, bad):
     outfile = tmp_path / "out.json"
     assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", bad]) == 1
     err = capsys.readouterr().err
-    assert f"--completion {bad}: expected 'all' or an index from 0 to 7 (8 completions)" in err
+    assert f"--completion {bad}: expected 'all' or an index below the 2^3 completions (3 unit parallelograms)" in err
     assert "Traceback" not in err and not outfile.exists()
 
 
@@ -423,6 +423,22 @@ def test_completion_all_refusal_names_the_count_as_a_power_of_two(tmp_path, caps
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 200, lines
     assert "2^200 completions (200 unit parallelograms)" in lines[0]
+    assert not outfile.exists()
+
+
+@pytest.mark.parametrize("bad", ["x", str(2**200)])
+def test_completion_index_refusal_names_the_count_as_a_power_of_two(tmp_path, capsys, bad):
+    # the same strip: an index that is no number, or one past the last, is refused in one line that
+    # names the count as 2^200 (the 61-digit count in full made it 202 characters long for "x")
+    strip = {"lattice_rank": 3, "cones": [{"generators": [[0, 0, 1], [200, 0, 1], [200, 1, 1], [0, 1, 1]]}]}
+    infile = write_job(tmp_path, "in.json", strip)
+    outfile = tmp_path / "out.json"
+    assert main(["resolve3d", "--in", infile, "--out", str(outfile), "--completion", bad]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"toresolve: --completion {bad}: expected 'all' or an index below the "
+        "2^200 completions (200 unit parallelograms)"
+    ]
     assert not outfile.exists()
 
 

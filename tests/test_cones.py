@@ -26,8 +26,9 @@ from toresolve.lattice import IntMatrix, LatticeVector, lattice_determinant, pri
 from toresolve.resolve3d import canonical_modification, completion, resolve_piece
 
 from conftest import (
-    brute_force_facets, fraction_rank, gauss_jordan_solve, random_independent_generators,
-    random_pointed_cone, random_rank3_cones, reference_extreme_rays, reference_make_cone,
+    brute_force_facets, fraction_rank, gauss_jordan_solve, pulling_triangulation,
+    random_independent_generators, random_pointed_cone, random_rank3_cones, reference_extreme_rays,
+    reference_make_cone,
 )
 
 
@@ -360,7 +361,7 @@ def test_membership_oracle_consistency(rng):
     cones = _accepted_draws(rng, lambda c: c.is_full_dimensional, 5, 50)
     checked = 0
     for c in cones:
-        simplices = _triangulate_for_test(c)
+        simplices = pulling_triangulation(c)
         for _ in range(200):
             p = LatticeVector(
                 tuple(rng.randint(-8, 8) for _ in range(c.lattice_rank))
@@ -372,12 +373,6 @@ def test_membership_oracle_consistency(rng):
             assert by_ineq == by_comb, (gens(c), p.coords)
             checked += 1
     assert checked == 1000
-
-
-def _triangulate_for_test(c):
-    from toresolve.hilbert import _triangulate
-
-    return _triangulate(c)
 
 
 def _in_simplex_combination(simplex, p):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toresolve import hilbert, lattice
-from toresolve.classify import classify
+from toresolve.classify import classify, convex_hull_2d
 from toresolve.cli import main
 from toresolve.cones import ConeError, dual_cone, make_cone
 from toresolve.hilbert import (
@@ -29,6 +29,7 @@ from conftest import (
     dd_floor_facets,
     gauss_jordan_solve,
     parallelepiped_hilbert_basis,
+    pulling_triangulation,
     random_pointed_cone,
     random_rank3_cones,
     unimodular_2x2,
@@ -314,8 +315,8 @@ def test_hilbert_chain_runs_from_generator_to_generator_in_basic_steps():
 def test_rank2_routes_walk_no_cosets(monkeypatch):
     """In rank 2 the Hilbert basis, the embedding dimension, the hull floor
     and the minimal resolution come from the chain alone: no parallelepiped
-    or lower-point walk and no planar hull runs, on the 12-term cone and a
-    seeded draw."""
+    or lower-point walk, no Smith form and no planar hull runs, on the
+    12-term cone and a seeded draw."""
     rng = random.Random(29)
     cones = [make_cone([V(0, 1), V(121393, -46368)]), make_cone([V(1, 0), V(1, 10007)])]
     while len(cones) < 60:
@@ -324,14 +325,42 @@ def test_rank2_routes_walk_no_cosets(monkeypatch):
             cones.append(c)
     calls = [
         count_calls(monkeypatch, fn)
-        for fn in (hilbert._parallelepiped_points, hilbert._lower_points, lattice.convex_hull_2d)
+        for fn in (
+            hilbert._parallelepiped_points,
+            hilbert._lower_points,
+            lattice.smith_normal_form,
+            lattice.convex_hull_2d,
+        )
     ]
     for c in cones:
         hilbert_basis(c)
         embedding_dimension(c)
         floor_facets(c)
         minimal_resolution(c)
-    assert calls == [[], [], []]
+    assert calls == [[], [], [], []]
+
+
+def test_rank2_coset_budget_is_read_off_the_determinant(monkeypatch):
+    """The chain refuses a cone of more than ``MAX_COSETS`` cosets with the
+    coset walks' message, on |det(a, b)| alone: no Smith form is taken."""
+    smith = count_calls(monkeypatch, lattice.smith_normal_form)
+    c = make_cone([V(1, 0), V(1, 10**18 + 3)])
+    with pytest.raises(ConeError) as refusal:
+        hilbert_basis(c)
+    assert str(refusal.value) == (
+        "the parallelepiped of the cone on [(1, 0), (1, 1000000000000000003)] has "
+        "1000000000000000003 lattice points, more than the 10000000 that can be enumerated"
+    )
+    # one coset past the budget, with det(a, b) of either sign for the sorted generators
+    signs = set()
+    for gens in ([V(0, 1), V(-(10**7) - 1, 5)], [V(1, 0), V(3, 10**7 + 1)]):
+        (a0, a1), (b0, b1) = (g.coords for g in make_cone(gens).generators)
+        assert abs(a0 * b1 - a1 * b0) == 10**7 + 1
+        signs.add(a0 * b1 - a1 * b0 > 0)
+        with pytest.raises(ConeError, match="has 10000001 lattice points"):
+            hilbert_basis(make_cone(gens))
+    assert signs == {False, True}
+    assert smith == []
 
 
 def test_floor_facets_running_example():
@@ -428,6 +457,89 @@ def test_lower_points_match_box_scan():
         walked = _lower_points(simplex)
         assert len(walked) == len(set(walked)), simplex
         assert sorted(walked) == box_lower_points(simplex), simplex
+
+
+def _covers(c, simplices) -> bool:
+    """Whether rank-3 simplices on generators of c tile it: each is
+    full-dimensional, each wall on a facet of c is that facet, once, and each
+    wall off the facets is shared by two simplices lying on opposite sides."""
+    walls: dict[frozenset, list[int]] = {}
+    for simplex in simplices:
+        if not set(simplex) <= set(c.generators) or det3(*simplex) == 0:
+            return False
+        for k in range(3):
+            u, v = sorted((simplex[k - 2], simplex[k - 1]))
+            walls.setdefault(frozenset((u, v)), []).append(det3(u, v, simplex[k]))
+    facets = {frozenset(g for g in c.generators if m.pair(g) == 0) for m in c.inequalities}
+    for wall, sides in walls.items():
+        if wall in facets:
+            if len(sides) != 1:
+                return False
+        elif len(sides) != 2 or sides[0] * sides[1] >= 0:
+            return False
+    return facets <= set(walls)
+
+
+def det3(a, b, c) -> int:
+    return IntMatrix((a.coords, b.coords, c.coords)).det()
+
+
+def test_rank3_apex_has_the_least_determinant_sum(monkeypatch):
+    """On the criterion-5 shapes, both conftest corpora and their duals,
+    ``_triangulate`` pulls from the first generator with the least sum of
+    |det| over the pulling triangulations from each generator: so never more
+    than the first-ray oracle's, strictly less on many duals and on some
+    primal cones, and the first ray on every tie, which takes in every cone
+    on coplanar rays.  The simplices tile the cone.  Wherever they differ
+    from the first ray's, ``hilbert_basis``, ``floor_facets`` and
+    ``classify`` (with the dual basis its embedding dimension counts) are
+    the same on the first-ray route."""
+    pts = list(itertools.product(range(4), repeat=2))
+    shapes = [comb for n in (3, 4) for comb in itertools.combinations(pts, n) if len(convex_hull_2d(list(comb))) == n]
+    cones = [make_cone([V(x, y, 1) for x, y in shape]) for shape in shapes]
+    cones += random_rank3_cones(27182818, 4, 300) + random_rank3_cones(20261019, 4, 300)
+    lower = {"primal": 0, "dual": 0}
+    moved = []
+    for c in cones:
+        differs = []
+        for side, cone in (("primal", c), ("dual", dual_cone(c))):
+            sums = [
+                sum(abs(det3(*s)) for s in pulling_triangulation(cone, j)) for j in range(len(cone.generators))
+            ]
+            chosen = _triangulate(cone)
+            assert chosen == pulling_triangulation(cone, sums.index(min(sums))), cone
+            assert sum(abs(det3(*s)) for s in chosen) == min(sums) <= sums[0], cone
+            assert _covers(cone, chosen), cone
+            if c.grading is not None and side == "primal":
+                assert len(set(sums)) == 1, cone
+            lower[side] += min(sums) < sums[0]
+            differs.append(chosen != pulling_triangulation(cone))
+        if any(differs):
+            moved.append((c, *differs))
+    assert lower["dual"] >= 400 and lower["primal"] >= 50, lower
+
+    def outputs():
+        dual_bases = {}
+        real_basis = hilbert.hilbert_basis
+
+        def recorded(cone):
+            dual_bases[cone] = real_basis(cone)
+            return dual_bases[cone]
+
+        found = []
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "hilbert_basis", recorded)
+            for c, primal, _dual in moved:
+                report = classify(c)
+                # classify's embedding dimension is the size of the dual basis it recorded
+                found.append((report, dual_bases.pop(dual_cone(c))))
+                if primal:
+                    found.append((real_basis(c), floor_facets(c)))
+        return found
+
+    chosen = outputs()
+    monkeypatch.setattr(hilbert, "_triangulate", pulling_triangulation)
+    assert outputs() == chosen
 
 
 def test_floor_facets_on_lower_points_match_oracles(tmp_path, capsys):

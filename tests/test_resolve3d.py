@@ -539,8 +539,10 @@ def test_completion_by_index_in_diagonal_choice_order():
         assert len(comps) == 2 ** len(pc.parallelograms)
         for i in range(len(comps)):
             assert completion(pc, i) == comps[i] == by_choice[i]
+        k = len(pc.parallelograms)
         for bad in (-1, len(comps)):
-            with pytest.raises(Resolve3dError, match="out of range"):
+            named = rf"out of range: 2\^{k} completions \({k} unit parallelograms\)$"
+            with pytest.raises(Resolve3dError, match=named):
                 completion(pc, bad)
 
 
