@@ -1,10 +1,12 @@
 """Singularity classification: the recapitulation-table flags plus polytope predicates.
 
 A cone is graded by the rational functional equal to one on its generators
-(when it exists); terminal/canonical are decided on its primitive lattice
-points at grading at most one (``_grading_slab_points``), Gorenstein by
-integrality of the functional, and local-complete-intersection via the
-stacked-polytope normal form of the height-one cross-section.
+(when it exists); Gorenstein is integrality of the functional, and
+local-complete-intersection the stacked-polytope normal form of the
+height-one cross-section.  Terminal/canonical come from closed forms in rank
+<= 2 (Gorenstein, smooth) and at index one in rank 3 (the cross-section is
+elementary), and elsewhere from the primitive lattice points at grading at
+most one (``_grading_slab_points``).
 """
 
 from __future__ import annotations
@@ -242,6 +244,9 @@ def gorenstein_data(c: Cone) -> tuple[Covector, int] | None:
 def _grading_slab_points(c: Cone) -> set[tuple[int, ...]]:
     """Primitive lattice points of a Q-Gorenstein cone with grading at most one.
 
+    ``classify`` walks it only where no closed form decides its flags: in
+    rank 3 at index > 1 and in rank >= 4.
+
     The grading m is one on each generator g_i, so a point sum t_i g_i of a
     simplex has <m, x> = sum t_i: the walk ``hilbert._cone_lower_points``
     lists exactly the primitive slab points.  A non-primitive slab point
@@ -282,6 +287,18 @@ def classify(c: Cone) -> SingularityReport:
     Low-dimensional cones are classified through their span lattice (the
     chart splits off a torus factor there); a refusal names the input cone.
     ``rational`` is constitutively true for this class of singularities.
+
+    ``canonical`` and ``terminal`` come from a closed form where one decides:
+    - in rank <= 2, where every cone is Q-Gorenstein, canonical means Du Val,
+      that is Gorenstein (q = n - 1 in cone(e2, n e1 - q e2)), and terminal
+      means smooth (n = 1);
+    - in rank 3 at index one the cone is canonical, and terminal exactly when
+      its height-one polygon is elementary (Reid, *Young person's guide to
+      canonical singularities*, 1987; Morrison-Stevens, Proc. AMS 1984); the
+      polygon is the one ``lci`` reads;
+    - otherwise (rank 3 at index > 1, rank >= 4) they are read off the
+      grading slab (``_grading_slab_points``), and are false without a
+      grading.
     """
     if not c.is_pointed:
         raise ClassifyError("classification requires a pointed cone")
@@ -290,20 +307,27 @@ def classify(c: Cone) -> SingularityReport:
         c, _ = _to_sublattice(c)
     gd = gorenstein_data(c)
     gorenstein = gd is not None and gd[1] == 1
-    canonical = terminal = False
-    if gd is not None:
-        try:
-            slab = _grading_slab_points(c)
-        except ConeError as e:
-            raise ClassifyError(f"classification of {named}: {e}") from e
-        canonical = all(sum(map(operator.mul, gd[0].coords, x)) == 1 for x in slab)
-        terminal = canonical and slab == {g.coords for g in c.generators}
+    smooth = is_basic(c)
     lci: bool | None = None
     if gorenstein and c.lattice_rank <= 3:
         polytope, _basis = height_one_polytope(c, gd[0])
         lci = is_nakajima(polytope)
+    try:
+        if c.lattice_rank <= 2:
+            canonical, terminal = gorenstein, smooth
+        elif gorenstein and c.lattice_rank == 3:
+            canonical, terminal = True, is_elementary(polytope)
+        elif gd is not None:
+            slab = _grading_slab_points(c)
+            canonical = all(sum(map(operator.mul, gd[0].coords, x)) == 1 for x in slab)
+            terminal = canonical and slab == {g.coords for g in c.generators}
+        else:
+            canonical = terminal = False
+        embedding_dim = embedding_dimension(c)
+    except ConeError as e:
+        raise ClassifyError(f"classification of {named}: {e}") from e
     return SingularityReport(
-        smooth=is_basic(c),
+        smooth=smooth,
         q_factorial=c.is_simplicial,
         q_gorenstein=gd,
         gorenstein=gorenstein,
@@ -311,13 +335,24 @@ def classify(c: Cone) -> SingularityReport:
         canonical=canonical,
         log_terminal=gd is not None,
         lci=lci,
-        embedding_dim=embedding_dimension(c),
+        embedding_dim=embedding_dim,
     )
 
 
 def is_elementary(p: LatticePolytope) -> bool:
-    """True when the polytope's only lattice points are its vertices."""
-    return set(p.lattice_points()) == set(p.vertices)
+    """True when the polytope's only lattice points are its vertices.
+
+    Read off Pick's formula, with no point listed: a polygon with B boundary
+    and I interior points has doubled area 2I + B - 2, so it is elementary
+    exactly when every edge is primitive (B is the vertex count) and its
+    doubled area is the vertex count less two (I = 0).  A segment is
+    elementary when it is primitive, and a point always is.
+    """
+    if p.dimension == 0:
+        return True
+    if p.dimension == 1:
+        return lattice_length(*p.vertices) == 1
+    return p.area2() == len(p.vertices) - 2 and all(lattice_length(a, b) == 1 for a, b in p.edges())
 
 
 # ---------------------------------------------------------------------------

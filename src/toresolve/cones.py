@@ -72,7 +72,7 @@ def extreme_rays(
     1996).  So every adjacent combination is extreme, and none lies in the
     lineality span: the result needs no final check.
     """
-    lineality = list(IntMatrix.identity(dim).rows)
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
     for n, a in enumerate(filter(any, constraints)):

@@ -446,7 +446,9 @@ def _fourier_motzkin(ineqs: list[tuple[dict[int, int], int]], variables: list[in
     the gcd of its entries: a positive multiple of the rational combination,
     so every bound, and every value found by back-substitution (the midpoint
     of the tightest bounds, the one tight bound, or 0), is that of rational
-    elimination.  The values are ``Fraction``s.
+    elimination.  The values are back-substituted in integers, as
+    numerators over one common denominator: returns (numerators, den) with
+    den the least common denominator of the values.
     """
     position = {v: i for i, v in enumerate(variables)}
     buckets: list[list[tuple[dict[int, int], int]]] = [[] for _ in variables]
@@ -479,29 +481,40 @@ def _fourier_motzkin(ineqs: list[tuple[dict[int, int], int]], variables: list[in
                 if not file({v: c for v, c in comb.items() if c}, q * a + p * b):
                     return None
         assignments.append((var, lowers, uppers))
-    values: dict[int, Fraction] = {}
+    # every value is its numerator in values over den, the least common
+    # denominator of the values found so far
+    values: dict[int, int] = {}
+    den = 1
 
-    def bound(lhs: dict[int, int], rhs: int, var: int) -> Fraction:
-        # (rhs - sum of c * x over the other variables) / lhs[var], over one common denominator
-        terms = [(c, values[v]) for v, c in lhs.items() if v != var]
-        den = math.lcm(*(x.denominator for _c, x in terms))
-        num = rhs * den - sum(c * x.numerator * (den // x.denominator) for c, x in terms)
-        return Fraction(num, lhs[var] * den)
+    def bound(lhs: dict[int, int], rhs: int, var: int) -> tuple[int, int]:
+        # (rhs - sum of c * x over the other variables) / lhs[var], with a positive denominator
+        num = rhs * den - sum(c * values[v] for v, c in lhs.items() if v != var)
+        return (num, lhs[var] * den) if lhs[var] > 0 else (-num, -lhs[var] * den)
+
+    def tightest(bounds, sign: int):
+        best = None
+        for num, d in bounds:
+            if best is None or sign * (num * best[1] - best[0] * d) > 0:
+                best = (num, d)
+        return best
 
     for var, lowers, uppers in reversed(assignments):
-        lo = max((bound(l, r, var) for l, r in lowers), default=None)
-        up = min((bound(l, r, var) for l, r in uppers), default=None)
+        lo = tightest((bound(l, r, var) for l, r in lowers), 1)
+        up = tightest((bound(l, r, var) for l, r in uppers), -1)
         if lo is not None and up is not None:
-            if lo > up:
+            if lo[0] * up[1] > up[0] * lo[1]:
                 return None
-            values[var] = (lo + up) / 2
-        elif lo is not None:
-            values[var] = lo
-        elif up is not None:
-            values[var] = up
+            num, d = lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1]
         else:
-            values[var] = Fraction(0)
-    return values
+            num, d = lo or up or (0, 1)
+        g = math.gcd(num, d)
+        num, d = num // g, d // g
+        scale = d // math.gcd(den, d)
+        if scale > 1:
+            values = {v: x * scale for v, x in values.items()}
+            den *= scale
+        values[var] = num * (den // d)
+    return values, den
 
 
 def _parallelogram_diagonals(cell: LatticePolytope):
@@ -634,9 +647,9 @@ def _completion_for_bits(pc: PolygonComplex, bits: tuple[int, ...]) -> tuple[Fan
         sol = _fourier_motzkin(ineqs, list(range(len(var_index))))
         if sol is None:
             raise Resolve3dError("diagonal-choice system unexpectedly infeasible")
-        denom = math.lcm(*(v.denominator for v in sol.values()))
+        numerators, _den = sol
         for p, i in var_index.items():
-            chi[p] = int(sol[i] * denom)
+            chi[p] = numerators[i]
     heights = _composite_heights(pc, chi, tris)
     fan = Fan(lattice_rank=3, maximal_cones=tuple(known[t][0] for t in tris))
     vars(fan)["_rays"] = tuple(lift for lift, _image in rays.values())

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from toresolve import hilbert
 from toresolve.classify import (
     ClassifyError,
     LatticePolytope,
@@ -35,6 +36,7 @@ from conftest import (
     random_pointed_cone,
     random_polygon,
     random_rank3_cones,
+    unimodular_from_ops,
 )
 
 
@@ -254,6 +256,110 @@ def test_is_elementary_examples():
     assert is_elementary(LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)]))
     assert is_elementary(LatticePolytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)]))
     assert not is_elementary(LatticePolytope.from_points([(0, 0), (2, 0), (0, 2)]))
+
+
+def _criterion5_shapes() -> list[tuple[tuple[int, int], ...]]:
+    """The 1,554 triangles and quadrilaterals on the points of [0, 3]^2."""
+    pts = list(itertools.product(range(4), repeat=2))
+    return [comb for n in (3, 4) for comb in itertools.combinations(pts, n) if len(convex_hull_2d(list(comb))) == n]
+
+
+def test_is_elementary_matches_point_list_oracle():
+    """Pick's reading of ``is_elementary`` (primitive edges, doubled area the
+    vertex count less two) agrees with the point-list definition, the box
+    scan's points being the vertices, on the criterion-5 shapes, the C3
+    hulls and the oracle polytopes' points, segments and thin polygons; it
+    lists no point, so a unimodular triangle with a 10^30 coordinate is
+    decided at once."""
+    polytopes = [LatticePolytope.from_points(shape) for shape in _criterion5_shapes()]
+    polytopes += [LatticePolytope.from_points(hull) for hull in c3_hulls()]
+    polytopes += _oracle_polytopes(random.Random(31))
+    seen = set()
+    for p in polytopes:
+        fresh = LatticePolytope(p.vertices)
+        assert is_elementary(fresh) == (set(box_lattice_points(p)) == set(p.vertices)), p
+        assert "_points" not in vars(fresh), p
+        seen.add((p.dimension, is_elementary(p)))
+    assert seen == {(0, True), (1, True), (1, False), (2, True), (2, False)}, seen
+    huge = 10**30
+    assert is_elementary(LatticePolytope.from_points([(0, 0), (1, 0), (huge, 1)]))
+    # the shear (x + 10^30 y, y) of the triangle (0, 0), (2, 1), (1, 2), whose edges are primitive
+    assert not is_elementary(LatticePolytope.from_points([(0, 0), (2 + huge, 1), (1 + 2 * huge, 2)]))
+    assert is_elementary(LatticePolytope.from_points([(0, 0, 0), (1, huge, 2)]))
+    assert not is_elementary(LatticePolytope.from_points([(0, 0, 0), (2, huge, 2)]))
+
+
+class _WalkReached(Exception):
+    """Raised by a stubbed lattice walk."""
+
+
+def test_closed_forms_walk_no_slab(monkeypatch):
+    """With the grading-slab walk and the lower-point walk stubbed to raise,
+    classify still answers on every criterion-5 shape (index one in rank 3:
+    canonical, and terminal exactly when the box scan finds no lattice point
+    of the polygon but its vertices), on every rank-2 cone
+    cone(e2, n e1 - q e2) with coprime 0 <= q < n <= 60 (canonical exactly
+    when q = n - 1, terminal exactly when n = 1), and on plane cones and
+    rays in rank 3; a rank-3 cone of index two and the rank-4 cube cone
+    still reach the walk.  The embedding dimension, which the flags do not
+    need, is stubbed too."""
+
+    def refuse(*args):
+        raise _WalkReached
+
+    module = sys.modules["toresolve.classify"]
+    monkeypatch.setattr(module, "_grading_slab_points", refuse)
+    monkeypatch.setattr(hilbert, "_lower_points", refuse)
+    monkeypatch.setattr(module, "embedding_dimension", lambda c: None)
+    for shape in _criterion5_shapes():
+        r = classify(make_cone([V(x, y, 1) for x, y in shape]))
+        polygon = LatticePolytope.from_points(shape)
+        assert r.canonical and r.terminal == (set(box_lattice_points(polygon)) == set(polygon.vertices)), shape
+    for n in range(1, 61):
+        for q in range(n):
+            if math.gcd(n, q) == 1:
+                r = classify(make_cone([V(0, 1), V(n, -q)]))
+                assert (r.canonical, r.terminal) == (q == n - 1, n == 1), (n, q)
+                assert r.log_terminal and r.gorenstein == r.canonical and r.smooth == r.terminal, (n, q)
+    plane = {
+        ((1, 0, 0), (1, 2, 0)): (True, False),  # A1 in its span lattice
+        ((1, 0, 0), (-1, 3, 0)): (False, False),  # 1/3(1, 1), index three
+        ((1, 0, 0), (0, 1, 0)): (True, True),
+        ((1, 2, 3),): (True, True),  # a ray is smooth
+    }
+    for gens, flags in plane.items():
+        r = classify(make_cone([V(*g) for g in gens]))
+        assert (r.canonical, r.terminal) == flags, gens
+    walked = [
+        [V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)],
+        [V(*p, 1) for p in itertools.product((-1, 1), repeat=3)],
+    ]
+    for gens in walked:
+        with pytest.raises(_WalkReached):
+            classify(make_cone(gens))
+
+
+def test_classify_flags_invariant_under_gl3z_on_criterion5_shapes(monkeypatch):
+    """Every flag of each criterion-5 shape's cone is that of a seeded
+    GL(3,Z) image of it; at least half of the images move the grading off
+    (0, 0, 1).  The embedding dimension is stubbed: it is the dual Hilbert
+    basis, whose invariance ``test_hilbert`` checks."""
+    monkeypatch.setattr(sys.modules["toresolve.classify"], "embedding_dimension", lambda c: None)
+    rng = random.Random(20261021)
+    moved_gradings = 0
+    shapes = _criterion5_shapes()
+    for shape in shapes:
+        ops = [(tuple(rng.sample(range(3), 3)), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 4))]
+        u = unimodular_from_ops(ops, rng.random() < 0.5)
+        gens = [V(x, y, 1) for x, y in shape]
+        r, moved = classify(make_cone(gens)), classify(make_cone([u.apply(g) for g in gens]))
+        assert (r.smooth, r.q_factorial, r.gorenstein, r.terminal, r.canonical, r.log_terminal, r.lci) == (
+            moved.smooth, moved.q_factorial, moved.gorenstein, moved.terminal, moved.canonical,
+            moved.log_terminal, moved.lci,
+        ), (shape, ops)
+        assert moved.q_gorenstein[1] == 1, (shape, ops)
+        moved_gradings += moved.q_gorenstein[0] != r.q_gorenstein[0]
+    assert 2 * moved_gradings >= len(shapes), moved_gradings
 
 
 def test_nakajima_spot_checks_against_oracle():

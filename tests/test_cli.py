@@ -612,6 +612,24 @@ def test_low_dimensional_refusal_names_the_input_cone(tmp_path, capsys):
     assert not outfile.exists()
 
 
+def test_dual_walk_refusal_names_the_input_cone(tmp_path, capsys):
+    """A cone that is not Q-Gorenstein walks no grading slab, and its dual
+    has a simplex of 10^30 cosets: classify refuses it with exit 1 in under
+    a second, in one stderr line that names the input cone (not only the
+    dual simplex), and writes no output file."""
+    gens = [[1, 0, 0], [0, 1, 0], [1, 1, HUGE], [1, 0, 1]]
+    infile = write_job(tmp_path, "in.json", {"lattice_rank": 3, "cones": [{"generators": gens}]})
+    outfile = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["classify", "--in", infile, "--out", str(outfile)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("toresolve: classification of Cone[") and err.count("\n") == 1, err
+    named = err[: err.index("]: ")]
+    assert all(str(tuple(g)) in named for g in gens), err
+    assert not outfile.exists()
+
+
 PAST_BUDGET_2D = [[1, 0], [1, 10**18 + 3]]
 PAST_BUDGET_3D = [[1, 0, 0], [0, 1, 0], [1, 1, 10**9 + 7]]
 

@@ -600,10 +600,25 @@ def _coupled(ineqs) -> bool:
     return False
 
 
+def _fm_values(solved):
+    """``_fourier_motzkin``'s numerators over their common denominator as
+    ``Fraction``s, None when infeasible; the denominator must be the least
+    common one of the values."""
+    if solved is None:
+        return None
+    numerators, den = solved
+    values = {v: Fraction(x, den) for v, x in numerators.items()}
+    assert all(isinstance(x, int) for x in numerators.values())
+    assert den == math.lcm(*(x.denominator for x in values.values())), solved
+    return values
+
+
 def test_integer_fourier_motzkin_matches_fraction_oracle_on_seeded_systems(rng):
     """Integer elimination by occurrence gives the values of the rational
     elimination, or None with it, on random systems in a shuffled variable
-    order: feasible and infeasible ones, with free and with coupled variables."""
+    order: feasible and infeasible ones, with free and with coupled variables.
+    The values come back as integer numerators over their least common
+    denominator."""
     kinds = set()
     for _ in range(400):
         variables = rng.sample(range(10), rng.randint(1, 5))
@@ -611,7 +626,7 @@ def test_integer_fourier_motzkin_matches_fraction_oracle_on_seeded_systems(rng):
         for _row in range(rng.randint(1, 5)):
             support = rng.sample(variables, rng.randint(1, min(3, len(variables))))
             ineqs.append(({v: rng.choice((-3, -2, -1, 1, 2, 3)) for v in support}, rng.randint(-4, 4)))
-        values = _fourier_motzkin(ineqs, variables)
+        values = _fm_values(_fourier_motzkin(ineqs, variables))
         assert values == fraction_fourier_motzkin(ineqs, variables), (ineqs, variables)
         if values is not None:
             assert all(sum(c * values[v] for v, c in lhs.items()) >= rhs for lhs, rhs in ineqs)
@@ -623,7 +638,7 @@ def test_integer_fourier_motzkin_matches_fraction_oracle_on_seeded_systems(rng):
             kinds.add("coupled")
     assert kinds == {"feasible", "infeasible", "free", "coupled"}
     # a zero coefficient is no occurrence, and a variable-free row only decides feasibility
-    assert _fourier_motzkin([({0: 0, 1: 2}, 1)], [0, 1]) == {0: 0, 1: Fraction(1, 2)}
+    assert _fourier_motzkin([({0: 0, 1: 2}, 1)], [0, 1]) == ({0: 0, 1: 1}, 2)
     assert _fourier_motzkin([({0: 1, 1: -1}, 0), ({0: -1, 1: 1}, 1)], [0, 1]) is None
 
 
@@ -634,10 +649,10 @@ def test_integer_fourier_motzkin_matches_fraction_oracle_on_completion_systems(m
     systems = []
 
     def compared(ineqs, variables):
-        values = integer_fm(ineqs, variables)
-        assert values is not None and values == fraction_fourier_motzkin(ineqs, variables)
+        solved = integer_fm(ineqs, variables)
+        assert solved is not None and _fm_values(solved) == fraction_fourier_motzkin(ineqs, variables)
         systems.append(ineqs)
-        return values
+        return solved
 
     monkeypatch.setattr(resolve3d, "_fourier_motzkin", compared)
     strip = [(0, 0), (4, 0), (4, 1), (0, 1)]
