@@ -26,7 +26,6 @@ from .lattice import (
     _turn,
     adjugate,
     convex_hull_2d,
-    extended_gcd_vector,
     hyperplane_basis,
     integer_kernel,
 )
@@ -52,7 +51,8 @@ class LatticePolytope:
     count less one, capped by the ambient rank.  The lattice, interior and
     edge-interior points are found on first request, or set by the code that
     made the polytope, and kept, each in (x, y) order; the methods listing
-    them return fresh lists.
+    them return fresh lists.  The Pick counts and the cell tag are found on
+    first request and kept.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -67,11 +67,8 @@ class LatticePolytope:
         if not pts:
             raise ClassifyError("empty point set")
         if len(pts[0]) == 2:
-            hull = convex_hull_2d(pts)
-            if len(hull) >= 3:
-                start = hull.index(min(hull))
-                hull = hull[start:] + hull[:start]
-            return cls(vertices=tuple(hull))
+            # the monotone chain starts from the least vertex
+            return cls(vertices=tuple(convex_hull_2d(pts)))
         # dimension 0/1 in arbitrary ambient rank, or higher-rank input kept sorted
         uniq = sorted(set(pts))
         if len(uniq) > 2 and len(pts[0]) != 2:
@@ -88,17 +85,38 @@ class LatticePolytope:
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
+    @cached_property
+    def counts(self) -> tuple[int, int, int]:
+        """The doubled area A, the boundary point count B and the interior
+        point count I, with no point listed: A by the shoelace formula, B as
+        the sum of the edges' lattice lengths, and I = (A - B + 2) / 2 by
+        Pick's theorem.  A segment or a point is (0, all its points, 0)."""
+        if self.dimension < 2:
+            return 0, lattice_length(self.vertices[0], self.vertices[-1]) + 1, 0
+        v = self.vertices
+        edges = list(zip(v, v[1:] + v[:1]))
+        area2 = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
+        boundary = sum(math.gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+        return area2, boundary, (area2 - boundary + 2) // 2
+
+    @cached_property
+    def tag(self) -> dict:
+        """The facts of a polygon cell read off ``counts`` and the vertices:
+        the interior and edge-interior point counts (I and B less the
+        vertices), whether the polygon is basic (A = 1), and whether it is a
+        unit parallelogram: a quadrilateral with A = 2, which has B = 4 and
+        I = 0, so it is unimodularly the unit square."""
+        area2, boundary, interior = self.counts
+        return {
+            "interior_points": interior,
+            "edge_interior_points": boundary - len(self.vertices),
+            "basic": area2 == 1,
+            "unit_parallelogram": len(self.vertices) == 4 and area2 == 2,
+        }
+
     def area2(self) -> int:
         """Twice the euclidean area (the normalized lattice area)."""
-        if self.dimension < 2:
-            return 0
-        s = 0
-        n = len(self.vertices)
-        for i in range(n):
-            x0, y0 = self.vertices[i]
-            x1, y1 = self.vertices[(i + 1) % n]
-            s += x0 * y1 - x1 * y0
-        return abs(s)
+        return self.counts[0]
 
     def contains(self, p: tuple[int, ...]) -> bool:
         if self.dimension == 0:
@@ -135,8 +153,7 @@ class LatticePolytope:
 
     @cached_property
     def _interior(self) -> tuple[tuple[int, ...], ...]:
-        # Pick: the interior point count is (area2 - boundary count + 2) / 2
-        if self.area2() + 2 == sum(lattice_length(a, b) for a, b in self.edges()):
+        if not self.counts[2]:
             return ()
         boundary = set(self.boundary_points())
         return tuple(p for p in self._points if p not in boundary)
@@ -340,19 +357,10 @@ def classify(c: Cone) -> SingularityReport:
 
 
 def is_elementary(p: LatticePolytope) -> bool:
-    """True when the polytope's only lattice points are its vertices.
-
-    Read off Pick's formula, with no point listed: a polygon with B boundary
-    and I interior points has doubled area 2I + B - 2, so it is elementary
-    exactly when every edge is primitive (B is the vertex count) and its
-    doubled area is the vertex count less two (I = 0).  A segment is
-    elementary when it is primitive, and a point always is.
-    """
-    if p.dimension == 0:
-        return True
-    if p.dimension == 1:
-        return lattice_length(*p.vertices) == 1
-    return p.area2() == len(p.vertices) - 2 and all(lattice_length(a, b) == 1 for a, b in p.edges())
+    """True when the polytope's only lattice points are its vertices, that
+    is, when its boundary and interior counts (``counts``) add up to the
+    vertex count: no point is listed."""
+    return sum(p.counts[1:]) == len(p.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +372,14 @@ def is_nakajima(p: LatticePolytope) -> bool:
     """Equivalence to an inductively stacked polytope (dimension <= 2 only).
 
     Points and lattice segments are always stacked.  In the plane a stacked
-    polytope is unimodularly a region 0 <= x <= c, 0 <= y <= slope*x + h0
-    with integer slope; anchoring each edge in turn as the base determines
-    the lattice-height functional, and an integer shear must make the sides
-    vertical.  The scan over all edges and both orientations is exhaustive.
+    polygon is unimodularly the strip shape {0 <= x <= w, 0 <= y <= l(x)}
+    with l integral affine: some edge ab faces a parallel edge (in a
+    triangle, a vertex) at lattice distance w from the line ab, and both
+    edges joining the two sides have lattice length w.  For then, with ab
+    on x = 0 and the far side on x = w, each joining edge rises by a
+    multiple of w, so one integer shear makes the lower one horizontal and
+    the upper one integral; conversely the strip shape has these sides.  It
+    has at most four vertices.
     """
     if p.dimension > 2:
         raise ClassifyError("out of scope: stacked-polytope test only below dimension 3")
@@ -375,48 +387,16 @@ def is_nakajima(p: LatticePolytope) -> bool:
         raise ClassifyError("planar polytopes must be given in rank-2 coordinates")
     if p.dimension < 2:
         return True
-    verts = list(p.vertices)
-    n = len(verts)
+    v = p.vertices
+    n = len(v)
     if n > 4:
         return False
     for i in range(n):
-        for flip in (False, True):
-            a, b = verts[i], verts[(i + 1) % n]
-            before, after = verts[(i - 1) % n], verts[(i + 2) % n]
-            if flip:
-                a, b = b, a
-                before, after = after, before
-            d = (b[0] - a[0], b[1] - a[1])
-            c_len = math.gcd(*d)
-            dp = (d[0] // c_len, d[1] // c_len)
-            # inward primitive normal: lattice height above the base line
-            normal = (-dp[1], dp[0])
-            if flip:
-                normal = (dp[1], -dp[0])
-            height = lambda w: normal[0] * (w[0] - a[0]) + normal[1] * (w[1] - a[1])
-            _g, xi = extended_gcd_vector(dp)
-            xcoord = lambda w: xi[0] * (w[0] - a[0]) + xi[1] * (w[1] - a[1])
-            if n == 3:
-                w = before if before != b else after
-                yw, xw = height(w), xcoord(w)
-                if yw <= 0 or yw % c_len != 0:
-                    continue
-                if xw % yw == 0 or (c_len - xw) % yw == 0:
-                    return True
-            else:
-                wa, wb = before, after
-                ya, xa = height(wa), xcoord(wa)
-                yb, xb = height(wb), xcoord(wb)
-                if ya <= 0 or yb <= 0:
-                    continue
-                if xa % ya != 0:
-                    continue
-                k = -xa // ya
-                if xb + k * yb != c_len:
-                    continue
-                if (yb - ya) % c_len != 0:
-                    continue
-                return True
+        # the far side c..d: the opposite vertex of a triangle, the opposite edge of a quadrilateral
+        a, b, c, d = v[i], v[(i + 1) % n], v[(i + 2) % n], v[i - 1]
+        t = _turn(a, b, c)  # the lattice length of ab times the lattice distance w of c from its line
+        if t == _turn(a, b, d) and lattice_length(b, c) == t // lattice_length(a, b) == lattice_length(d, a):
+            return True
     return False
 
 

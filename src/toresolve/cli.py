@@ -264,21 +264,21 @@ def _cmd_resolve3d(cones, args) -> str:
         if args.completion is not None:
             # resolve() built completion 0 of every piece but a basic input cone
             first = trace.first_completions[0] if trace.first_completions else None
-            entry["completions"] = _completions_json(_only_piece(trace.pieces), args.completion, first)
+            entry["completions"] = _completions_json(_only_piece(c, trace.pieces), args.completion, first)
         results.append(entry)
     if args.svgfile:
-        svg = _draw(cones[0], _only_piece(trace.pieces)[0], args.scale)
+        svg = _draw(cones[0], _only_piece(cones[0], trace.pieces)[0], args.scale)
         with open(args.svgfile, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return serialize({"results": results})
 
 
-def _only_piece(pieces):
-    """The one canonical piece of a cone; rendering and completions need one."""
+def _only_piece(c: Cone, pieces):
+    """The one canonical piece of the cone ``c``; rendering and completions need one."""
     if len(pieces) != 1:
         raise ValueError(
             "rendering and completion listing support one-piece cones "
-            f"(got {len(pieces)} canonical pieces)"
+            f"({c} has {len(pieces)} canonical pieces)"
         )
     return pieces[0]
 
@@ -392,8 +392,11 @@ def render_svg(pc: PolygonComplex, scale: int = 40) -> str:
 def _cmd_render(cones, args) -> str:
     if len(cones) != 1:
         raise ValueError("render expects exactly one cone in the input file")
-    piece = _only_piece(canonical_modification(cones[0]).maximal_cones)
-    return _draw(cones[0], resolve_piece(piece)[0], args.scale)
+    c = cones[0]
+    if c.lattice_rank != 3:
+        raise ValueError(f"cannot draw {c}: render is a rank-3 operation")
+    piece = _only_piece(c, canonical_modification(c).maximal_cones)
+    return _draw(c, resolve_piece(piece)[0], args.scale)
 
 
 def _draw(c: Cone, pc: PolygonComplex, scale: int) -> str:

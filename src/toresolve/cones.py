@@ -232,11 +232,6 @@ def simplicial_cone(gens: list[LatticeVector]) -> Cone:
     result equals ``make_cone(gens)``; no double description is run, and
     dependent input raises ``ConeError``.
     """
-    return _simplicial_cone(gens)[0]
-
-
-def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int]:
-    """``simplicial_cone`` and the det of its primitive generator rows, in the order given."""
     rank = len(gens)
     if not gens or any(g.rank != rank for g in gens):
         raise ConeError(f"simplicial cone needs n vectors of rank n, got {rank}")
@@ -246,7 +241,7 @@ def _simplicial_cone(gens: list[LatticeVector]) -> tuple[Cone, int]:
         raise ConeError(f"linearly dependent generators {sorted(rows)}")
     sign = 1 if det > 0 else -1
     normals = [_gcd_normalize(tuple(sign * x for x in col)) for col in cols]
-    return _build_cone(rows, (), normals, (), rank), det
+    return _build_cone(rows, (), normals, (), rank)
 
 
 def _mapped_cones(cones: list[Cone], b: IntMatrix, images: dict) -> list[Cone]:

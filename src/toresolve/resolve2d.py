@@ -64,9 +64,9 @@ def minimal_resolution(c: Cone) -> tuple[Fan, list[tuple[LatticeVector, int]]]:
     ``hilbert.MAX_COSETS`` points raises ``ConeError``.
     """
     if c.lattice_rank != 2:
-        raise Resolve2dError("minimal resolution is a rank-2 operation")
+        raise Resolve2dError(f"minimal resolution of {c}: needs a rank-2 cone")
     if not (c.is_pointed and c.is_full_dimensional):
-        raise Resolve2dError("need a pointed full-dimensional cone")
+        raise Resolve2dError(f"minimal resolution of {c}: needs a pointed full-dimensional cone")
     chain, terms = hilbert_chain(c)
     cones = sorted(
         (simplicial_cone([u, v]) for u, v in zip(chain, chain[1:])),

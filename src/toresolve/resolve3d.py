@@ -53,38 +53,10 @@ WallTerms = tuple[tuple[Point, int], ...]
 # ---------------------------------------------------------------------------
 
 
-def _cell_tag(cell: LatticePolytope) -> dict:
-    # Pick: with normalized area A and B boundary points, (A - B + 2) / 2 points are interior
-    v = cell.vertices
-    area2 = cell.area2()
-    boundary = sum(math.gcd(q[0] - p[0], q[1] - p[1]) for p, q in zip(v, v[1:] + v[:1]))
-    interior = (area2 - boundary + 2) // 2
-    edge_interior = boundary - len(v)
-    is_parallelogram = (
-        len(cell.vertices) == 4
-        and tuple(a + c for a, c in zip(cell.vertices[0], cell.vertices[2]))
-        == tuple(b + d for b, d in zip(cell.vertices[1], cell.vertices[3]))
-    )
-    return {
-        "interior_points": interior,
-        "edge_interior_points": edge_interior,
-        "basic": area2 == 1,
-        "unit_parallelogram": is_parallelogram and area2 == 2 and not interior and not edge_interior,
-    }
-
-
-def _tag(cell: LatticePolytope) -> dict:
-    """The cell's tag, kept beside its other facts: cells are immutable."""
-    facts = vars(cell)
-    if "_tag" not in facts:
-        facts["_tag"] = _cell_tag(cell)
-    return facts["_tag"]
-
-
-def _tag_sums(tags) -> tuple[int, int, int, int]:
-    """Over the tags: the cells with interior points, the interior points,
-    the basic cells and the unit parallelograms."""
-    tags = list(tags)
+def _tag_sums(cells) -> tuple[int, int, int, int]:
+    """Over the cells' tags: the cells with interior points, the interior
+    points, the basic cells and the unit parallelograms."""
+    tags = [c.tag for c in cells]
     return (
         sum(1 for t in tags if t["interior_points"]),
         sum(t["interior_points"] for t in tags),
@@ -97,14 +69,14 @@ def _census(polygon: LatticePolytope, cells, sums: tuple[int, int, int, int], ve
     """The census of the cells, with ``sums`` their ``_tag_sums`` and
     ``vertices`` the number of their distinct vertices.  Cells that tile the
     polygon face to face, as a regular subdivision does, put each of its
-    lattice points at a vertex, inside one edge or inside one cell, so the
-    points inside edges are those left over."""
+    B + I lattice points at a vertex, inside one edge or inside one cell, so
+    the points inside edges are those left over."""
     with_interior, interior, basic, units = sums
     return {
         "cells": len(cells),
         "cells_with_interior_points": with_interior,
         "interior_points": interior,
-        "edge_interior_points": len(polygon._points) - vertices - interior,
+        "edge_interior_points": sum(polygon.counts[1:]) - vertices - interior,
         "basic_cells": basic,
         "unit_parallelograms": units,
     }
@@ -141,7 +113,7 @@ class PolygonComplex:
         return cls(polygon=polygon, cells=(polygon,), frame=frame)
 
     def tags(self) -> list[dict]:
-        return [_tag(c) for c in self.cells]
+        return [c.tag for c in self.cells]
 
     @cached_property
     def rays(self) -> dict[Point, tuple[LatticeVector, LatticeVector]]:
@@ -190,7 +162,7 @@ class PolygonComplex:
 
     def census(self) -> dict:
         vertices = len({p for c in self.cells for p in c.vertices})
-        return _census(self.polygon, self.cells, _tag_sums(map(_tag, self.cells)), vertices)
+        return _census(self.polygon, self.cells, _tag_sums(self.cells), vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +186,9 @@ def canonical_modification(c: Cone) -> Fan:
     its piece the grading (n / k, k), which the piece keeps as ``grading``.
     """
     if not (c.is_pointed and c.is_full_dimensional):
-        raise Resolve3dError("canonical modification needs a pointed full-dimensional cone")
+        raise Resolve3dError(f"canonical modification of {c}: needs a pointed full-dimensional cone")
     if c.lattice_rank > 3:
-        raise Resolve3dError("canonical modification implemented for rank <= 3")
+        raise Resolve3dError(f"canonical modification of {c}: implemented for rank <= 3")
     gd = gorenstein_data(c)
     if gd is not None and gd[1] == 1:
         pieces = [c]
@@ -291,13 +263,13 @@ def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope
 
     A piece's tight set lies in conv(tight) ∩ Z², so the two are equal, and
     the piece keeps the tight set as its lattice points, exactly when the
-    piece's Pick count (its tag) is |tight|.  All points of a ring piece
-    conv(argmin_a A1 ∪ argmin_a A0) lie where a is least or greatest on it
-    (De Loera–Rambau–Santos, *Triangulations*, §2.3 and §9.2), on two
-    parallel lines, so its vertices are the ends of the two lines: it has no
-    interior point, and its edge-interior points are its tight points less
-    its vertices; so are a central piece's when its Pick count finds no
-    interior point, and otherwise it finds both from its edges.
+    piece's point count B + I (``LatticePolytope.counts``) is |tight|.  All
+    points of a ring piece conv(argmin_a A1 ∪ argmin_a A0) lie where a is
+    least or greatest on it (De Loera–Rambau–Santos, *Triangulations*, §2.3
+    and §9.2), on two parallel lines, so its vertices are the ends of the
+    two lines: it has no interior point, and its edge-interior points are
+    its tight points less its vertices; so are a central piece's when its
+    counts have I = 0, and otherwise it finds both from its edges.
     """
     lifted = set(lifted)
     a1 = [p for p in cell._points if p in lifted]
@@ -326,12 +298,12 @@ def _envelope_subdivision(cell: LatticePolytope, lifted) -> list[LatticePolytope
             pieces.append((LatticePolytope(tuple(ring[start:] + ring[:start])), t1 + t0))
     cells = []
     for poly, tight in pieces:
-        facts = vars(poly)
-        tag = facts["_tag"] = _cell_tag(poly)
-        if len(tight) != tag["interior_points"] + tag["edge_interior_points"] + len(poly.vertices):
+        _area2, boundary, interior = poly.counts
+        if len(tight) != boundary + interior:
             raise Resolve3dError("envelope subdivision does not tile the cell")
+        facts = vars(poly)
         points = facts["_points"] = tuple(sorted(tight))
-        if tight is a1 and tag["interior_points"]:
+        if tight is a1 and interior:
             poly._interior, poly._edge_interior  # found from the edges, and kept
         else:  # every point is on the boundary
             facts.update(_interior=(), _edge_interior=tuple(p for p in points if p not in poly.vertices))
@@ -364,7 +336,7 @@ def _phase(pc: PolygonComplex, phase: str, centres) -> tuple[PolygonComplex, lis
     """
     rounds: list[PhaseRound] = []
     live = {id(c): c for c in pc.cells}
-    sums = _tag_sums(map(_tag, pc.cells))
+    sums = _tag_sums(pc.cells)
     lifted = list(pc.lifted)
     eligible = [c for c in pc.cells if centres(c)]
     remaining = {p for c in eligible for p in centres(c)}
@@ -375,7 +347,7 @@ def _phase(pc: PolygonComplex, phase: str, centres) -> tuple[PolygonComplex, lis
             born.extend(_envelope_subdivision(cell, centres(cell)))
             del live[id(cell)]
         live.update((id(c), c) for c in born)
-        sums = tuple(s - a + b for s, a, b in zip(sums, _tag_sums(map(_tag, eligible)), _tag_sums(map(_tag, born))))
+        sums = tuple(s - a + b for s, a, b in zip(sums, _tag_sums(eligible), _tag_sums(born)))
         lifted.append(tuple(sorted(remaining)))
         left = {p for c in born for p in centres(c)}
         if len(left) >= len(remaining):
@@ -777,7 +749,7 @@ def resolve(c: Cone) -> tuple[Fan, ResolutionTrace]:
     lattice (each cone basic w.r.t. its piece's working lattice).
     """
     if c.lattice_rank != 3 or not (c.is_pointed and c.is_full_dimensional):
-        raise Resolve3dError("resolve expects a pointed full-dimensional rank-3 cone")
+        raise Resolve3dError(f"resolution of {c}: needs a pointed full-dimensional rank-3 cone")
     if is_basic(c):
         return make_fan([c]), ResolutionTrace(steps=(), pieces=(resolve_piece(c),))
     steps: list[ResolutionStep] = []

@@ -3,8 +3,8 @@
 The oracles are deliberately independent of the library's own algorithms:
 ranks are computed by elimination over the rationals, lattice points are
 enumerated over bounding boxes and filtered (also a grading slab), the
-stacked-polytope oracle tries explicit unimodular maps against the literal
-construction, fixed-point blow-ups are recomputed from the paper's
+stacked-polytope oracles try explicit unimodular maps against the literal
+construction or anchor each edge as the base of a shear, fixed-point blow-ups are recomputed from the paper's
 definition as linearity domains of the order function, envelope
 subdivisions and hull floors are recomputed by a 4-D double description,
 rank-2 Hilbert bases by the parallelepiped walk and its domination filter,
@@ -39,7 +39,7 @@ from toresolve.cones import (
 from toresolve.classify import LatticePolytope, convex_hull_2d
 from toresolve.divisors import SupportFunction, with_linear_representatives
 from toresolve.hilbert import _dot, _parallelepiped_points, _polygon, _sub, hilbert_basis
-from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector, _turn
+from toresolve.lattice import Covector, IntMatrix, LatticeError, LatticeVector, _turn, extended_gcd_vector
 from toresolve.resolve3d import PolygonComplex, Resolve3dError, _wall_terms, _walls, blowup_fixed_point
 
 Point = tuple[int, int]
@@ -126,18 +126,20 @@ def box_interior_points(p: LatticePolytope) -> list[tuple[int, ...]]:
 def scanned_facts(vertices) -> tuple[list, list, list, dict]:
     """Lattice, interior and edge-interior points of the polygon with these
     canonical vertices, from bounding-box scans of a fresh copy, and its tag
-    built from them (no Pick count)."""
+    built from them and from the doubled area of a fan of triangles from the
+    first vertex (no Pick count)."""
     cell = LatticePolytope(vertices)
     points = box_lattice_points(cell)
     interior = box_interior_points(cell)
     edge = [q for q in points if q not in interior and q not in vertices]
     v = vertices
+    area2 = sum(_turn(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1))
     parallelogram = len(v) == 4 and all(v[0][i] + v[2][i] == v[1][i] + v[3][i] for i in range(2))
     tag = {
         "interior_points": len(interior),
         "edge_interior_points": len(edge),
-        "basic": cell.area2() == 1,
-        "unit_parallelogram": parallelogram and cell.area2() == 2 and len(points) == 4,
+        "basic": area2 == 1,
+        "unit_parallelogram": parallelogram and area2 == 2 and len(points) == 4,
     }
     return points, interior, edge, tag
 
@@ -837,6 +839,46 @@ def nakajima_construction_oracle(p: LatticePolytope, bound: int = 5) -> bool:
             moved = sorted((x - corner[0], y - corner[1]) for x, y in imgs)
             if _is_literal_stacked(moved):
                 return True
+    return False
+
+
+def case_analysis_nakajima(p: LatticePolytope) -> bool:
+    """Stackedness of a polygon of at most four vertices by anchoring each
+    edge, in both orientations, as the base of the shape
+    0 <= x <= c, 0 <= y <= slope*x + h0: the base's inward primitive normal
+    is the height, a complement of its primitive direction the abscissa, and
+    an integer shear must make the sides vertical.  Pentagons and larger
+    polygons are refused."""
+    verts = list(p.vertices)
+    n = len(verts)
+    if n > 4:
+        return False
+    for i in range(n):
+        for flip in (False, True):
+            a, b = verts[i], verts[(i + 1) % n]
+            before, after = verts[(i - 1) % n], verts[(i + 2) % n]
+            if flip:
+                a, b = b, a
+                before, after = after, before
+            d = (b[0] - a[0], b[1] - a[1])
+            c_len = math.gcd(*d)
+            dp = (d[0] // c_len, d[1] // c_len)
+            normal = (dp[1], -dp[0]) if flip else (-dp[1], dp[0])
+            height = lambda w: normal[0] * (w[0] - a[0]) + normal[1] * (w[1] - a[1])
+            _g, xi = extended_gcd_vector(dp)
+            xcoord = lambda w: xi[0] * (w[0] - a[0]) + xi[1] * (w[1] - a[1])
+            if n == 3:
+                w = before if before != b else after
+                yw, xw = height(w), xcoord(w)
+                if yw > 0 and yw % c_len == 0 and (xw % yw == 0 or (c_len - xw) % yw == 0):
+                    return True
+            else:
+                ya, xa = height(before), xcoord(before)
+                yb, xb = height(after), xcoord(after)
+                if ya <= 0 or yb <= 0 or xa % ya != 0:
+                    continue
+                if xb + (-xa // ya) * yb == c_len and (yb - ya) % c_len == 0:
+                    return True
     return False
 
 

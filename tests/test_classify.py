@@ -26,9 +26,11 @@ from toresolve.lattice import Covector, IntMatrix, LatticeVector, rational_solve
 from toresolve.resolve3d import PolygonComplex, blowup_curve_phase, canonical_modification, crepant_fixed_point_phase
 
 from conftest import (
+    box_interior_points,
     box_lattice_points,
     box_slab_points,
     c3_hulls,
+    case_analysis_nakajima,
     fraction_rank,
     gauss_jordan_solve,
     gorenstein_cone_over,
@@ -397,6 +399,52 @@ def test_nakajima_oracle_agreement_random(rng):
             continue
         checked += 1
         assert is_nakajima(p) == nakajima_construction_oracle(p), p.vertices
+
+
+def test_strip_test_matches_case_analysis_oracle():
+    """The strip test of ``is_nakajima`` agrees with the edge-anchored case
+    analysis on every convex lattice polygon of at most four vertices in
+    [0, 4]^2, and refuses every pentagon and hexagon in [0, 3]^2."""
+    pts = list(itertools.product(range(5), repeat=2))
+    shapes = [comb for n in (3, 4) for comb in itertools.combinations(pts, n) if len(convex_hull_2d(list(comb))) == n]
+    assert len(shapes) == 9546
+    verdicts = set()
+    for shape in shapes:
+        p = LatticePolytope.from_points(shape)
+        verdicts.add((len(shape), is_nakajima(p)))
+        assert is_nakajima(p) == case_analysis_nakajima(p), shape
+    assert verdicts == {(3, True), (3, False), (4, True), (4, False)}, verdicts
+    small = list(itertools.product(range(4), repeat=2))
+    larger = [comb for n in (5, 6) for comb in itertools.combinations(small, n) if len(convex_hull_2d(list(comb))) == n]
+    assert {len(comb) for comb in larger} == {5, 6}
+    for comb in larger:
+        p = LatticePolytope.from_points(comb)
+        assert not is_nakajima(p) and not case_analysis_nakajima(p), comb
+
+
+def test_counts_match_box_scans():
+    """``counts`` (doubled area, boundary and interior points, with no point
+    listed) equals the box scans' boundary and interior counts, with the
+    doubled area 2I + B - 2 of Pick's theorem, on the C3 hulls and the
+    criterion-5 shapes; a segment or point in rank 3 has (0, its points, 0)."""
+    polygons = [LatticePolytope.from_points(hull) for hull in c3_hulls()]
+    polygons += [LatticePolytope.from_points(shape) for shape in _criterion5_shapes()]
+    assert len(polygons) == 50 + 1554
+    for p in polygons:
+        fresh = LatticePolytope(p.vertices)
+        interior = len(box_interior_points(p))
+        boundary = len(box_lattice_points(p)) - interior
+        assert fresh.counts == (2 * interior + boundary - 2, boundary, interior), p
+        assert fresh.area2() == fresh.counts[0] and "_points" not in vars(fresh), p
+    rng = random.Random(32)
+    segments = [LatticePolytope.from_points([(1, -2, 3)])]
+    for _ in range(200):
+        a = tuple(rng.randint(-5, 5) for _ in range(3))
+        d = tuple(rng.randint(-3, 3) for _ in range(3))
+        segments.append(LatticePolytope.from_points([a, tuple(x + rng.randint(1, 3) * y for x, y in zip(a, d))]))
+    for s in segments:
+        assert LatticePolytope(s.vertices).counts == (0, len(box_lattice_points(s)), 0), s
+    assert {s.dimension for s in segments} == {0, 1} and max(s.counts[1] for s in segments) >= 4
 
 
 def test_nakajima_low_dimensions_and_out_of_scope():

@@ -630,6 +630,38 @@ def test_dual_walk_refusal_names_the_input_cone(tmp_path, capsys):
     assert not outfile.exists()
 
 
+PLANE = {"lattice_rank": 3, "cones": [{"generators": [[1, 0, 0], [0, 1, 0]]}]}
+THREE_PIECES = {"lattice_rank": 3, "cones": [{"generators": [[5, -1, -1], [0, 1, 0], [0, 0, 1]]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, job",
+    [
+        (["render"], C45),
+        (["render"], PLANE),
+        (["resolve3d"], C45),
+        (["resolve3d"], PLANE),
+        (["resolve2d"], FIG),
+        (["render"], THREE_PIECES),
+        (["resolve3d", "--completion", "0"], THREE_PIECES),
+        (["resolve3d", "--svg", "{svg}"], THREE_PIECES),
+    ],
+)
+def test_domain_refusals_name_the_input_cone(tmp_path, capsys, argv, job):
+    """A cone of the wrong rank or dimension for the command, or with more
+    than one canonical piece where one is needed, is refused with exit 1 in
+    one stderr line that names every generator of the input cone, and no
+    output file is written."""
+    infile = write_job(tmp_path, "in.json", job)
+    outfile, svgfile = tmp_path / "out.json", tmp_path / "out.svg"
+    argv = [a.format(svg=svgfile) for a in argv]
+    assert main([argv[0], "--in", infile, "--out", str(outfile), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("toresolve: ") and err.count("\n") == 1, err
+    assert all(str(tuple(g)) in err for g in job["cones"][0]["generators"]), err
+    assert not outfile.exists() and not svgfile.exists()
+
+
 PAST_BUDGET_2D = [[1, 0], [1, 10**18 + 3]]
 PAST_BUDGET_3D = [[1, 0, 0], [0, 1, 0], [1, 1, 10**9 + 7]]
 

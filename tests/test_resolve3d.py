@@ -21,7 +21,6 @@ from toresolve.resolve3d import (
     PolygonComplex,
     Resolve3dError,
     _basic_triangle_cone,
-    _cell_tag,
     _completion_for_bits,
     _envelope_subdivision,
     _fourier_motzkin,
@@ -204,7 +203,8 @@ def test_piece_gradings_come_from_floor_normals():
             pc = resolve3d.resolve_piece(piece)[0]
             scanned = []
             for cell in pc.cells:
-                tag = _cell_tag(LatticePolytope(cell.vertices))
+                tag = cell.tag
+                assert tag == LatticePolytope(cell.vertices).tag == scanned_facts(cell.vertices)[3], cell
                 if not tag["basic"]:
                     assert tag["unit_parallelogram"], cell
                     scanned.append(cell)
@@ -379,13 +379,13 @@ def _assert_cells_equal_hulls_of_their_points(cells):
     """Each cell, built from the ends of its lines or from the central hull,
     equals ``from_points`` of its tight set (the points it keeps): the same
     vertices, and kept points, interior and edge-interior points and tag
-    equal to those the fresh hull finds from its columns and edges."""
+    equal to those the fresh hull finds from its columns, edges and counts."""
     for cell in cells:
         kept = vars(cell)
         hull = LatticePolytope.from_points(kept["_points"])
         assert cell.vertices == hull.vertices, cell
-        fresh = (hull._points, hull._interior, hull._edge_interior, _cell_tag(hull))
-        assert (kept["_points"], kept["_interior"], kept["_edge_interior"], kept["_tag"]) == fresh, cell
+        fresh = (hull._points, hull._interior, hull._edge_interior, hull.tag)
+        assert (kept["_points"], kept["_interior"], kept["_edge_interior"], cell.tag) == fresh, cell
 
 
 def test_envelope_cells_equal_hulls_of_their_tight_sets(monkeypatch):
@@ -1203,16 +1203,15 @@ def _replayed_rounds(monkeypatch, cones) -> tuple[list, list]:
 
 
 def test_kept_cell_tags_equal_fresh_tags_after_every_round(monkeypatch):
-    """After every round of both phases the tags kept on the live cells
-    equal ``_cell_tag`` of fresh copies of the cells, and each cell is
-    tagged once."""
-    fresh_tag = _cell_tag
-    tagged = count_calls(monkeypatch, _cell_tag)
+    """After every round of both phases the live cells keep their counts and
+    tags, and each tag equals the tag of a fresh copy of the cell and the
+    tag of its box scan."""
     replayed, _made = _replayed_rounds(monkeypatch, facts_corpus())
     for _rnd, live in replayed:
-        assert [vars(c)["_tag"] for c in live] == [fresh_tag(LatticePolytope(c.vertices)) for c in live]
+        assert all({"counts", "tag"} <= vars(c).keys() for c in live)
+        assert [c.tag for c in live] == [LatticePolytope(c.vertices).tag for c in live]
+        assert [c.tag for c in live] == [scanned_facts(c.vertices)[3] for c in live]
     assert len(replayed) >= 300
-    assert len({id(args[0]) for args in tagged}) == len(tagged)
 
 
 def _scaling_triangle(k: int):
@@ -1294,9 +1293,10 @@ def test_seeded_cell_facts_and_census_equal_box_scans(monkeypatch):
     for rnd, live in replayed:
         assert rnd.census_after == set_census(live), rnd
     for cell in made:
-        assert {"_points", "_interior", "_edge_interior", "_tag"} <= vars(cell).keys(), cell
-        kept = (cell.lattice_points(), cell.interior_points(), cell.edge_interior_points(), vars(cell)["_tag"])
+        assert {"_points", "_interior", "_edge_interior", "counts", "tag"} <= vars(cell).keys(), cell
+        kept = (cell.lattice_points(), cell.interior_points(), cell.edge_interior_points(), cell.tag)
         assert kept == scanned_facts(cell.vertices), cell
+        assert cell.tag == LatticePolytope(cell.vertices).tag, cell
     assert len(replayed) >= 300
     assert any(cell.interior_points() for cell in made) and any(cell.edge_interior_points() for cell in made)
 
